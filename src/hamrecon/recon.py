@@ -11,11 +11,13 @@ Two algorithms, both linear in the data:
         M F^I = Phi^I - Psi^I
 
     over the full-support set S^I, where Phi reads weight-d values off
-    the given sphere, Psi collects already-known values of weight < k,
-    and M = sum_i r_{i,d-k} D_i lives in the (q-1)-ary k-dimensional
-    sub-scheme algebra.  M is inverted spectrally: transform, divide each
-    eigenspace component by its nondegeneracy sum, transform back.  The
-    solver refuses layers whose nondegeneracy sum vanishes.
+    the given sphere, Psi applies the same coefficients r_{i,d-k} to the
+    already-known values of weight < k in one distance-stack pass over
+    the q-ary k-face, read at S^I, and M = sum_i r_{i,d-k} D_i lives in
+    the (q-1)-ary k-dimensional sub-scheme algebra.  M is inverted
+    spectrally: transform, divide each eigenspace component by its
+    nondegeneracy sum, transform back.  The solver refuses layers whose
+    nondegeneracy sum vanishes.
 
 2.  Sphere to everything, for d = h.  After filling the ball, every
     Fourier coefficient on the weight-h sphere is a character-weighted
@@ -37,6 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -208,19 +211,25 @@ def reconstruct_origin(sphere: SphereData, h: int) -> complex:
 # per-layer geometry helpers (cached on raw (q, k), shared across faces)
 
 
+@lru_cache(maxsize=None)
 def _sub_assignments(q: int, k: int) -> np.ndarray:
     """Full-support digit assignments (digits 1..q-1) in lexicographic order."""
-    return digits_table(q - 1, k) + 1
+    table = digits_table(q - 1, k) + 1
+    table.setflags(write=False)
+    return table
 
 
-def _low_weight_assignments(q: int, k: int) -> np.ndarray:
-    face_digits = digits_table(q, k)
-    return face_digits[(face_digits != 0).sum(axis=1) < k]
+def _distance_combination(values: np.ndarray, q: int, k: int, column) -> np.ndarray:
+    """sum_i column[i] D_i values on the q-ary k-cube, flattened.
 
-
-def _full_support_rows(q: int, k: int) -> np.ndarray:
-    face_digits = digits_table(q, k)
-    return np.nonzero((face_digits != 0).all(axis=1))[0]
+    The coefficients stay exact until they are converted to float at the
+    multiply; distances past the end of ``column`` carry weight zero.
+    """
+    tensors = distance_tensor_stack(values, q, k, len(column) - 1)
+    acc = np.zeros_like(tensors[0])
+    for c, t in zip(column, tensors):
+        acc += float(c) * t
+    return acc.reshape(-1)
 
 
 def layer_rhs(
@@ -233,7 +242,11 @@ def layer_rhs(
     nonzero digits of a plus d-k fresh nonzero digits off its support),
     so Phi is readable from the sphere alone.  Psi(a) combines the
     already-reconstructed values of weight < k inside the face through
-    the same coefficient column.
+    the same coefficient column: the partial ball is gathered on the
+    q-ary k-face, its full-support words (weight k, not yet known) are
+    zeroed, and sum_i r_{i,d-k} D_i of that face is read at the
+    full-support words.  Values of weight >= k in ``partial`` are
+    therefore ignored.
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
@@ -244,9 +257,8 @@ def layer_rhs(
     if partial.d < k - 1:
         raise ValueError(f"partial ball of radius {partial.d} misses weights below {k}")
     column = [coefficient(q, n, h, k, i, d - k) for i in range(min(k, d - k) + 1)]
-    sub = _sub_assignments(q, k)
     pos_weights = position_weights(params, pos)
-    ranks_full = sub @ pos_weights
+    ranks_full = _sub_assignments(q, k) @ pos_weights
 
     # Phi: gather weight-(d-k) patterns on the complementary positions
     comp = complement(pos, n)
@@ -258,14 +270,11 @@ def layer_rhs(
     tau = np.concatenate(tau_ranks)
     phi = sphere.values[ranks_full[:, None] + tau[None, :]].sum(axis=1)
 
-    # Psi: distance-classified sums of the lighter face words
-    low = _low_weight_assignments(q, k)
-    ranks_low = low @ pos_weights
-    dist = (sub[:, None, :] != low[None, :, :]).sum(axis=2)
-    weights = np.zeros(dist.shape, dtype=np.float64)
-    for i, c in enumerate(column):
-        weights += float(c) * (dist == i)
-    psi = weights @ partial.values[ranks_low]
+    # Psi: one distance-stack pass over the face with its full-support words zeroed
+    face = partial.values[digits_table(q, k) @ pos_weights]
+    full_rows = weight_ranks(q, k, k)
+    face[full_rows] = 0
+    psi = _distance_combination(face, q, k, column)[full_rows]
 
     return LayerSystem(positions=pos, rhs=phi - psi)
 
@@ -298,11 +307,7 @@ def solve_layer(system: LayerSystem, q: int, n: int, h: int, d: int) -> np.ndarr
 def apply_layer_operator(q: int, n: int, h: int, d: int, k: int, vec: np.ndarray) -> np.ndarray:
     """M vec by direct sphere sums on the sub-cube (residual-check oracle)."""
     column = [coefficient(q, n, h, k, i, d - k) for i in range(min(k, d - k) + 1)]
-    tensors = distance_tensor_stack(vec, q - 1, k, len(column) - 1)
-    acc = np.zeros_like(tensors[0])
-    for c, t in zip(column, tensors):
-        acc = acc + float(c) * t
-    return acc.reshape(-1)
+    return _distance_combination(vec, q - 1, k, column)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +383,9 @@ def _eta_face_values(ball: BallData, positions) -> np.ndarray:
     pos = check_positions(positions, n)
     h = len(pos)
     ranks_face = digits_table(q, h) @ position_weights(params, pos)
-    tensors = distance_tensor_stack(ball.values[ranks_face], q, h, h)
-    acc = np.zeros_like(tensors[0])
-    for j, t in enumerate(tensors):
-        acc = acc + (-1) ** j * (q - 1) ** (h - j) * t
-    return float(Fraction(q) ** (n - 2 * h)) * acc.reshape(-1)
+    column = [(-1) ** j * (q - 1) ** (h - j) for j in range(h + 1)]
+    acc = _distance_combination(ball.values[ranks_face], q, h, column)
+    return float(Fraction(q) ** (n - 2 * h)) * acc
 
 
 def eta_direct_sum(f: VertexFunction, positions, beta) -> complex:
@@ -448,7 +451,7 @@ def reconstruct_full(
         )
     ball = reconstruct_ball(sphere, h, tolerance)
     fhat = np.zeros(params.size, dtype=np.complex128)
-    full_rows = _full_support_rows(params.q, h)
+    full_rows = weight_ranks(params.q, h, h)
     for positions in itertools.combinations(range(1, params.n + 1), h):
         ranks_face = digits_table(params.q, h) @ position_weights(params, positions)
         spectrum = _axis_transform(_eta_face_values(ball, positions), params.q, h, sign=-1)

@@ -41,36 +41,45 @@ def test_reconstruct_origin_edge_cases():
 
 
 def test_layer_rhs_matches_brute_force():
-    q, n, h, d = 3, 4, 2, 2
-    p = params(q, n)
-    f = eigfn(q, n, h, seed=2)
-    sphere = hr.SphereData.from_function(f, d)
-    for k in (1, 2):
-        # partial ball holding exactly the weights below k
-        partial = hr.BallData(
-            p, k - 1 if k > 1 else 0, np.where(weight_table(q, n) <= k - 1, f.values, 0)
-        )
-        for positions in itertools.combinations(range(1, n + 1), k):
-            system = hr.layer_rhs(sphere, partial, positions, h)
+    # (3,5,4,4) and (4,4,4,4) reach coefficients past i = 1, and q = 4
+    for q, n, h, d in ((3, 4, 2, 2), (3, 5, 4, 4), (4, 4, 4, 4)):
+        p = params(q, n)
+        f = eigfn(q, n, h, seed=2)
+        sphere = hr.SphereData.from_function(f, d)
+        wt = weight_table(q, n)
+        rng = np.random.default_rng(q * 100 + n)
+        for k in range(1, d + 1):
+            # partial ball holding exactly the weights below k
+            partial = hr.BallData(p, k - 1 if k > 1 else 0, np.where(wt <= k - 1, f.values, 0))
+            # the same ball polluted at weights >= k, which layer_rhs must ignore
+            noise = rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
+            polluted = hr.BallData(
+                p, d, np.where(wt <= d, f.values + np.where(wt >= k, noise, 0), 0)
+            )
             column = [
                 float(hr.coefficient(q, n, h, k, i, d - k)) for i in range(min(k, d - k) + 1)
             ]
-            for idx, alpha in enumerate(hr.full_support(p, positions)):
-                # Phi by enumeration, asserting the weight bookkeeping
-                phi = 0j
-                for w in hr.face(p, hr.complement(positions, n), alpha):
-                    if hr.hamming_distance(w, alpha) == d - k:
-                        assert hr.weight(w) == d
-                        phi += sphere.values[hr.word_rank(p, w)]
-                _, delta = hr.sigma_delta_split(
-                    hr.VertexFunction(p, partial.values), alpha
-                )
-                psi = sum(column[i] * delta[i] for i in range(len(column)))
-                assert abs(system.rhs[idx] - (phi - psi)) <= 1e-9
-            # the layer equation itself: M applied to the true values gives the rhs
-            truth = f.values[_sub_assignments(q, k) @ position_weights(p, positions)]
-            applied = hr.apply_layer_operator(q, n, h, d, k, truth)
-            assert np.max(np.abs(applied - system.rhs)) <= tol_for(f)
+            for positions in itertools.combinations(range(1, n + 1), k):
+                system = hr.layer_rhs(sphere, partial, positions, h)
+                assert np.array_equal(
+                    hr.layer_rhs(sphere, polluted, positions, h).rhs, system.rhs
+                ), (q, n, h, d, positions)
+                for idx, alpha in enumerate(hr.full_support(p, positions)):
+                    # Phi by enumeration, asserting the weight bookkeeping
+                    phi = 0j
+                    for w in hr.face(p, hr.complement(positions, n), alpha):
+                        if hr.hamming_distance(w, alpha) == d - k:
+                            assert hr.weight(w) == d
+                            phi += sphere.values[hr.word_rank(p, w)]
+                    _, delta = hr.sigma_delta_split(
+                        hr.VertexFunction(p, partial.values), alpha
+                    )
+                    psi = sum(column[i] * delta[i] for i in range(len(column)))
+                    assert abs(system.rhs[idx] - (phi - psi)) <= 1e-9, (q, n, h, d, alpha)
+                # the layer equation itself: M applied to the true values gives the rhs
+                truth = f.values[_sub_assignments(q, k) @ position_weights(p, positions)]
+                applied = hr.apply_layer_operator(q, n, h, d, k, truth)
+                assert np.max(np.abs(applied - system.rhs)) <= tol_for(f)
 
 
 def test_layer_rhs_zero_input():
