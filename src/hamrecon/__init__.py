@@ -86,6 +86,7 @@ from .spectral import (
     VertexFunction,
     apply_distance_operator,
     character,
+    dumps_vertex_json,
     eigen_residual,
     fourier_transform,
     function_from_dict,

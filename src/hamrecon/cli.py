@@ -40,7 +40,12 @@ from .recon import (
 )
 from .localdist import local_distribution
 from .scheme import SchemeParams, parse_word, weight_table, word_text
-from .spectral import function_from_dict, function_to_dict, random_eigenfunction
+from .spectral import (
+    dumps_vertex_json,
+    function_from_dict,
+    function_to_dict,
+    random_eigenfunction,
+)
 
 EXIT_OK = 0
 EXIT_CONDITION_FAIL = 2
@@ -64,7 +69,6 @@ class JobConfig:
     seed: int | None = None
     tolerance: float = 1e-8
     mode: str | None = None
-    strict: bool = False
     oracle_eta: bool = False
     input_path: str | None = None
     output_path: str | None = None
@@ -122,7 +126,6 @@ def _build_parser() -> _Parser:
     p_check.add_argument("--n", type=int, required=True)
     p_check.add_argument("--h", type=int, required=True)
     p_check.add_argument("--d", type=int, required=True)
-    p_check.add_argument("--strict", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="CSV of condition checks over a grid")
     p_sweep.add_argument("--q", type=str, required=True, help="comma-separated list")
@@ -182,7 +185,7 @@ def _print_json(data: dict) -> None:
 
 
 def run_check(config: JobConfig) -> int:
-    report = check_conditions(config.q, config.n, config.h, config.d, strict=config.strict)
+    report = check_conditions(config.q, config.n, config.h, config.d)
     _print_json(report.to_json_dict())
     return EXIT_OK if report.passed else EXIT_CONDITION_FAIL
 
@@ -217,7 +220,7 @@ def run_generate(config: JobConfig) -> int:
         data = function_to_dict(f)
     else:
         data = SphereData.from_function(f, config.d).to_dict()
-    _emit(json.dumps(data, sort_keys=True, indent=1) + "\n", config.output_path)
+    _emit(dumps_vertex_json(data), config.output_path)
     return EXIT_OK
 
 
@@ -261,7 +264,7 @@ def run_reconstruct(config: JobConfig) -> int:
                     f"eta oracle disagrees with the closed form by {gap:.3e}\n"
                 )
                 return EXIT_INCONSISTENT
-    Path(config.output_path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    Path(config.output_path).write_text(dumps_vertex_json(payload))
     _print_json(summary)
     return EXIT_OK
 
@@ -354,7 +357,7 @@ def _config_from_args(args: argparse.Namespace) -> JobConfig:
         config.n_list = _int_list(args.n)
         config.output_path = args.output
     else:
-        for name in ("q", "n", "h", "d", "seed", "tolerance", "mode", "strict", "positions", "anchor"):
+        for name in ("q", "n", "h", "d", "seed", "tolerance", "mode", "positions", "anchor"):
             if hasattr(args, name):
                 setattr(config, name, getattr(args, name))
         config.oracle_eta = getattr(args, "oracle_eta", False)

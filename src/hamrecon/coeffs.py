@@ -251,7 +251,6 @@ class ConditionReport:
     n: int
     h: int
     d: int
-    strict: bool
     origin_value: int
     failures: tuple[tuple[int, int], ...]
 
@@ -275,19 +274,12 @@ class ConditionReport:
         }
 
 
-def check_conditions(q: int, n: int, h: int, d: int, strict: bool = False) -> ConditionReport:
+def check_conditions(q: int, n: int, h: int, d: int) -> ConditionReport:
     """Evaluate the exact layer nondegeneracy conditions for radius d.
 
     Checks P_d(h; n) != 0 and, for every layer k = 1..d, that all k+1
     nondegeneracy sums are nonzero.  All tests are exact integer/rational
     comparisons.
-
-    ``strict`` nominally widens the quantifier to k = 1..h, but a layer
-    k > d has no defined coefficient column (the transfer would need the
-    component at face distance d-k < 0), so the widened range adds no
-    checkable layer and the outcome coincides with the default; for d = h
-    the two ranges are literally the same.  The flag is kept so callers
-    can state the intent explicitly.
     """
     if not 0 <= h <= n:
         raise ValueError(f"eigenindex {h} outside [0, {n}]")
@@ -298,9 +290,7 @@ def check_conditions(q: int, n: int, h: int, d: int, strict: bool = False) -> Co
     for k in range(1, d + 1):
         for l in eigen_sums(q, n, h, d, k).zero_levels():
             failures.append((k, l))
-    return ConditionReport(
-        q=q, n=n, h=h, d=d, strict=strict, origin_value=origin, failures=tuple(failures)
-    )
+    return ConditionReport(q=q, n=n, h=h, d=d, origin_value=origin, failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,9 @@ from .spectral import (
     VertexFunction,
     _axis_transform,
     distance_tensor_stack,
-    entries_to_values,
     inverse_fourier,
-    values_to_entries,
+    read_vertex_dict,
+    vertex_dict,
 )
 
 
@@ -116,16 +116,13 @@ class SphereData:
         return weight_ranks(self.params.q, self.params.n, self.d)
 
     def to_dict(self) -> dict:
-        data: dict = {"q": self.params.q, "n": self.params.n, "d": self.d}
-        if self.eigenindex is not None:
-            data["eigenindex"] = int(self.eigenindex)
-        data["values"] = values_to_entries(self.params, self.values, self.domain_ranks())
-        return data
+        return vertex_dict(
+            self.params, self.values, self.domain_ranks(), self.eigenindex, d=self.d
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "SphereData":
-        params = SchemeParams(int(data["q"]), int(data["n"]))
-        values = entries_to_values(params, data.get("values", []))
+        params, values, eigenindex = read_vertex_dict(data)
         wt = weight_table(params.q, params.n)
         present = np.nonzero(values != 0)[0]
         if "d" in data:
@@ -136,8 +133,7 @@ class SphereData:
             d = int(wt[present[0]])
         if present.size and not np.all(wt[present] == d):
             raise ValueError("sphere data lists words of mixed weights")
-        eigenindex = data.get("eigenindex")
-        return cls(params, d, values, None if eigenindex is None else int(eigenindex))
+        return cls(params, d, values, eigenindex)
 
 
 @dataclass
@@ -164,22 +160,16 @@ class BallData:
         return np.nonzero(weight_table(self.params.q, self.params.n) <= self.d)[0]
 
     def to_dict(self) -> dict:
-        data: dict = {"q": self.params.q, "n": self.params.n, "d": self.d}
-        if self.eigenindex is not None:
-            data["eigenindex"] = int(self.eigenindex)
-        data["values"] = values_to_entries(self.params, self.values, self.domain_ranks())
-        return data
+        return vertex_dict(
+            self.params, self.values, self.domain_ranks(), self.eigenindex, d=self.d
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "BallData":
-        params = SchemeParams(int(data["q"]), int(data["n"]))
-        values = entries_to_values(params, data.get("values", []))
+        params, values, eigenindex = read_vertex_dict(data)
         if "d" not in data:
             raise ValueError("ball data requires an explicit radius field 'd'")
-        eigenindex = data.get("eigenindex")
-        return cls(
-            params, int(data["d"]), values, None if eigenindex is None else int(eigenindex)
-        )
+        return cls(params, int(data["d"]), values, eigenindex)
 
 
 @dataclass

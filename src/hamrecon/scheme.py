@@ -125,6 +125,43 @@ def parse_word(params: SchemeParams, text: str) -> Word:
     return check_word(params, [int(c) for c in text])
 
 
+def rank_texts(params: SchemeParams, ranks) -> list[str]:
+    """Text forms of the words with the given ranks; :func:`word_text` per rank."""
+    digits = digits_table(params.q, params.n)[ranks]
+    if digits.size and digits.max() > 9:
+        raise ValueError("text form is only defined for single-character digits (q <= 10)")
+    codes = (digits + ord("0")).astype(np.uint8)
+    return codes.view(f"S{params.n}").ravel().astype(f"U{params.n}").tolist()
+
+
+def text_ranks(params: SchemeParams, texts: Sequence[str]) -> np.ndarray:
+    """Ranks of the words in text form; :func:`parse_word` and :func:`word_rank` per text.
+
+    Only the ASCII digits 0..q-1 are accepted.  A text that is not a string
+    raises TypeError; a wrong length or any other character raises
+    ValueError naming the first offending text.
+    """
+    if not texts:
+        return np.zeros(0, dtype=np.int64)
+    if params.q > 10:
+        raise ValueError("text form is only defined for q <= 10")
+    n = params.n
+    joined = "".join(texts)
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    bad = np.flatnonzero(lengths != n)
+    if bad.size:
+        raise ValueError(f"word {texts[bad[0]]!r} has length {lengths[bad[0]]} != n = {n}")
+    # one code point per character, so non-ASCII digits fail the range test too
+    codes = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32).reshape(-1, n)
+    digits = codes.astype(np.int64) - ord("0")
+    bad = np.flatnonzero(((digits < 0) | (digits >= params.q)).any(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"word {texts[bad[0]]!r} has a character outside the digits 0..{params.q - 1}"
+        )
+    return digits @ (params.q ** np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
 def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
     """Number of positions where the two words differ."""
     if len(a) != len(b):

@@ -23,6 +23,7 @@ converted to floats only at the point where they multiply complex data.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +33,11 @@ from .scheme import (
     SchemeParams,
     check_word,
     digits_table,
-    parse_word,
-    rank_word,
+    rank_texts,
+    text_ranks,
     weight,
     weight_table,
     word_rank,
-    word_text,
 )
 
 
@@ -226,47 +226,117 @@ def random_eigenfunction(
 # ---------------------------------------------------------------------------
 # JSON form
 #
-# {"q": 3, "n": 4, "eigenindex": 2, "values": [{"w": "0120", "re": .., "im": ..}, ...]}
-# Words absent from "values" carry the value 0.  Sphere and ball files use the
-# same schema plus an explicit radius field "d".
+# {"d": 2, "eigenindex": 2, "n": 4, "q": 3, "values": [{"im": .., "re": .., "w": "0120"}, ...]}
+#
+# Words are base-q digit strings, most significant position first.  Entries
+# come in ascending word rank and zero values are omitted: words absent from
+# "values" carry the value 0.  Sphere and ball files carry their radius "d";
+# full functions omit it.  "eigenindex" is present when known.  Files are
+# written by dumps_vertex_json: keys sorted, one-space indent, the same bytes
+# as json.dumps(payload, sort_keys=True, indent=1) plus a newline, so they are
+# stable for a fixed seed and flags.  Reading rejects malformed words,
+# duplicate words and non-finite values.
 
 
 def values_to_entries(params: SchemeParams, values: np.ndarray, ranks=None) -> list[dict]:
+    """JSON entries of the nonzero values at ``ranks`` (default: every word), in that order."""
     if ranks is None:
-        ranks = range(params.size)
-    entries = []
-    for r in ranks:
-        v = values[r]
-        if v.real == 0.0 and v.imag == 0.0:
-            continue
-        entries.append(
-            {"w": word_text(rank_word(params, int(r))), "re": float(v.real), "im": float(v.imag)}
-        )
-    return entries
+        ranks = np.arange(params.size)
+    ranks = np.asarray(ranks, dtype=np.int64)
+    picked = np.asarray(values)[ranks]
+    keep = (picked.real != 0) | (picked.imag != 0)
+    picked = picked[keep]
+    texts = rank_texts(params, ranks[keep])
+    return [
+        {"w": w, "re": re, "im": im}
+        for w, re, im in zip(texts, picked.real.tolist(), picked.imag.tolist())
+    ]
 
 
 def entries_to_values(params: SchemeParams, entries) -> np.ndarray:
+    """Dense values from JSON entries; inverse of :func:`values_to_entries`.
+
+    Raises KeyError or TypeError on a malformed entry, ValueError on a
+    malformed or duplicate word and on a value that is not finite.
+    """
     values = np.zeros(params.size, dtype=np.complex128)
-    seen: set[int] = set()
-    for entry in entries:
-        r = word_rank(params, parse_word(params, entry["w"]))
-        if r in seen:
-            raise ValueError(f"duplicate word {entry['w']!r}")
-        seen.add(r)
-        values[r] = complex(float(entry["re"]), float(entry["im"]))
+    texts = [entry["w"] for entry in entries]
+    ranks = text_ranks(params, texts)
+    counts = np.bincount(ranks, minlength=params.size)
+    repeated = counts[ranks] > 1
+    if repeated.any():
+        raise ValueError(f"duplicate word {texts[int(np.argmax(repeated))]!r}")
+    re = np.array([float(entry["re"]) for entry in entries], dtype=np.float64)
+    im = np.array([float(entry["im"]) for entry in entries], dtype=np.float64)
+    finite = np.isfinite(re) & np.isfinite(im)
+    if not finite.all():
+        raise ValueError(f"non-finite value for word {texts[int(np.argmin(finite))]!r}")
+    values.real[ranks] = re
+    values.imag[ranks] = im
     return values
 
 
-def function_to_dict(f: VertexFunction) -> dict:
-    data: dict = {"q": f.params.q, "n": f.params.n}
-    if f.eigenindex is not None:
-        data["eigenindex"] = int(f.eigenindex)
-    data["values"] = values_to_entries(f.params, f.values)
+def vertex_dict(
+    params: SchemeParams,
+    values: np.ndarray,
+    ranks=None,
+    eigenindex: int | None = None,
+    d: int | None = None,
+) -> dict:
+    """The JSON payload of a vertex function, or of sphere/ball data with radius ``d``."""
+    data: dict = {"q": params.q, "n": params.n}
+    if d is not None:
+        data["d"] = int(d)
+    if eigenindex is not None:
+        data["eigenindex"] = int(eigenindex)
+    data["values"] = values_to_entries(params, values, ranks)
     return data
 
 
-def function_from_dict(data: dict) -> VertexFunction:
+def read_vertex_dict(data: dict) -> tuple[SchemeParams, np.ndarray, int | None]:
+    """Parameters, dense values and eigenindex of a JSON payload."""
     params = SchemeParams(int(data["q"]), int(data["n"]))
     values = entries_to_values(params, data.get("values", []))
     eigenindex = data.get("eigenindex")
-    return VertexFunction(params, values, None if eigenindex is None else int(eigenindex))
+    return params, values, None if eigenindex is None else int(eigenindex)
+
+
+_ENTRY = '  {\n   "im": %s,\n   "re": %s,\n   "w": "%s"\n  }'
+
+
+def _float_texts(xs: list[float]) -> list[str]:
+    # float.__repr__ is how json spells a finite float; NaN and the
+    # infinities take json's own spellings
+    texts = list(map(float.__repr__, xs))
+    for i in np.flatnonzero(~np.isfinite(xs)):
+        texts[i] = json.dumps(xs[i])
+    return texts
+
+
+def dumps_vertex_json(payload: dict) -> str:
+    """File text of a JSON payload, without the stdlib's pure-Python indenting encoder.
+
+    The text equals ``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``
+    when ``payload["values"]`` holds entries as made by :func:`values_to_entries`.
+    """
+    entries = payload.get("values")
+    if not entries:
+        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    text = json.dumps({**payload, "values": []}, sort_keys=True, indent=1) + "\n"
+    rows = zip(
+        _float_texts([e["im"] for e in entries]),
+        _float_texts([e["re"] for e in entries]),
+        [e["w"] for e in entries],
+    )
+    body = ",\n".join([_ENTRY % row for row in rows])
+    # a newline cannot occur inside a JSON string, so the top-level key is unique
+    return text.replace('\n "values": []', '\n "values": [\n' + body + "\n ]", 1)
+
+
+def function_to_dict(f: VertexFunction) -> dict:
+    return vertex_dict(f.params, f.values, eigenindex=f.eigenindex)
+
+
+def function_from_dict(data: dict) -> VertexFunction:
+    params, values, eigenindex = read_vertex_dict(data)
+    return VertexFunction(params, values, eigenindex)

@@ -243,3 +243,67 @@ def test_usage_errors(capsys):
     assert code == 64
     code, _, _ = run(capsys, "verify", "--mode", "sideways", "--q", "3", "--n", "4", "--h", "2")
     assert code == 64
+
+
+def _oracle_text(payload):
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def test_written_files_match_json_dumps(tmp_path, capsys):
+    full, sphere, ball, recovered = (tmp_path / f"{name}.json" for name in ("f", "s", "b", "r"))
+    gen = ("generate", "--q", "4", "--n", "4", "--h", "3", "--seed", "9")
+    assert run(capsys, *gen, "--output", str(full))[0] == 0
+    assert run(capsys, *gen, "--d", "3", "--output", str(sphere))[0] == 0
+    for mode, path in (("ball", ball), ("full", recovered)):
+        code, _, _ = run(
+            capsys, "reconstruct", "--mode", mode, "--input", str(sphere), "--output", str(path)
+        )
+        assert code == 0
+    # the oracle applied to the dict each command serializes
+    truth = hr.random_eigenfunction(hr.SchemeParams(4, 4), 3, seed=9)
+    data = hr.SphereData.from_function(truth, 3)
+    expect = {
+        full: hr.function_to_dict(truth),
+        sphere: data.to_dict(),
+        ball: hr.reconstruct_ball(data, 3).to_dict(),
+        recovered: hr.function_to_dict(hr.reconstruct_full(data, 3)),
+    }
+    for path, payload in expect.items():
+        assert path.read_text() == _oracle_text(payload)
+
+
+def test_non_finite_and_malformed_input_exit_64(tmp_path, capsys):
+    sphere = tmp_path / "sphere.json"
+    assert run(capsys, "generate", "--q", "3", "--n", "4", "--h", "2", "--d", "2",
+               "--output", str(sphere))[0] == 0
+    data = json.loads(sphere.read_text())
+    data["values"][0]["re"] = float("nan")
+    sphere.write_text(json.dumps(data))
+    out = tmp_path / "out.json"
+    code, _, err = run(
+        capsys, "reconstruct", "--mode", "full", "--input", str(sphere), "--output", str(out)
+    )
+    assert code == 64 and "non-finite" in err and not out.exists()
+
+    fn = tmp_path / "fn.json"
+    assert run(capsys, "generate", "--q", "3", "--n", "4", "--h", "2", "--output", str(fn))[0] == 0
+    good = json.loads(fn.read_text())
+    local = ("--positions", "2,4", "--anchor", "0120")
+    bad = json.loads(fn.read_text())
+    bad["values"][3]["im"] = float("inf")
+    fn.write_text(json.dumps(bad))
+    code, _, err = run(capsys, "local-dist", "--input", str(fn), *local)
+    assert code == 64 and "non-finite" in err
+
+    first = good["values"][0]
+    for broken in (
+        {**first, "w": first["w"] + "0"},  # wrong length
+        {**first, "w": "3" + first["w"][1:]},  # digit >= q
+        {**first, "w": "x" + first["w"][1:]},  # not a digit
+        {"re": 1.0, "im": 0.0},  # no word
+        {**first, "w": 7},  # word not a string
+        good["values"][1],  # duplicate word
+    ):
+        fn.write_text(json.dumps({**good, "values": good["values"][1:] + [broken]}))
+        code, _, err = run(capsys, "local-dist", "--input", str(fn), *local)
+        assert code == 64 and "cannot read function data" in err

@@ -168,7 +168,6 @@ def test_check_conditions():
     assert not rep2.passed and rep2.origin_ok and rep2.failures == ((1, 1),)
     rep3 = hr.check_conditions(3, 4, 2, 2)
     assert rep3.passed and rep3.origin_value == -3
-    assert hr.check_conditions(3, 4, 2, 2, strict=True).passed
     with pytest.raises(ValueError):
         hr.check_conditions(3, 4, 2, 3)
     data = rep2.to_json_dict()

@@ -164,6 +164,24 @@ def test_rank_word_round_trip_and_text():
         hr.rank_word(p, p.size)
 
 
+def test_rank_texts_and_text_ranks_match_per_word_forms():
+    for q, n in ((3, 4), (4, 3), (10, 2)):
+        p = hr.SchemeParams(q, n)
+        ranks = np.arange(p.size)[::-1]
+        texts = scheme.rank_texts(p, ranks)
+        assert texts == [hr.word_text(hr.rank_word(p, int(r))) for r in ranks]
+        assert np.array_equal(scheme.text_ranks(p, texts), ranks)
+        assert [hr.word_rank(p, hr.parse_word(p, t)) for t in texts] == ranks.tolist()
+    assert scheme.text_ranks(hr.SchemeParams(3, 4), []).shape == (0,)
+    # digits above 9 have no text form
+    wide = hr.SchemeParams(11, 2)
+    assert scheme.rank_texts(wide, [hr.word_rank(wide, (9, 9))]) == ["99"]
+    with pytest.raises(ValueError):
+        scheme.rank_texts(wide, [hr.word_rank(wide, (10, 0))])
+    with pytest.raises(ValueError):
+        scheme.text_ranks(wide, ["00"])
+
+
 def test_params_validation(monkeypatch):
     with pytest.raises(ValueError):
         hr.SchemeParams(2, 4)

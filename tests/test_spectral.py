@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -193,3 +195,73 @@ def test_json_round_trip():
         hr.function_from_dict(
             {"q": 3, "n": 2, "values": [{"w": "01", "re": 1, "im": 0}, {"w": "01", "re": 2, "im": 0}]}
         )
+
+    # every malformed entry raises the exception type the per-word reader raised
+    bad_entries = [
+        ({"w": "012", "re": 1.0, "im": 0.0}, ValueError),  # wrong length
+        ({"w": "03", "re": 1.0, "im": 0.0}, ValueError),  # digit >= q
+        ({"w": "0a", "re": 1.0, "im": 0.0}, ValueError),  # not a digit
+        ({"w": "\u0660\u0661", "re": 1.0, "im": 0.0}, ValueError),  # non-ASCII digits
+        ({"re": 1.0, "im": 0.0}, KeyError),  # no word
+        ({"w": 1, "re": 1.0, "im": 0.0}, TypeError),  # word not a string
+        ({"w": "02", "im": 0.0}, KeyError),  # no real part
+        ({"w": "02", "re": None, "im": 0.0}, TypeError),
+        ({"w": "02", "re": "x", "im": 0.0}, ValueError),
+    ]
+    for entry, exc in bad_entries:
+        with pytest.raises(exc):
+            hr.function_from_dict({"q": 3, "n": 2, "values": [{"w": "11", "re": 1, "im": 0}, entry]})
+    with pytest.raises(ValueError, match="'12'"):
+        hr.function_from_dict(
+            {
+                "q": 3,
+                "n": 2,
+                "values": [
+                    {"w": "01", "re": 1, "im": 0},
+                    {"w": "12", "re": 1, "im": 0},
+                    {"w": "12", "re": 2, "im": 0},
+                ],
+            }
+        )
+    # numbers given as ints or numeric strings are read as before
+    g3 = hr.function_from_dict({"q": 3, "n": 2, "values": [{"w": "21", "re": 1, "im": "1.5"}]})
+    assert g3.values[hr.word_rank(g3.params, (2, 1))] == 1 + 1.5j
+    # non-finite values are rejected, naming the word
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for entry in ({"w": "10", "re": bad, "im": 0.0}, {"w": "10", "re": 0.0, "im": bad}):
+            with pytest.raises(ValueError, match="'10'"):
+                hr.function_from_dict({"q": 3, "n": 2, "values": [entry]})
+
+
+def _oracle_text(payload):
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def test_vertex_json_writer_matches_json_dumps():
+    f = eigfn(4, 5, 3, seed=4)
+    sphere = hr.SphereData.from_function(f, 3)
+    payloads = [
+        hr.function_to_dict(f),
+        hr.function_to_dict(hr.VertexFunction(f.params, f.values)),  # no eigenindex
+        sphere.to_dict(),
+        hr.reconstruct_ball(sphere, 3).to_dict(),
+        {"q": 3, "n": 4, "d": 2, "eigenindex": 2, "values": []},
+        {"q": 3, "n": 4, "values": []},
+        {
+            "q": 3,
+            "n": 2,
+            "eigenindex": 1,
+            "values": [
+                {"w": "01", "re": -0.0, "im": 5e-324},
+                {"w": "02", "re": 1e300, "im": 1e-05},
+                {"w": "10", "re": 1.0, "im": -1.0},
+                {"w": "11", "re": 0.0, "im": 0.1},
+                {"w": "12", "re": float("nan"), "im": float("inf")},
+                {"w": "20", "re": -float("inf"), "im": 2.5},
+            ],
+        },
+    ]
+    for payload in payloads:
+        assert hr.dumps_vertex_json(payload) == _oracle_text(payload)
+    assert "NaN" in hr.dumps_vertex_json(payloads[-1])
+    assert "-Infinity" in hr.dumps_vertex_json(payloads[-1])
