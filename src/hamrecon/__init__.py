@@ -54,7 +54,7 @@ from .recon import (
     apply_layer_operator,
     eta_direct_sum,
     eta_discrepancy,
-    eta_sum,
+    eta_face_values,
     layer_rhs,
     reconstruct_ball,
     reconstruct_full,

@@ -84,6 +84,8 @@ class JobConfig:
             minimum = 2 if self.command == "krawtchouk-dump" else 3
             if self.q < minimum:
                 raise UsageError(f"q must be at least {minimum}, got {self.q}")
+            if self.command == "generate" and self.q > 10:
+                raise UsageError(f"text form of words needs q <= 10, got q={self.q}")
         if self.n is not None and self.n < 1:
             raise UsageError(f"n must be at least 1, got {self.n}")
         if self.command in ("check", "verify", "generate"):
@@ -230,6 +232,9 @@ def run_reconstruct(config: JobConfig) -> int:
         sphere = SphereData.from_dict(raw)
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot read sphere data from {config.input_path}: {exc}") from None
+    if sphere.params.q > 10:
+        # the result could not be written, so refuse before the solve
+        raise UsageError(f"text form of words needs q <= 10, got q={sphere.params.q}")
     if sphere.eigenindex is None:
         raise UsageError("input data does not carry an eigenvalue index")
     h = sphere.eigenindex

@@ -214,17 +214,25 @@ class EigenSums:
 
 
 @lru_cache(maxsize=None)
+def layer_column(q: int, n: int, h: int, d: int, k: int) -> tuple[Fraction, ...]:
+    """r_{i,d-k} for i = 0..min(k, d-k): the layer operator M = sum_i r_{i,d-k} D_i.
+
+    The k-face has components i = 0..k, and r_{ij} = 0 for i > j.
+    """
+    return tuple(coefficient(q, n, h, k, i, d - k) for i in range(min(k, d - k) + 1))
+
+
+@lru_cache(maxsize=None)
 def eigen_sums(q: int, n: int, h: int, d: int, k: int) -> EigenSums:
     """sums[l] = sum_i r_{i,d-k} P_i(l; k) over alphabet q-1, exactly.
 
-    The written range i = 0..k collapses to i = 0..min(k, d-k) because the
-    transfer is triangular (r_{i,j} = 0 for i > j).
+    The written range i = 0..k collapses to the :func:`layer_column` range.
     """
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
     if not d <= h:
         raise ValueError(f"need d <= h, got d={d}, h={h}")
-    column = [coefficient(q, n, h, k, i, d - k) for i in range(min(k, d - k) + 1)]
+    column = layer_column(q, n, h, d, k)
     sums = tuple(
         sum(
             (column[i] * krawtchouk_value(q - 1, i, l, k) for i in range(len(column))),
@@ -307,7 +315,7 @@ def dense_layer_matrix(q: int, n: int, h: int, d: int, k: int) -> list[list[Frac
     """
     if not 1 <= k <= d <= h:
         raise ValueError(f"need 1 <= k <= d <= h, got k={k}, d={d}, h={h}")
-    column = [coefficient(q, n, h, k, i, d - k) for i in range(min(k, d - k) + 1)]
+    column = layer_column(q, n, h, d, k)
     pts = digits_table(q - 1, k)
     m = pts.shape[0]
     dist = (pts[:, None, :] != pts[None, :, :]).sum(axis=2)

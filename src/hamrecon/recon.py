@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coeffs import ConditionReport, check_conditions, coefficient, eigen_sums
+from .coeffs import ConditionReport, check_conditions, eigen_sums, layer_column
 from .krawtchouk import krawtchouk_value
 from .scheme import (
     SchemeParams,
@@ -80,15 +80,12 @@ class DataInconsistencyError(RuntimeError):
 # data containers
 
 
-def _check_domain(params: SchemeParams, values: np.ndarray, mask: np.ndarray, what: str) -> None:
-    off = values[~mask]
-    if off.size and np.any(off != 0):
-        raise ValueError(f"{what} carries nonzero values outside its domain")
-
-
 @dataclass
-class SphereData:
-    """Values on the weight-d sphere around the origin (dense, zero off W_d)."""
+class _RadiusData:
+    """Values on a region of radius d around the origin (dense, zero off the region).
+
+    A subclass names the region in ``_what`` and lists its ranks in ``domain_ranks``.
+    """
 
     params: SchemeParams
     d: int
@@ -102,9 +99,19 @@ class SphereData:
         if v.shape != (self.params.size,):
             raise ValueError(f"values must have shape ({self.params.size},), got {v.shape}")
         self.values = v
-        _check_domain(
-            self.params, v, weight_table(self.params.q, self.params.n) == self.d, "sphere data"
+        if np.any(np.delete(v, self.domain_ranks()) != 0):
+            raise ValueError(f"{self._what} carries nonzero values outside its domain")
+
+    def to_dict(self) -> dict:
+        return vertex_dict(
+            self.params, self.values, self.domain_ranks(), self.eigenindex, d=self.d
         )
+
+
+class SphereData(_RadiusData):
+    """Values on the weight-d sphere around the origin (dense, zero off W_d)."""
+
+    _what = "sphere data"
 
     @classmethod
     def from_function(cls, f: VertexFunction, d: int) -> "SphereData":
@@ -115,19 +122,12 @@ class SphereData:
     def domain_ranks(self) -> np.ndarray:
         return weight_ranks(self.params.q, self.params.n, self.d)
 
-    def to_dict(self) -> dict:
-        return vertex_dict(
-            self.params, self.values, self.domain_ranks(), self.eigenindex, d=self.d
-        )
-
     @classmethod
     def from_dict(cls, data: dict) -> "SphereData":
-        params, values, eigenindex = read_vertex_dict(data)
+        params, values, eigenindex, d = read_vertex_dict(data)
         wt = weight_table(params.q, params.n)
         present = np.nonzero(values != 0)[0]
-        if "d" in data:
-            d = int(data["d"])
-        else:
+        if d is None:
             if present.size == 0:
                 raise ValueError("cannot infer the sphere radius from an empty value list")
             d = int(wt[present[0]])
@@ -136,40 +136,20 @@ class SphereData:
         return cls(params, d, values, eigenindex)
 
 
-@dataclass
-class BallData:
+class BallData(_RadiusData):
     """Values on the radius-d ball around the origin (dense, zero off B_d)."""
 
-    params: SchemeParams
-    d: int
-    values: np.ndarray
-    eigenindex: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.d <= self.params.n:
-            raise ValueError(f"radius {self.d} outside [0, {self.params.n}]")
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != (self.params.size,):
-            raise ValueError(f"values must have shape ({self.params.size},), got {v.shape}")
-        self.values = v
-        _check_domain(
-            self.params, v, weight_table(self.params.q, self.params.n) <= self.d, "ball data"
-        )
+    _what = "ball data"
 
     def domain_ranks(self) -> np.ndarray:
         return np.nonzero(weight_table(self.params.q, self.params.n) <= self.d)[0]
 
-    def to_dict(self) -> dict:
-        return vertex_dict(
-            self.params, self.values, self.domain_ranks(), self.eigenindex, d=self.d
-        )
-
     @classmethod
     def from_dict(cls, data: dict) -> "BallData":
-        params, values, eigenindex = read_vertex_dict(data)
-        if "d" not in data:
+        params, values, eigenindex, d = read_vertex_dict(data)
+        if d is None:
             raise ValueError("ball data requires an explicit radius field 'd'")
-        return cls(params, int(data["d"]), values, eigenindex)
+        return cls(params, d, values, eigenindex)
 
 
 @dataclass
@@ -246,7 +226,7 @@ def layer_rhs(
         raise ValueError(f"support size {k} outside [1, d={d}]")
     if partial.d < k - 1:
         raise ValueError(f"partial ball of radius {partial.d} misses weights below {k}")
-    column = [coefficient(q, n, h, k, i, d - k) for i in range(min(k, d - k) + 1)]
+    column = layer_column(q, n, h, d, k)
     pos_weights = position_weights(params, pos)
     ranks_full = _sub_assignments(q, k) @ pos_weights
 
@@ -296,7 +276,7 @@ def solve_layer(system: LayerSystem, q: int, n: int, h: int, d: int) -> np.ndarr
 
 def apply_layer_operator(q: int, n: int, h: int, d: int, k: int, vec: np.ndarray) -> np.ndarray:
     """M vec by direct sphere sums on the sub-cube (residual-check oracle)."""
-    column = [coefficient(q, n, h, k, i, d - k) for i in range(min(k, d - k) + 1)]
+    column = layer_column(q, n, h, d, k)
     return _distance_combination(vec, q - 1, k, column)
 
 
@@ -342,36 +322,21 @@ def reconstruct_ball(sphere: SphereData, h: int, tolerance: float = 1e-8) -> Bal
     return ball
 
 
-def eta_sum(ball: BallData, positions, beta) -> complex:
-    """Total of the function over the orthogonal face through beta.
+def eta_face_values(ball: BallData, positions) -> np.ndarray:
+    """Total of the function over the orthogonal face through every word of one h-face.
 
     ``positions`` spans the known h-face through the origin (h = |I| must
-    equal the ball radius); beta must lie inside that face.  Uses the
-    closed form eta = q^(n-2h) sum_j (-1)^j (q-1)^(h-j) v_j with v the
-    local distribution of the ball values in the face.
+    equal the ball radius).  Entry r belongs to the face word whose digits
+    on ``positions`` spell r in base q.  Uses the closed form
+    eta = q^(n-2h) sum_j (-1)^j (q-1)^(h-j) v_j, with v the local
+    distribution of the ball values in the face, for all words at once.
     """
-    from .localdist import local_distribution  # local import to avoid a cycle
-
-    params = ball.params
-    pos = check_positions(positions, params.n)
-    h = len(pos)
-    if h != ball.d:
-        raise ValueError(f"face dimension {h} must equal the ball radius {ball.d}")
-    b = tuple(int(x) for x in beta)
-    if any(b[p - 1] != 0 for p in complement(pos, params.n)):
-        raise ValueError("beta must lie in the face through the origin")
-    v = local_distribution(VertexFunction(params, ball.values), pos, b).components
-    prefactor = float(Fraction(params.q) ** (params.n - 2 * h))
-    alt = sum((-1) ** j * (params.q - 1) ** (h - j) * v[j] for j in range(h + 1))
-    return prefactor * complex(alt)
-
-
-def _eta_face_values(ball: BallData, positions) -> np.ndarray:
-    """eta over every word of one h-face at once (same math as eta_sum)."""
     params = ball.params
     q, n = params.q, params.n
     pos = check_positions(positions, n)
     h = len(pos)
+    if h != ball.d:
+        raise ValueError(f"face dimension {h} must equal the ball radius {ball.d}")
     ranks_face = digits_table(q, h) @ position_weights(params, pos)
     column = [(-1) ** j * (q - 1) ** (h - j) for j in range(h + 1)]
     acc = _distance_combination(ball.values[ranks_face], q, h, column)
@@ -381,8 +346,8 @@ def _eta_face_values(ball: BallData, positions) -> np.ndarray:
 def eta_direct_sum(f: VertexFunction, positions, beta) -> complex:
     """Direct summation of a *full* function over the orthogonal face.
 
-    The independent oracle for :func:`eta_sum`: needs values outside the
-    ball, so it only applies when the whole function is available.
+    The independent oracle for :func:`eta_face_values`: needs values
+    outside the ball, so it only applies when the whole function is available.
     """
     params = f.params
     pos = check_positions(positions, params.n)
@@ -408,7 +373,7 @@ def eta_discrepancy(f: VertexFunction, h: int) -> float:
     t = f.values.reshape((params.q,) * params.n)
     worst = 0.0
     for positions in itertools.combinations(range(1, params.n + 1), h):
-        closed = _eta_face_values(ball, positions)
+        closed = eta_face_values(ball, positions)
         comp_axes = tuple(p - 1 for p in complement(positions, params.n))
         direct = t.sum(axis=comp_axes).reshape(-1) if comp_axes else t.reshape(-1)
         worst = max(worst, float(np.max(np.abs(closed - direct))))
@@ -444,7 +409,7 @@ def reconstruct_full(
     full_rows = weight_ranks(params.q, h, h)
     for positions in itertools.combinations(range(1, params.n + 1), h):
         ranks_face = digits_table(params.q, h) @ position_weights(params, positions)
-        spectrum = _axis_transform(_eta_face_values(ball, positions), params.q, h, sign=-1)
+        spectrum = _axis_transform(eta_face_values(ball, positions), params.q, h, sign=-1)
         fhat[ranks_face[full_rows]] = spectrum[full_rows]
     out = inverse_fourier(VertexFunction(params, fhat))
     out.eigenindex = h

@@ -120,9 +120,8 @@ def word_text(word: Sequence[int]) -> str:
 
 
 def parse_word(params: SchemeParams, text: str) -> Word:
-    if params.q > 10:
-        raise ValueError("text form is only defined for q <= 10")
-    return check_word(params, [int(c) for c in text])
+    """Word of a text form: exactly n ASCII digits 0..q-1, as :func:`text_ranks` checks."""
+    return rank_word(params, int(text_ranks(params, [text])[0]))
 
 
 def rank_texts(params: SchemeParams, ranks) -> list[str]:

@@ -126,9 +126,9 @@ def inverse_fourier(g: VertexFunction) -> VertexFunction:
 # distance operators
 
 
-def _neighbor_axis_sum(t: np.ndarray, q: int, axis: int) -> np.ndarray:
-    # sum of f over words whose digit at `axis` differs (all q-1 replacements)
-    return sum(np.roll(t, -c, axis=axis) for c in range(1, q))
+def _neighbor_axis_sum(t: np.ndarray, axis: int) -> np.ndarray:
+    # sum of f over words whose digit at `axis` differs: the line total minus the word itself
+    return t.sum(axis=axis, keepdims=True) - t
 
 
 def distance_tensor_stack(values: np.ndarray, q: int, n: int, up_to: int) -> list[np.ndarray]:
@@ -143,7 +143,7 @@ def distance_tensor_stack(values: np.ndarray, q: int, n: int, up_to: int) -> lis
     acc: list = [t] + [None] * up_to
     for axis in range(n):
         for m in range(min(up_to, axis + 1), 0, -1):
-            contrib = _neighbor_axis_sum(acc[m - 1], q, axis)
+            contrib = _neighbor_axis_sum(acc[m - 1], axis)
             acc[m] = contrib if acc[m] is None else acc[m] + contrib
     return [a if a is not None else np.zeros_like(t) for a in acc]
 
@@ -234,8 +234,8 @@ def random_eigenfunction(
 # full functions omit it.  "eigenindex" is present when known.  Files are
 # written by dumps_vertex_json: keys sorted, one-space indent, the same bytes
 # as json.dumps(payload, sort_keys=True, indent=1) plus a newline, so they are
-# stable for a fixed seed and flags.  Reading rejects malformed words,
-# duplicate words and non-finite values.
+# stable for a fixed seed and flags.  Reading rejects header numbers that are
+# not integers, malformed words, duplicate words and non-finite values.
 
 
 def values_to_entries(params: SchemeParams, values: np.ndarray, ranks=None) -> list[dict]:
@@ -293,12 +293,23 @@ def vertex_dict(
     return data
 
 
-def read_vertex_dict(data: dict) -> tuple[SchemeParams, np.ndarray, int | None]:
-    """Parameters, dense values and eigenindex of a JSON payload."""
-    params = SchemeParams(int(data["q"]), int(data["n"]))
+def _header_int(key: str, value) -> int | None:
+    # bool is a subclass of int, but true is no count
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"header field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def read_vertex_dict(data: dict) -> tuple[SchemeParams, np.ndarray, int | None, int | None]:
+    """Parameters, dense values, eigenindex and radius ``d`` of a JSON payload.
+
+    An absent eigenindex or radius reads as None.  A header number that is
+    not an integer (a float such as 2.9, or a bool) raises ValueError.
+    """
+    params = SchemeParams(_header_int("q", data["q"]), _header_int("n", data["n"]))
     values = entries_to_values(params, data.get("values", []))
-    eigenindex = data.get("eigenindex")
-    return params, values, None if eigenindex is None else int(eigenindex)
+    eigenindex = _header_int("eigenindex", data.get("eigenindex"))
+    return params, values, eigenindex, _header_int("d", data.get("d"))
 
 
 _ENTRY = '  {\n   "im": %s,\n   "re": %s,\n   "w": "%s"\n  }'
@@ -338,5 +349,5 @@ def function_to_dict(f: VertexFunction) -> dict:
 
 
 def function_from_dict(data: dict) -> VertexFunction:
-    params, values, eigenindex = read_vertex_dict(data)
+    params, values, eigenindex, _ = read_vertex_dict(data)
     return VertexFunction(params, values, eigenindex)

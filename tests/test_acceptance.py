@@ -216,7 +216,9 @@ def test_criterion_8_eta_closed_form():
         beta = [0] * n
         for pos in positions:
             beta[pos - 1] = int(rng.integers(0, q))
-        closed = hr.eta_sum(ball, positions, tuple(beta))
+        # the face routine returns eta for every word of the face, in base-q order
+        face_rank = hr.word_rank(params(q, h), [beta[pos - 1] for pos in positions])
+        closed = hr.eta_face_values(ball, positions)[face_rank]
         direct = hr.eta_direct_sum(f, positions, tuple(beta))
         assert abs(closed - direct) <= 1e-9 * (1.0 + f.max_abs())
         checked += 1

@@ -1,10 +1,14 @@
-"""Cap-scale regression: full recovery at (q, n, h) = (4, 8, 8) in bounded memory.
+"""Cap-scale regressions: cells inside the default state cap in bounded memory.
 
-The cell lies inside the default state cap.  The recovery runs in a child
-process that caps its own address space at 1 GiB with ``RLIMIT_AS`` and
-uses one BLAS thread, so a memory blow-up shows as a failed child instead
-of taking the test runner down.  The child prints its error figures and
-peak resident memory as one JSON line.
+Each case runs in a child process that caps its own address space at
+1 GiB with ``RLIMIT_AS`` and uses one BLAS thread, so a memory blow-up
+shows as a failed child instead of taking the test runner down.
+
+* Full recovery at (q, n, h) = (4, 8, 8); the child prints its error
+  figures and peak resident memory as one JSON line.
+* The CLI at q = 65536, where text form cannot be written: ``generate``
+  and ``reconstruct`` must exit 64 before any work.  A q x q transform
+  kernel would need 32 GiB, so these cells never run in process.
 """
 
 import json
@@ -34,16 +38,42 @@ print(json.dumps({{
 """
 
 
-def test_full_recovery_4_8_8_within_memory_cap():
+CLI_CHILD = f"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_CAP}, {ADDRESS_CAP}))
+from hamrecon.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _run_child(code, *args):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = "1"
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD], env=env, capture_output=True, text=True, timeout=300
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=300
     )
+
+
+def test_full_recovery_4_8_8_within_memory_cap():
+    proc = _run_child(CHILD)
     assert proc.returncode == 0, proc.stderr[-2000:]
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert got["rel_error"] <= 1e-8, got
     assert got["residual"] <= 1e-8 * (1.0 + got["max_abs"]), got
     assert got["rss_mb"] <= PEAK_RSS_MB, got
+
+
+def test_cli_refuses_large_alphabet_before_work(tmp_path):
+    out = tmp_path / "out.json"
+    proc = _run_child(CLI_CHILD, "generate", "--q", "65536", "--n", "1", "--h", "1")
+    assert proc.returncode == 64 and "q <= 10" in proc.stderr, proc.stderr[-2000:]
+
+    sphere = tmp_path / "sphere.json"
+    sphere.write_text(json.dumps({"q": 65536, "n": 1, "d": 1, "eigenindex": 1, "values": []}))
+    proc = _run_child(
+        CLI_CHILD, "reconstruct", "--mode", "full", "--input", str(sphere), "--output", str(out)
+    )
+    assert proc.returncode == 64 and "q <= 10" in proc.stderr, proc.stderr[-2000:]
+    assert not out.exists()

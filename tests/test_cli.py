@@ -155,6 +155,22 @@ def test_reconstruct_error_paths(tmp_path, capsys):
     assert code == 64 and "eigenvalue index" in err
 
 
+def test_non_integer_header_numbers_exit_64(tmp_path, capsys):
+    sphere = tmp_path / "sphere.json"
+    assert run(capsys, "generate", "--q", "3", "--n", "4", "--h", "2", "--d", "2",
+               "--output", str(sphere))[0] == 0
+    good = json.loads(sphere.read_text())
+    out = tmp_path / "out.json"
+    for edit in ({"eigenindex": 2.9, "q": 3.5}, {"d": 2.0}, {"n": 4.0}, {"eigenindex": True}):
+        sphere.write_text(json.dumps({**good, **edit}))
+        for mode in ("ball", "full"):
+            code, _, err = run(
+                capsys, "reconstruct", "--mode", mode, "--input", str(sphere), "--output", str(out)
+            )
+            assert code == 64 and "must be an integer" in err, (edit, mode, err)
+            assert not out.exists()
+
+
 def test_verify_command(capsys):
     code, out, err = run(
         capsys, "verify", "--mode", "full", "--q", "3", "--n", "4", "--h", "2", "--seed", "7"
@@ -234,6 +250,11 @@ def test_local_dist_debug_command(tmp_path, capsys):
 
     code, _, _ = run(capsys, "local-dist", "--input", str(path), "--positions", "9", "--anchor", "0120")
     assert code == 64
+    # Arabic-Indic digits are digits to int(), but not words
+    code, _, err = run(
+        capsys, "local-dist", "--input", str(path), "--positions", "2,4", "--anchor", "\u0660\u0661\u0662\u0660"
+    )
+    assert code == 64 and "outside the digits" in err
 
 
 def test_usage_errors(capsys):

@@ -81,15 +81,16 @@ def test_distance_operator_basics():
     with pytest.raises(ValueError):
         hr.apply_distance_operator(f, 5)
 
-    # brute-force comparison on a small cube
-    p2 = params(3, 3)
-    g = hr.VertexFunction(p2, rng.normal(size=p2.size) + 1j * rng.normal(size=p2.size))
-    for i in range(4):
-        got = hr.apply_distance_operator(g, i)
-        for rank in range(p2.size):
-            center = hr.rank_word(p2, rank)
-            brute = sum(g.values[hr.word_rank(p2, w)] for w in hr.sphere(p2, center, i))
-            assert abs(got.values[rank] - brute) < 1e-10
+    # brute-force comparison on small cubes, past q = 3
+    for q, n in ((3, 3), (4, 3), (5, 2)):
+        p2 = params(q, n)
+        g = hr.VertexFunction(p2, rng.normal(size=p2.size) + 1j * rng.normal(size=p2.size))
+        for i in range(n + 1):
+            got = hr.apply_distance_operator(g, i)
+            for rank in range(p2.size):
+                center = hr.rank_word(p2, rank)
+                brute = sum(g.values[hr.word_rank(p2, w)] for w in hr.sphere(p2, center, i))
+                assert abs(got.values[rank] - brute) < 1e-10, (q, n, i, rank)
 
 
 def test_distance_operator_eigen_equations():
