@@ -5,8 +5,8 @@ Two algorithms, both linear in the data:
 1.  Sphere to ball.  Given the values of an index-h eigenfunction on the
     weight-d sphere (d <= h), recover the whole radius-d ball around the
     origin.  The center value is the sphere sum divided by P_d(h; n);
-    each further weight layer k = 1..d is recovered one support set I at
-    a time by solving
+    each further weight layer k = 1..d is recovered on every support set
+    I with |I| = k by solving
 
         M F^I = Phi^I - Psi^I
 
@@ -19,6 +19,14 @@ Two algorithms, both linear in the data:
     nondegeneracy sum, transform back.  The solver refuses layers whose
     nondegeneracy sum vanishes.
 
+    M is the same for all C(n, k) supports of a layer; only the right-hand
+    side changes.  So a layer is one batched problem: the supports are
+    stacked on a leading axis and Phi (one gather), Psi (one distance
+    stack over the face stack) and the solve (one forward and one inverse
+    transform) are whole-array passes over the stack.  The stack is cut
+    into chunks of at most ``_CHUNK_WORDS`` complex words, levels and
+    gather axes included, so peak memory does not grow with C(n, k).
+
 2.  Sphere to everything, for d = h.  After filling the ball, every
     Fourier coefficient on the weight-h sphere is a character-weighted
     sum of orthogonal-face totals eta(a, b), each of which collapses to a
@@ -26,8 +34,11 @@ Two algorithms, both linear in the data:
 
         eta = q^(n-2h) * sum_j (-1)^j (q-1)^(h-j) v_j .
 
-    The transform vanishes off the weight-h sphere, so one inverse
-    Fourier transform finishes the job.
+    On the full-support frequencies of a face this combination is
+    diagonal, so the coefficients come from one batched transform of the
+    ball values on all C(n, h) faces (in the same chunks).  The transform
+    vanishes off the weight-h sphere, so one inverse Fourier transform
+    finishes the job.
 
 All data vectors are dense complex arrays indexed by word rank; every
 combinatorial coefficient stays exact until the moment it multiplies
@@ -37,6 +48,7 @@ data.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -56,7 +68,7 @@ from .scheme import (
 )
 from .spectral import (
     VertexFunction,
-    _axis_transform,
+    axis_transform,
     distance_tensor_stack,
     inverse_fourier,
     read_vertex_dict,
@@ -99,7 +111,8 @@ class _RadiusData:
         if v.shape != (self.params.size,):
             raise ValueError(f"values must have shape ({self.params.size},), got {v.shape}")
         self.values = v
-        if np.any(np.delete(v, self.domain_ranks()) != 0):
+        # nonzeros off the domain, counted without copying the q^n values
+        if np.count_nonzero(v) != np.count_nonzero(v[self.domain_ranks()]):
             raise ValueError(f"{self._what} carries nonzero values outside its domain")
 
     def to_dict(self) -> dict:
@@ -178,28 +191,120 @@ def reconstruct_origin(sphere: SphereData, h: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# per-layer geometry helpers (cached on raw (q, k), shared across faces)
+# the batched layer kernel: every function below works on a stack of m support
+# sets at once, given as an (m, k) array of sorted 1-based positions
+
+# Most complex words a chunk of supports or faces may hold at once, the face
+# stack with its distance-stack levels and the Phi gather with its tau axis
+# included.  A fixed bound keeps peak memory flat however large a layer is.
+_CHUNK_WORDS = 1 << 18
 
 
 @lru_cache(maxsize=None)
-def _sub_assignments(q: int, k: int) -> np.ndarray:
-    """Full-support digit assignments (digits 1..q-1) in lexicographic order."""
-    table = digits_table(q - 1, k) + 1
+def _supports(n: int, k: int) -> np.ndarray:
+    """(C(n, k), k) array of the k-subsets of 1..n, in itertools.combinations order."""
+    table = np.array(list(itertools.combinations(range(1, n + 1), k)), dtype=np.int64)
+    table = table.reshape(math.comb(n, k), k)
     table.setflags(write=False)
     return table
 
 
-def _distance_combination(values: np.ndarray, q: int, k: int, column) -> np.ndarray:
-    """sum_i column[i] D_i values on the q-ary k-cube, flattened.
+@lru_cache(maxsize=None)
+def _sub_assignments(q: int, k: int) -> np.ndarray:
+    """Full-support digit assignments (digits 1..q-1) in lexicographic order.
 
-    The coefficients stay exact until they are converted to float at the
+    At k = 0 the one assignment is the empty one.
+    """
+    table = digits_table(q - 1, k) + 1 if k else np.zeros((1, 0), dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def _chunks(count: int, words_each: int) -> list[slice]:
+    """Consecutive slices of ``count`` items, each holding at most _CHUNK_WORDS words."""
+    step = max(1, _CHUNK_WORDS // words_each)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def _distance_combination(values: np.ndarray, q: int, k: int, column) -> np.ndarray:
+    """sum_i column[i] D_i values on the q-ary k-cube, per row of ``values``.
+
+    The last axis holds the q^k word values, leading axes are a batch.  The
+    coefficients stay exact until they are converted to float at the
     multiply; distances past the end of ``column`` carry weight zero.
     """
     tensors = distance_tensor_stack(values, q, k, len(column) - 1)
     acc = np.zeros_like(tensors[0])
     for c, t in zip(column, tensors):
         acc += float(c) * t
-    return acc.reshape(-1)
+    return acc.reshape(values.shape)
+
+
+def _layer_words(q: int, n: int, h: int, d: int, k: int) -> int:
+    """Complex words one support of layer k keeps live: the larger of Psi and Phi.
+
+    Psi holds the q^k face with its distance-stack levels plus three
+    temporaries; Phi holds a value and an index for each of the
+    C(n-k, d-k) (q-1)^d words it sums.
+    """
+    psi = q**k * (len(layer_column(q, n, h, d, k)) + 3)
+    phi = 2 * math.comb(n - k, d - k) * (q - 1) ** d
+    return max(psi, phi)
+
+
+def _layer_rhs(
+    sphere: np.ndarray, ball: np.ndarray, q: int, n: int, h: int, d: int, supports: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full-support ranks and Phi - Psi of layer k for a stack of supports.
+
+    ``sphere`` and ``ball`` are dense value vectors; only the weights
+    below k of ``ball`` are read.  Both results have shape (m, (q-1)^k),
+    with columns ordered like ``_sub_assignments(q, k)``.
+    """
+    m, k = supports.shape
+    column = layer_column(q, n, h, d, k)
+    weights = q ** (n - supports)
+    ranks_full = weights @ _sub_assignments(q, k).T
+
+    # Phi: each full-support word a plus every weight-(d-k) pattern tau on the
+    # complement of its support, a word of weight d
+    outside = np.ones((m, n), dtype=bool)
+    outside[np.arange(m)[:, None], supports - 1] = False
+    comp_weights = (q ** (n - 1 - np.nonzero(outside)[1])).reshape(m, n - k)
+    tau = comp_weights[:, _supports(n - k, d - k) - 1] @ _sub_assignments(q, d - k).T
+    phi = sphere[ranks_full[:, :, None] + tau.reshape(m, 1, -1)].sum(axis=2)
+
+    # Psi: one distance-stack pass over the face stack, full-support words zeroed
+    face = ball[weights @ digits_table(q, k).T]
+    full_rows = weight_ranks(q, k, k)
+    face[:, full_rows] = 0
+    psi = _distance_combination(face, q, k, column)[:, full_rows]
+    return ranks_full, phi - psi
+
+
+def _solve_layers(rhs: np.ndarray, q: int, n: int, h: int, d: int, k: int) -> np.ndarray:
+    """Solve M x = rhs for each row of ``rhs``, shape (m, (q-1)^k), spectrally.
+
+    The operator is a combination of sub-scheme distance matrices, hence
+    diagonal in the sub-scheme Fourier basis with eigenvalue sums[l] on
+    the weight-l component; division by those exact sums inverts it.
+    Refuses (rather than pseudo-inverts) when a sum vanishes.
+    """
+    sums = eigen_sums(q, n, h, d, k)
+    zeros = sums.zero_levels()
+    if zeros:
+        raise ConditionError(
+            f"layer k={k} is singular: nondegeneracy sum vanishes at levels {list(zeros)}",
+            report=check_conditions(q, n, h, d),
+        )
+    sub_q = q - 1
+    divisors = np.array([float(s) for s in sums.sums])[weight_table(sub_q, k)]
+    spectrum = axis_transform(rhs, sub_q, k, sign=-1) / divisors
+    return axis_transform(spectrum, sub_q, k, sign=+1) / sub_q**k
+
+
+# ---------------------------------------------------------------------------
+# one support set: the batched kernel on a stack of one
 
 
 def layer_rhs(
@@ -226,50 +331,17 @@ def layer_rhs(
         raise ValueError(f"support size {k} outside [1, d={d}]")
     if partial.d < k - 1:
         raise ValueError(f"partial ball of radius {partial.d} misses weights below {k}")
-    column = layer_column(q, n, h, d, k)
-    pos_weights = position_weights(params, pos)
-    ranks_full = _sub_assignments(q, k) @ pos_weights
-
-    # Phi: gather weight-(d-k) patterns on the complementary positions
-    comp = complement(pos, n)
-    tau_ranks = [np.zeros(1, dtype=np.int64)] if d == k else []
-    if d > k:
-        patterns = _sub_assignments(q, d - k)
-        for subset in itertools.combinations(comp, d - k):
-            tau_ranks.append(patterns @ position_weights(params, subset))
-    tau = np.concatenate(tau_ranks)
-    phi = sphere.values[ranks_full[:, None] + tau[None, :]].sum(axis=1)
-
-    # Psi: one distance-stack pass over the face with its full-support words zeroed
-    face = partial.values[digits_table(q, k) @ pos_weights]
-    full_rows = weight_ranks(q, k, k)
-    face[full_rows] = 0
-    psi = _distance_combination(face, q, k, column)[full_rows]
-
-    return LayerSystem(positions=pos, rhs=phi - psi)
+    supports = np.array([pos], dtype=np.int64)
+    _, rhs = _layer_rhs(sphere.values, partial.values, q, n, h, d, supports)
+    return LayerSystem(positions=pos, rhs=rhs[0])
 
 
 def solve_layer(system: LayerSystem, q: int, n: int, h: int, d: int) -> np.ndarray:
-    """Invert the layer operator spectrally and store the solution.
+    """Invert the layer operator on one support set and store the solution.
 
-    The operator is a combination of sub-scheme distance matrices, hence
-    diagonal in the sub-scheme Fourier basis with eigenvalue sums[l] on
-    the weight-l component; division by those exact sums inverts it.
-    Refuses (rather than pseudo-inverts) when a sum vanishes.
+    Refuses with :class:`ConditionError` when a nondegeneracy sum vanishes.
     """
-    k = len(system.positions)
-    sums = eigen_sums(q, n, h, d, k)
-    zeros = sums.zero_levels()
-    if zeros:
-        raise ConditionError(
-            f"layer k={k} is singular: nondegeneracy sum vanishes at levels {list(zeros)}",
-            report=check_conditions(q, n, h, d),
-        )
-    sub_q = q - 1
-    spectrum = _axis_transform(system.rhs, sub_q, k, sign=-1)
-    divisors = np.array([float(s) for s in sums.sums])[weight_table(sub_q, k)]
-    spectrum /= divisors
-    solution = _axis_transform(spectrum, sub_q, k, sign=+1) / sub_q**k
+    solution = _solve_layers(system.rhs[None, :], q, n, h, d, len(system.positions))[0]
     system.solution = solution
     return solution
 
@@ -288,10 +360,13 @@ def reconstruct_ball(sphere: SphereData, h: int, tolerance: float = 1e-8) -> Bal
     """Recover the radius-d ball from the weight-d sphere values.
 
     Validates the exact nondegeneracy conditions up front, then fills
-    weight layers bottom-up.  The solved layer k = d must reproduce the
-    given sphere values (they are copied through verbatim); a mismatch
-    beyond the tolerance means the input was not the restriction of any
-    index-h eigenfunction.
+    weight layers bottom-up, each in a few whole-array passes over chunks
+    of its C(n, k) supports.  The given sphere values are copied through
+    verbatim.  The solved layer k = d is compared with them, but that
+    check cannot fail: the layer-d operator is the identity (its column
+    is (1,)) and Psi vanishes on the full-support words, so the solution
+    is the input itself.  Sphere data that no index-h eigenfunction
+    restricts to is therefore not detected here.
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
@@ -304,22 +379,39 @@ def reconstruct_ball(sphere: SphereData, h: int, tolerance: float = 1e-8) -> Bal
     ball.values[0] = reconstruct_origin(sphere, h)
     data_scale = 1.0 + float(np.max(np.abs(sphere.values)))
     for k in range(1, d + 1):
-        for positions in itertools.combinations(range(1, n + 1), k):
-            system = layer_rhs(sphere, ball, positions, h)
-            solution = solve_layer(system, q, n, h, d)
-            ranks = _sub_assignments(q, k) @ position_weights(params, positions)
-            if k == d:
-                given = sphere.values[ranks]
-                gap = float(np.max(np.abs(solution - given)))
-                if gap > tolerance * data_scale:
-                    raise DataInconsistencyError(
-                        f"sphere data is not a consistent eigenfunction restriction:"
-                        f" layer d={d} reproduces the input only to {gap:.3e}"
-                    )
-                ball.values[ranks] = given
-            else:
+        supports = _supports(n, k)
+        for chunk in _chunks(len(supports), _layer_words(q, n, h, d, k)):
+            ranks, rhs = _layer_rhs(sphere.values, ball.values, q, n, h, d, supports[chunk])
+            solution = _solve_layers(rhs, q, n, h, d, k)
+            if k < d:
                 ball.values[ranks] = solution
+                continue
+            given = sphere.values[ranks]
+            gap = float(np.max(np.abs(solution - given)))
+            if gap > tolerance * data_scale:
+                raise DataInconsistencyError(
+                    f"sphere data is not a consistent eigenfunction restriction:"
+                    f" layer d={d} reproduces the input only to {gap:.3e}"
+                )
+            ball.values[ranks] = given
     return ball
+
+
+def _eta_column(q: int, h: int) -> tuple[int, ...]:
+    """(-1)^j (q-1)^(h-j), j = 0..h: eta = q^(n-2h) sum_j column[j] v_j on an h-face."""
+    return tuple((-1) ** j * (q - 1) ** (h - j) for j in range(h + 1))
+
+
+def _eta_full_scale(q: int, n: int, h: int) -> Fraction:
+    """Factor of eta on the full-support frequencies of an h-face, exactly.
+
+    eta = q^(n-2h) sum_j c_j D_j on the face, and D_j is diagonal in the
+    face's Fourier basis with eigenvalue P_j(h; h) on a weight-h frequency,
+    so there FFT(eta) = q^(n-2h) (sum_j c_j P_j(h; h)) FFT(face values).
+    """
+    column = _eta_column(q, h)
+    lam = sum(c * krawtchouk_value(q, j, h, h) for j, c in enumerate(column))
+    return Fraction(q) ** (n - 2 * h) * lam
 
 
 def eta_face_values(ball: BallData, positions) -> np.ndarray:
@@ -338,8 +430,7 @@ def eta_face_values(ball: BallData, positions) -> np.ndarray:
     if h != ball.d:
         raise ValueError(f"face dimension {h} must equal the ball radius {ball.d}")
     ranks_face = digits_table(q, h) @ position_weights(params, pos)
-    column = [(-1) ** j * (q - 1) ** (h - j) for j in range(h + 1)]
-    acc = _distance_combination(ball.values[ranks_face], q, h, column)
+    acc = _distance_combination(ball.values[ranks_face], q, h, _eta_column(q, h))
     return float(Fraction(q) ** (n - 2 * h)) * acc
 
 
@@ -386,9 +477,12 @@ def reconstruct_full(
     """Recover the whole eigenfunction from its values on the weight-h sphere.
 
     Requires the sphere radius to equal the eigenvalue index.  Fills the
-    radius-h ball, assembles the Fourier coefficients on the weight-h
-    sphere from per-face eta sums (grouped by support, one sub-transform
-    per face), zeroes the rest of the spectrum, and inverts.
+    radius-h ball, then reads the Fourier coefficients on the weight-h
+    sphere off the eta sums of the C(n, h) faces, batched in chunks: on a
+    face's full-support frequencies the eta transform is the exact factor
+    of :func:`_eta_full_scale` times the transform of the ball values on
+    the face.  The rest of the spectrum is zero; one inverse transform
+    finishes.
     """
     params = sphere.params
     if h is None:
@@ -405,12 +499,16 @@ def reconstruct_full(
             params, np.full(params.size, complex(sphere.values[0])), eigenindex=0
         )
     ball = reconstruct_ball(sphere, h, tolerance)
+    q, n = params.q, params.n
     fhat = np.zeros(params.size, dtype=np.complex128)
-    full_rows = weight_ranks(params.q, h, h)
-    for positions in itertools.combinations(range(1, params.n + 1), h):
-        ranks_face = digits_table(params.q, h) @ position_weights(params, positions)
-        spectrum = _axis_transform(eta_face_values(ball, positions), params.q, h, sign=-1)
-        fhat[ranks_face[full_rows]] = spectrum[full_rows]
+    full_rows = weight_ranks(q, h, h)
+    scale = float(_eta_full_scale(q, n, h))
+    faces = _supports(n, h)
+    # per face: ranks (half a word each), values and two transform buffers
+    for chunk in _chunks(len(faces), 4 * q**h):
+        ranks = (q ** (n - faces[chunk])) @ digits_table(q, h).T
+        spectrum = axis_transform(ball.values[ranks], q, h, sign=-1)
+        fhat[ranks[:, full_rows]] = scale * spectrum[:, full_rows]
     out = inverse_fourier(VertexFunction(params, fhat))
     out.eigenindex = h
     return out

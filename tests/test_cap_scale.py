@@ -4,11 +4,12 @@ Each case runs in a child process that caps its own address space at
 1 GiB with ``RLIMIT_AS`` and uses one BLAS thread, so a memory blow-up
 shows as a failed child instead of taking the test runner down.
 
-* Full recovery at (q, n, h) = (4, 8, 8); the child prints its error
-  figures and peak resident memory as one JSON line.
-* The CLI at q = 65536, where text form cannot be written: ``generate``
-  and ``reconstruct`` must exit 64 before any work.  A q x q transform
-  kernel would need 32 GiB, so these cells never run in process.
+* Full recovery at (q, n, h) = (4, 8, 8), (3, 10, 8) and (3, 10, 10); the
+  child prints its error figures and peak resident memory as one JSON line.
+* The CLI at q = 65536, where a q x q transform kernel would need 32 GiB:
+  ``verify`` recovers the function through the FFT, while ``generate`` and
+  ``reconstruct``, whose text form cannot be written, exit 64 before any
+  work.
 """
 
 import json
@@ -17,16 +18,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ADDRESS_CAP = 2**30
 PEAK_RSS_MB = 256
 
 CHILD = f"""
-import json, resource
+import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_CAP}, {ADDRESS_CAP}))
 import numpy as np
 import hamrecon as hr
 
-q, n, h = 4, 8, 8
+q, n, h = map(int, sys.argv[1:])
 f = hr.random_eigenfunction(hr.SchemeParams(q, n), h, seed=11)
 out = hr.reconstruct_full(hr.SphereData.from_function(f, h), h)
 print(json.dumps({{
@@ -56,13 +59,29 @@ def _run_child(code, *args):
     )
 
 
-def test_full_recovery_4_8_8_within_memory_cap():
-    proc = _run_child(CHILD)
+def _check_full_recovery(q, n, h):
+    proc = _run_child(CHILD, str(q), str(n), str(h))
     assert proc.returncode == 0, proc.stderr[-2000:]
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert got["rel_error"] <= 1e-8, got
     assert got["residual"] <= 1e-8 * (1.0 + got["max_abs"]), got
     assert got["rss_mb"] <= PEAK_RSS_MB, got
+
+
+def test_full_recovery_4_8_8_within_memory_cap():
+    _check_full_recovery(4, 8, 8)
+
+
+@pytest.mark.parametrize("h", [8, 10])
+def test_full_recovery_3_10_within_memory_cap(h):
+    _check_full_recovery(3, 10, h)
+
+
+def test_verify_large_alphabet_within_memory_cap():
+    proc = _run_child(CLI_CHILD, "verify", "--mode", "full", "--q", "65536", "--n", "1", "--h", "1")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout)
+    assert report["pass"] and report["max_rel_error"] <= 1e-8, report
 
 
 def test_cli_refuses_large_alphabet_before_work(tmp_path):

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 import hamrecon as hr
+from hamrecon.coeffs import layer_column
 from hamrecon.krawtchouk import polymul
 from hamrecon.scheme import digits_table, weight_table
 
-from helpers import DESK_QN
+from helpers import DESK_QN, desk_cells
+
+# the cap-scale cells (q, n, h) of the full-recovery benchmark
+CAP_CELLS = ((4, 8, 6), (3, 10, 8), (3, 10, 10), (4, 8, 8))
 
 
 def _binpow(a, e):
@@ -135,12 +139,14 @@ def test_coefficient_triangularity_and_types():
 
 
 def test_eigen_sums_fixed_values():
-    # k = d forces the face-distance-0 column: every sum is 1
-    for q, n in ((3, 4), (4, 5)):
-        for h in range(1, n + 1):
-            for d in range(1, h + 1):
-                sums = hr.eigen_sums(q, n, h, d, d).sums
-                assert all(s == 1 for s in sums)
+    # k = d forces the face-distance-0 column (1,): the layer-d operator is the
+    # identity and every sum is 1, on the desk grid and at the cap-scale cells
+    cap = [(q, n, h, d) for q, n, h in CAP_CELLS for d in range(h + 1)]
+    for q, n, h, d in [*desk_cells(), *cap]:
+        if d == 0:
+            continue
+        assert layer_column(q, n, h, d, d) == (Fraction(1),), (q, n, h, d)
+        assert hr.eigen_sums(q, n, h, d, d).sums == (Fraction(1),) * (d + 1), (q, n, h, d)
     # frozen regression values
     assert hr.eigen_sums(3, 4, 2, 2, 1).sums == (Fraction(1), Fraction(3))
     assert hr.eigen_sums(3, 4, 3, 2, 1).sums == (Fraction(-2), Fraction(0))

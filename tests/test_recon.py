@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import hamrecon as hr
-from hamrecon.recon import _sub_assignments
-from hamrecon.scheme import position_weights, weight_table
+from hamrecon import recon
+from hamrecon.recon import _eta_full_scale, _sub_assignments
+from hamrecon.scheme import digits_table, position_weights, weight_ranks, weight_table
+from hamrecon.spectral import axis_transform
 
-from helpers import eigfn, params, tol_for
+from helpers import desk_cells, eigfn, params, tol_for
+from oracles import per_support_ball, per_support_full
 
 
 def _ball_mask(q, n, d):
@@ -181,6 +184,58 @@ def test_reconstruct_ball_non_eigen_data_is_reproduced():
     got = hr.reconstruct_ball(sphere, 2)
     smask = weight_table(3, 4) == 2
     assert np.array_equal(got.values[smask], vals[smask])
+
+
+@pytest.mark.parametrize("budget", [1, 2000])
+def test_batched_drivers_match_per_support_reference(monkeypatch, budget):
+    # a small chunk budget splits layers into several chunks: of one support
+    # each at budget 1, of several supports at 2000
+    monkeypatch.setattr(recon, "_CHUNK_WORDS", budget)
+    chunks = []
+    batched_rhs = recon._layer_rhs
+
+    def recorded(sphere, ball, q, n, h, d, supports):
+        chunks.append(((q, n, h, d, supports.shape[1]), len(supports)))
+        return batched_rhs(sphere, ball, q, n, h, d, supports)
+
+    monkeypatch.setattr(recon, "_layer_rhs", recorded)
+    compared = 0
+    for q, n, h, d in desk_cells():
+        if not hr.check_conditions(q, n, h, d).passed:
+            continue
+        sphere = hr.SphereData.from_function(eigfn(q, n, h), d)
+        got = hr.reconstruct_ball(sphere, h).values
+        assert np.max(np.abs(got - per_support_ball(sphere, h))) <= 1e-12, (q, n, h, d)
+        if 0 < d == h:
+            got = hr.reconstruct_full(sphere, h).values
+            assert np.max(np.abs(got - per_support_full(sphere, h))) <= 1e-12, (q, n, h)
+        compared += 1
+    assert compared >= 100
+    per_layer = {}
+    for layer, size in chunks:
+        per_layer.setdefault(layer, []).append(size)
+    assert any(len(sizes) > 1 for sizes in per_layer.values())
+    if budget == 1:
+        assert max(size for _, size in chunks) == 1
+    else:
+        assert any(len(sizes) > 1 and min(sizes) > 1 for sizes in per_layer.values())
+
+
+def test_eta_spectrum_is_diagonal_on_full_support_rows():
+    # FFT(eta) on a face equals the exact scale times FFT(face values) at the
+    # full-support frequencies, for any ball values
+    for q, n, h in ((3, 4, 2), (4, 3, 3), (5, 3, 1), (3, 5, 3)):
+        p = params(q, n)
+        rng = np.random.default_rng(q * 10 + n + h)
+        raw = rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
+        ball = hr.BallData(p, h, np.where(_ball_mask(q, n, h), raw, 0))
+        full_rows = weight_ranks(q, h, h)
+        scale = float(_eta_full_scale(q, n, h))
+        for positions in itertools.combinations(range(1, n + 1), h):
+            ranks_face = digits_table(q, h) @ position_weights(p, positions)
+            direct = axis_transform(hr.eta_face_values(ball, positions), q, h, -1)[full_rows]
+            diagonal = scale * axis_transform(ball.values[ranks_face], q, h, -1)[full_rows]
+            assert np.max(np.abs(direct - diagonal)) <= 1e-12 * (1 + np.max(np.abs(direct)))
 
 
 def test_eta_sum_against_direct_oracle():

@@ -5,7 +5,7 @@ import pytest
 
 import hamrecon as hr
 from hamrecon.scheme import weight_ranks, weight_table
-from hamrecon.spectral import FourierContext
+from hamrecon.spectral import DENSE_MAX_Q, FourierContext, axis_transform
 
 from helpers import eigfn, params, tol_for
 
@@ -47,6 +47,20 @@ def test_fourier_of_character_is_scaled_delta():
     expect = np.zeros(p.size, dtype=complex)
     expect[hr.word_rank(p, beta)] = p.size
     assert np.max(np.abs(ghat - expect)) <= 1e-9 * p.size
+
+
+def test_axis_transform_matches_character_sums():
+    # both kernels (dense up to DENSE_MAX_Q, FFT above) against the character
+    # definition, on a batch of rows transformed at once
+    for q, n in ((3, 3), (5, 2), (DENSE_MAX_Q, 1), (DENSE_MAX_Q + 1, 2), (64, 1)):
+        p = params(q, n)
+        chars = np.array([hr.character(p, hr.rank_word(p, a)).values for a in range(p.size)])
+        rng = np.random.default_rng(q + n)
+        rows = rng.normal(size=(3, p.size)) + 1j * rng.normal(size=(3, p.size))
+        for sign, matrix in ((-1, chars.conj()), (+1, chars)):
+            got = axis_transform(rows, q, n, sign)
+            assert got.shape == rows.shape
+            assert np.max(np.abs(got - rows @ matrix.T)) <= 1e-9 * p.size, (q, n, sign)
 
 
 def test_fourier_inversion_and_delta():
