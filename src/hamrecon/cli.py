@@ -252,14 +252,14 @@ def run_reconstruct(config: JobConfig) -> int:
         "output": config.output_path,
     }
     if config.mode == "ball":
-        result = reconstruct_ball(sphere, h, tolerance=config.tolerance)
+        result = reconstruct_ball(sphere, h)
         payload = result.to_dict()
     else:
         if sphere.d != h:
             raise UsageError(
                 f"full mode needs sphere radius equal to the index: d={sphere.d}, h={h}"
             )
-        out = reconstruct_full(sphere, h, tolerance=config.tolerance)
+        out = reconstruct_full(sphere, h)
         payload = function_to_dict(out)
         if config.oracle_eta:
             gap = eta_discrepancy(out, h)
@@ -284,12 +284,12 @@ def run_verify(config: JobConfig) -> int:
     sphere = SphereData.from_function(truth, d)
     started = time.perf_counter()
     if config.mode == "ball":
-        result = reconstruct_ball(sphere, h, tolerance=config.tolerance)
+        result = reconstruct_ball(sphere, h)
         mask = weight_table(params.q, params.n) <= d
         diff = np.abs(result.values[mask] - truth.values[mask])
         scale = float(np.max(np.abs(truth.values[mask])))
     else:
-        out = reconstruct_full(sphere, h, tolerance=config.tolerance)
+        out = reconstruct_full(sphere, h)
         diff = np.abs(out.values - truth.values)
         scale = float(np.max(np.abs(truth.values)))
     elapsed = time.perf_counter() - started

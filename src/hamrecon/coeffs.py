@@ -26,7 +26,9 @@ set S^I.  Its eigenvalue on the l-th sub-scheme eigenspace is the
 
     sums[l] = sum_i r_{i,d-k} P_i(l; k)   (alphabet q-1),
 
-and M is invertible iff every sums[l] is nonzero.  Those exact zero tests
+and M is invertible iff every sums[l] is nonzero.  The same column over the
+whole q-ary k-face (alphabet q) gives the multipliers that apply Psi.
+Those exact zero tests
 are the whole point of this module: every quantity is an int or Fraction,
 and nothing here is allowed to touch floating point.
 """
@@ -241,6 +243,21 @@ def eigen_sums(q: int, n: int, h: int, d: int, k: int) -> EigenSums:
         for l in range(k + 1)
     )
     return EigenSums(q=q, n=n, h=h, d=d, k=k, sums=sums)
+
+
+@lru_cache(maxsize=None)
+def psi_multipliers(q: int, n: int, h: int, d: int, k: int) -> tuple[Fraction, ...]:
+    """lam[l] = sum_i r_{i,d-k} P_i(l; k) over alphabet q, exactly.
+
+    The eigenvalues of sum_i r_{i,d-k} D_i on the whole q-ary k-face, the
+    operator Psi applies: it multiplies a weight-l frequency of the face by
+    lam[l].  Unlike :func:`eigen_sums` these are never tested for zero.
+    """
+    column = layer_column(q, n, h, d, k)
+    return tuple(
+        sum((c * krawtchouk_value(q, i, l, k) for i, c in enumerate(column)), start=Fraction(0))
+        for l in range(k + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

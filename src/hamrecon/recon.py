@@ -12,20 +12,24 @@ Two algorithms, both linear in the data:
 
     over the full-support set S^I, where Phi reads weight-d values off
     the given sphere, Psi applies the same coefficients r_{i,d-k} to the
-    already-known values of weight < k in one distance-stack pass over
-    the q-ary k-face, read at S^I, and M = sum_i r_{i,d-k} D_i lives in
-    the (q-1)-ary k-dimensional sub-scheme algebra.  M is inverted
-    spectrally: transform, divide each eigenspace component by its
-    nondegeneracy sum, transform back.  The solver refuses layers whose
-    nondegeneracy sum vanishes.
+    already-known values of weight < k on the q-ary k-face, read at S^I,
+    and M = sum_i r_{i,d-k} D_i lives in the (q-1)-ary k-dimensional
+    sub-scheme algebra.  Both operators are combinations of distance
+    matrices, so both are diagonal in a Fourier basis: Psi is a forward
+    transform of the face, a multiply by the exact face eigenvalues
+    (``coeffs.psi_multipliers``) and an inverse read only at S^I; M is
+    inverted by a transform, a division by the nondegeneracy sums and a
+    transform back.  The solver refuses layers whose nondegeneracy sum
+    vanishes.  The top layer k = d needs none of this: its column is (1,),
+    so M is the identity, Psi vanishes on S^I, and the sphere values are
+    the layer.
 
     M is the same for all C(n, k) supports of a layer; only the right-hand
     side changes.  So a layer is one batched problem: the supports are
-    stacked on a leading axis and Phi (one gather), Psi (one distance
-    stack over the face stack) and the solve (one forward and one inverse
-    transform) are whole-array passes over the stack.  The stack is cut
-    into chunks of at most ``_CHUNK_WORDS`` complex words, levels and
-    gather axes included, so peak memory does not grow with C(n, k).
+    stacked on a leading axis and Phi (one gather), Psi and the solve are
+    whole-array passes over the stack.  The stack is cut into chunks of at
+    most ``_CHUNK_WORDS`` complex words, transform buffers and gather axes
+    included, so peak memory does not grow with C(n, k).
 
 2.  Sphere to everything, for d = h.  After filling the ball, every
     Fourier coefficient on the weight-h sphere is a character-weighted
@@ -55,7 +59,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coeffs import ConditionReport, check_conditions, eigen_sums, layer_column
+from .coeffs import (
+    ConditionReport,
+    check_conditions,
+    eigen_sums,
+    layer_column,
+    psi_multipliers,
+)
 from .krawtchouk import krawtchouk_value
 from .scheme import (
     SchemeParams,
@@ -70,6 +80,7 @@ from .spectral import (
     VertexFunction,
     axis_transform,
     distance_tensor_stack,
+    full_support_transform,
     inverse_fourier,
     read_vertex_dict,
     vertex_dict,
@@ -195,7 +206,7 @@ def reconstruct_origin(sphere: SphereData, h: int) -> complex:
 # sets at once, given as an (m, k) array of sorted 1-based positions
 
 # Most complex words a chunk of supports or faces may hold at once, the face
-# stack with its distance-stack levels and the Phi gather with its tau axis
+# stack with its transform buffers and the Phi gather with its tau axis
 # included.  A fixed bound keeps peak memory flat however large a layer is.
 _CHUNK_WORDS = 1 << 18
 
@@ -243,11 +254,11 @@ def _distance_combination(values: np.ndarray, q: int, k: int, column) -> np.ndar
 def _layer_words(q: int, n: int, h: int, d: int, k: int) -> int:
     """Complex words one support of layer k keeps live: the larger of Psi and Phi.
 
-    Psi holds the q^k face with its distance-stack levels plus three
-    temporaries; Phi holds a value and an index for each of the
-    C(n-k, d-k) (q-1)^d words it sums.
+    Psi holds the q^k face, its spectrum and the transform's two buffers;
+    Phi holds a value and an index for each of the C(n-k, d-k) (q-1)^d
+    words it sums.
     """
-    psi = q**k * (len(layer_column(q, n, h, d, k)) + 3)
+    psi = 4 * q**k
     phi = 2 * math.comb(n - k, d - k) * (q - 1) ** d
     return max(psi, phi)
 
@@ -262,7 +273,6 @@ def _layer_rhs(
     with columns ordered like ``_sub_assignments(q, k)``.
     """
     m, k = supports.shape
-    column = layer_column(q, n, h, d, k)
     weights = q ** (n - supports)
     ranks_full = weights @ _sub_assignments(q, k).T
 
@@ -274,11 +284,16 @@ def _layer_rhs(
     tau = comp_weights[:, _supports(n - k, d - k) - 1] @ _sub_assignments(q, d - k).T
     phi = sphere[ranks_full[:, :, None] + tau.reshape(m, 1, -1)].sum(axis=2)
 
-    # Psi: one distance-stack pass over the face stack, full-support words zeroed
+    # Psi: sum_i r_{i,d-k} D_i of the face stack, full-support words zeroed, is
+    # diagonal in the face's Fourier basis; the q^-k of the inverse rides on
+    # the exact multipliers
     face = ball[weights @ digits_table(q, k).T]
-    full_rows = weight_ranks(q, k, k)
-    face[:, full_rows] = 0
-    psi = _distance_combination(face, q, k, column)[:, full_rows]
+    face[:, weight_ranks(q, k, k)] = 0
+    lam = psi_multipliers(q, n, h, d, k)
+    multiplier = np.array([float(x / q**k) for x in lam])[weight_table(q, k)]
+    spectrum = axis_transform(face, q, k, sign=-1)
+    spectrum *= multiplier
+    psi = full_support_transform(spectrum, q, k, sign=+1)
     return ranks_full, phi - psi
 
 
@@ -320,8 +335,11 @@ def layer_rhs(
     the same coefficient column: the partial ball is gathered on the
     q-ary k-face, its full-support words (weight k, not yet known) are
     zeroed, and sum_i r_{i,d-k} D_i of that face is read at the
-    full-support words.  Values of weight >= k in ``partial`` are
-    therefore ignored.
+    full-support words.  That operator is applied in the face's Fourier
+    basis, as one forward transform, one multiply by the exact
+    eigenvalues of :func:`coeffs.psi_multipliers` and one inverse
+    transform evaluated at the full-support words only.  Values of
+    weight >= k in ``partial`` are therefore ignored.
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
@@ -356,17 +374,16 @@ def apply_layer_operator(q: int, n: int, h: int, d: int, k: int, vec: np.ndarray
 # whole-sphere drivers
 
 
-def reconstruct_ball(sphere: SphereData, h: int, tolerance: float = 1e-8) -> BallData:
+def reconstruct_ball(sphere: SphereData, h: int) -> BallData:
     """Recover the radius-d ball from the weight-d sphere values.
 
     Validates the exact nondegeneracy conditions up front, then fills
-    weight layers bottom-up, each in a few whole-array passes over chunks
-    of its C(n, k) supports.  The given sphere values are copied through
-    verbatim.  The solved layer k = d is compared with them, but that
-    check cannot fail: the layer-d operator is the identity (its column
-    is (1,)) and Psi vanishes on the full-support words, so the solution
-    is the input itself.  Sphere data that no index-h eigenfunction
-    restricts to is therefore not detected here.
+    weight layers k = 1..d-1 bottom-up, each in a few whole-array passes
+    over chunks of its C(n, k) supports.  The layer k = d is the input:
+    its operator is the identity (the column is (1,)) and Psi vanishes on
+    its full-support words, so the given sphere values are copied through
+    verbatim.  Sphere data that no index-h eigenfunction restricts to is
+    not detected here.
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
@@ -377,23 +394,13 @@ def reconstruct_ball(sphere: SphereData, h: int, tolerance: float = 1e-8) -> Bal
         )
     ball = BallData(params, d, np.zeros(params.size, dtype=np.complex128), eigenindex=h)
     ball.values[0] = reconstruct_origin(sphere, h)
-    data_scale = 1.0 + float(np.max(np.abs(sphere.values)))
-    for k in range(1, d + 1):
+    for k in range(1, d):
         supports = _supports(n, k)
         for chunk in _chunks(len(supports), _layer_words(q, n, h, d, k)):
             ranks, rhs = _layer_rhs(sphere.values, ball.values, q, n, h, d, supports[chunk])
-            solution = _solve_layers(rhs, q, n, h, d, k)
-            if k < d:
-                ball.values[ranks] = solution
-                continue
-            given = sphere.values[ranks]
-            gap = float(np.max(np.abs(solution - given)))
-            if gap > tolerance * data_scale:
-                raise DataInconsistencyError(
-                    f"sphere data is not a consistent eigenfunction restriction:"
-                    f" layer d={d} reproduces the input only to {gap:.3e}"
-                )
-            ball.values[ranks] = given
+            ball.values[ranks] = _solve_layers(rhs, q, n, h, d, k)
+    top = sphere.domain_ranks()
+    ball.values[top] = sphere.values[top]
     return ball
 
 
@@ -471,9 +478,7 @@ def eta_discrepancy(f: VertexFunction, h: int) -> float:
     return worst
 
 
-def reconstruct_full(
-    sphere: SphereData, h: int | None = None, tolerance: float = 1e-8
-) -> VertexFunction:
+def reconstruct_full(sphere: SphereData, h: int | None = None) -> VertexFunction:
     """Recover the whole eigenfunction from its values on the weight-h sphere.
 
     Requires the sphere radius to equal the eigenvalue index.  Fills the
@@ -498,7 +503,7 @@ def reconstruct_full(
         return VertexFunction(
             params, np.full(params.size, complex(sphere.values[0])), eigenindex=0
         )
-    ball = reconstruct_ball(sphere, h, tolerance)
+    ball = reconstruct_ball(sphere, h)
     q, n = params.q, params.n
     fhat = np.zeros(params.size, dtype=np.complex128)
     full_rows = weight_ranks(q, h, h)
@@ -507,8 +512,8 @@ def reconstruct_full(
     # per face: ranks (half a word each), values and two transform buffers
     for chunk in _chunks(len(faces), 4 * q**h):
         ranks = (q ** (n - faces[chunk])) @ digits_table(q, h).T
-        spectrum = axis_transform(ball.values[ranks], q, h, sign=-1)
-        fhat[ranks[:, full_rows]] = scale * spectrum[:, full_rows]
+        spectrum = full_support_transform(ball.values[ranks], q, h, sign=-1)
+        fhat[ranks[:, full_rows]] = scale * spectrum
     out = inverse_fourier(VertexFunction(params, fhat))
     out.eigenindex = h
     return out

@@ -13,11 +13,13 @@ Conventions:
     forward   f^(a) = sum_b f(b) * conj(xi^<a,b>)
     inverse   f(g)  = q^-n sum_a f^(a) * xi^<a,g>
 
-The transform is computed one tensor axis at a time (:func:`axis_transform`):
-n passes of a dense q x q kernel up to ``DENSE_MAX_Q``, numpy's FFT above
-it, where a q x q kernel would cost O(q^2) memory (32 GiB at q = 65536).
-It is batched over leading axes, so the solvers transform a whole stack of
-faces in one call.
+The transform is computed a few tensor axes at a time (:func:`axis_transform`).
+Up to ``DENSE_MAX_Q`` each pass is one gemm with a dense kernel on a group of
+g axes, g the largest with q^g <= 16 words, and the passes ping-pong between
+two buffers per call.  Above it numpy's FFT takes over, where a q x q kernel
+would cost O(q^2) memory (32 GiB at q = 65536).  It is batched over leading
+axes, so the solvers transform a whole stack of faces in one call, and
+:func:`full_support_transform` evaluates it at the full-support words alone.
 
 Combinatorial coefficients are always exact integers or Fractions and are
 converted to floats only at the point where they multiply complex data.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from .scheme import (
     rank_texts,
     text_ranks,
     weight,
+    weight_ranks,
     weight_table,
     word_rank,
 )
@@ -102,10 +106,68 @@ def character(params: SchemeParams, beta) -> VertexFunction:
     return VertexFunction(params, powers[ip], eigenindex=weight(b))
 
 
-# Largest alphabet transformed with a dense q x q kernel; numpy's FFT takes over
-# above it.  The kernel is 2.8x to 5x faster at q = 2..8 and the FFT wins from
-# q = 24 on (5.5x at q = 256), so the two cross near q = 20.
+# Largest alphabet transformed with a dense kernel; numpy's FFT takes over
+# above it, where the FFT wins by 3x to 7x at q = 256.  The dense path is 1.5x
+# faster than the FFT at q = 20 and within 20% of it at q = 24..32 (one BLAS
+# thread), so the switch sits near the crossing.
 DENSE_MAX_Q = 20
+
+# The dense path contracts g axes at once, g the largest with q^g within this
+# many words: quads at q = 2, pairs at q = 3, 4, single axes from q = 5.  16
+# and 32 time the same; 81 and 256 are slower.
+_GROUP_MAX_WORDS = 16
+
+
+def _group_size(q: int) -> int:
+    g = 1
+    while q ** (g + 1) <= _GROUP_MAX_WORDS:
+        g += 1
+    return g
+
+
+@lru_cache(maxsize=None)
+def _group_kernel(q: int, g: int, sign: int, full_support: bool) -> np.ndarray:
+    """K[b, a] = xi^(sign <a,b>) over g-digit words b and a, read off a table of powers.
+
+    With ``full_support`` the columns a are only the words whose digits are
+    all nonzero, in rank order.
+    """
+    words = digits_table(q, g)
+    cols = words[np.all(words != 0, axis=1)] if full_support else words
+    powers = np.exp(sign * 2j * np.pi * np.arange(q) / q)
+    kernel = powers[(words @ cols.T) % q]
+    kernel.setflags(write=False)
+    return kernel
+
+
+def _dense_transform(values: np.ndarray, q: int, n: int, sign: int, full_support: bool):
+    """The character sums of :func:`axis_transform`, one axis group per gemm.
+
+    Each step multiplies the last g word axes by the group kernel and moves
+    the contracted group to the front of the word axes, so after the last
+    group the axes are back in rank order.  The steps ping-pong between two
+    buffers sized for the first, largest step.
+    """
+    out_q = q - 1 if full_support else q
+    group = _group_size(q)
+    sizes = [min(group, n - done) for done in range(0, n, group)]
+    rows = values.size // q**n
+    first = rows * q ** (n - sizes[0]) * out_q ** sizes[0]
+    buffers = np.empty(first, dtype=np.complex128), np.empty(first, dtype=np.complex128)
+    src, left, done = values, n, 0
+    for g in sizes:
+        left -= g
+        kernel = _group_kernel(q, g, sign, full_support)
+        rest = out_q**done * q**left
+        wide = rows * rest * out_q**g
+        product, rotated = buffers[0][:wide], buffers[1][:wide]
+        np.matmul(src.reshape(-1, q**g), kernel, out=product.reshape(-1, out_q**g))
+        np.copyto(
+            rotated.reshape(rows, out_q**g, rest),
+            product.reshape(rows, rest, out_q**g).transpose(0, 2, 1),
+        )
+        src, done = rotated, done + g
+    return src.reshape(values.shape[:-1] + (out_q**n,))
 
 
 def axis_transform(values: np.ndarray, q: int, n: int, sign: int) -> np.ndarray:
@@ -116,19 +178,27 @@ def axis_transform(values: np.ndarray, q: int, n: int, sign: int) -> np.ndarray:
     ``sign = -1`` is the forward transform, ``+1`` the inverse without its
     q^-n factor.
     """
+    if q <= DENSE_MAX_Q:
+        return _dense_transform(values, q, n, sign, full_support=False)
     t = values.reshape(values.shape[:-1] + (q,) * n)
     axes = tuple(range(t.ndim - n, t.ndim))
-    if q > DENSE_MAX_Q:
-        if sign < 0:
-            t = np.fft.fftn(t, axes=axes)
-        else:
-            t = np.fft.ifftn(t, axes=axes, norm="forward")
+    if sign < 0:
+        t = np.fft.fftn(t, axes=axes)
     else:
-        powers = np.exp(sign * 2j * np.pi * np.arange(q) / q)
-        kernel = powers[np.outer(np.arange(q), np.arange(q)) % q]
-        for axis in axes:
-            t = np.moveaxis(np.tensordot(kernel, t, axes=(1, axis)), 0, axis)
+        t = np.fft.ifftn(t, axes=axes, norm="forward")
     return t.reshape(values.shape)
+
+
+def full_support_transform(values: np.ndarray, q: int, n: int, sign: int) -> np.ndarray:
+    """:func:`axis_transform` read only at the (q-1)^n full-support words, in rank order.
+
+    The dense path contracts each axis group with the kernel's nonzero-digit
+    columns alone, so the tensor shrinks at every step; the FFT path
+    transforms in full and picks the words out.
+    """
+    if q <= DENSE_MAX_Q:
+        return _dense_transform(values, q, n, sign, full_support=True)
+    return axis_transform(values, q, n, sign)[..., weight_ranks(q, n, n)]
 
 
 def fourier_transform(f: VertexFunction) -> VertexFunction:

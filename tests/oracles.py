@@ -33,7 +33,8 @@ def _full_support_ranks(params, positions):
     return (digits_table(params.q - 1, k) + 1) @ position_weights(params, positions)
 
 
-def _support_rhs(sphere, ball, positions, h):
+def support_rhs(sphere, ball, positions, h):
+    """Full-support ranks and Phi - Psi on one support set, Psi by a distance stack."""
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
     k = len(positions)
@@ -70,7 +71,7 @@ def per_support_ball(sphere, h):
     ball[0] = hr.reconstruct_origin(sphere, h)
     for k in range(1, d + 1):
         for positions in itertools.combinations(range(1, n + 1), k):
-            ranks, rhs = _support_rhs(sphere, ball, positions, h)
+            ranks, rhs = support_rhs(sphere, ball, positions, h)
             ball[ranks] = _support_solve(rhs, q, n, h, d, k) if k < d else sphere.values[ranks]
     return ball
 

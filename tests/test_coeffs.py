@@ -1,12 +1,14 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import hamrecon as hr
-from hamrecon.coeffs import layer_column
+from hamrecon.coeffs import layer_column, psi_multipliers
 from hamrecon.krawtchouk import polymul
 from hamrecon.scheme import digits_table, weight_table
+from hamrecon.spectral import distance_tensor_stack
 
 from helpers import DESK_QN, desk_cells
 
@@ -15,8 +17,6 @@ CAP_CELLS = ((4, 8, 6), (3, 10, 8), (3, 10, 10), (4, 8, 8))
 
 
 def _binpow(a, e):
-    import math
-
     return [math.comb(e, m) * a**m for m in range(e + 1)]
 
 
@@ -37,8 +37,6 @@ def _oracle_r_case_III(q, n, h, k, i, j):
     rhs_s = coefficient of y^s in (x-y)^(h-k) (-y)^i (x+(q-2)y)^(k-i);
     forward substitution against U gives the transferred coefficients.
     """
-    import math
-
     m = n - k + 1
     shifted = [0] * i + [(-1) ** i * c for c in _binpow(q - 2, k - i)]
     rhs_poly = polymul(_binpow(-1, h - k), shifted)
@@ -164,6 +162,32 @@ def test_eigen_sums_are_dense_operator_eigenvalues():
             chi = np.exp(2j * np.pi * (pts @ b % sub_q) / sub_q)
             level = int(weight_table(sub_q, k)[b_rank])
             assert np.max(np.abs(dense @ chi - float(sums[level]) * chi)) <= 1e-9
+
+
+def test_psi_multipliers_are_face_operator_eigenvalues():
+    # lam[l] is the eigenvalue of sum_i column[i] D_i on a weight-l character of
+    # the q-ary k-face, for every layer of every passing desk and cap-scale cell
+    cap = [(q, n, h, h) for q, n, h in CAP_CELLS]
+    layers = {
+        (q, n, h, d, k)
+        for q, n, h, d in [*desk_cells(), *cap]
+        if d and hr.check_conditions(q, n, h, d).passed
+        for k in range(1, d + 1)
+    }
+    for q, n, h, d, k in sorted(layers):
+        lam = psi_multipliers(q, n, h, d, k)
+        assert len(lam) == k + 1 and all(isinstance(x, Fraction) for x in lam)
+        column = layer_column(q, n, h, d, k)
+        # one weight-l character per row: beta = (1, .., 1, 0, .., 0)
+        betas = np.tril(np.ones((k + 1, k), dtype=np.int64), -1)
+        chars = np.exp(2j * np.pi * ((betas @ digits_table(q, k).T) % q) / q)
+        tensors = distance_tensor_stack(chars, q, k, len(column) - 1)
+        applied = sum(float(c) * t for c, t in zip(column, tensors)).reshape(chars.shape)
+        expect = np.array([float(x) for x in lam])[:, None] * chars
+        # |D_i| <= C(k, i) (q-1)^i, the size of a distance-i sphere in the face
+        scale = 1 + sum(abs(c) * math.comb(k, i) * (q - 1) ** i for i, c in enumerate(column))
+        assert np.max(np.abs(applied - expect)) <= 1e-12 * float(scale), (q, n, h, d, k)
+    assert len(layers) > 300
 
 
 def test_check_conditions():

@@ -10,7 +10,7 @@ from hamrecon.scheme import digits_table, position_weights, weight_ranks, weight
 from hamrecon.spectral import axis_transform
 
 from helpers import desk_cells, eigfn, params, tol_for
-from oracles import per_support_ball, per_support_full
+from oracles import per_support_ball, per_support_full, support_rhs
 
 
 def _ball_mask(q, n, d):
@@ -219,6 +219,25 @@ def test_batched_drivers_match_per_support_reference(monkeypatch, budget):
         assert max(size for _, size in chunks) == 1
     else:
         assert any(len(sizes) > 1 and min(sizes) > 1 for sizes in per_layer.values())
+
+
+def test_layer_rhs_matches_per_support_reference_at_cap_scale():
+    # the spectral Psi against one distance stack per face, on the first, a
+    # middle and the last support of every layer of two cap-scale cells
+    for q, n, h in ((3, 10, 8), (4, 8, 8)):
+        f = eigfn(q, n, h)
+        sphere = hr.SphereData.from_function(f, h)
+        for k in range(1, h + 1):
+            supports = recon._supports(n, k)
+            for index in sorted({0, len(supports) // 2, len(supports) - 1}):
+                positions = tuple(int(p) for p in supports[index])
+                ranks, rhs = recon._layer_rhs(
+                    sphere.values, f.values, q, n, h, h, supports[index : index + 1]
+                )
+                ref_ranks, ref_rhs = support_rhs(sphere, f.values, positions, h)
+                assert np.array_equal(ranks[0], ref_ranks)
+                gap = np.max(np.abs(rhs[0] - ref_rhs))
+                assert gap <= 1e-10 * np.max(np.abs(ref_rhs)), (q, n, h, k, positions, gap)
 
 
 def test_eta_spectrum_is_diagonal_on_full_support_rows():

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 import hamrecon as hr
-from hamrecon.scheme import weight_ranks, weight_table
-from hamrecon.spectral import DENSE_MAX_Q, FourierContext, axis_transform
+from hamrecon.scheme import digits_table, weight_ranks, weight_table
+from hamrecon.spectral import (
+    DENSE_MAX_Q,
+    FourierContext,
+    axis_transform,
+    full_support_transform,
+)
 
 from helpers import eigfn, params, tol_for
 
@@ -50,17 +55,26 @@ def test_fourier_of_character_is_scaled_delta():
 
 
 def test_axis_transform_matches_character_sums():
-    # both kernels (dense up to DENSE_MAX_Q, FFT above) against the character
-    # definition, on a batch of rows transformed at once
-    for q, n in ((3, 3), (5, 2), (DENSE_MAX_Q, 1), (DENSE_MAX_Q + 1, 2), (64, 1)):
-        p = params(q, n)
-        chars = np.array([hr.character(p, hr.rank_word(p, a)).values for a in range(p.size)])
+    # every kernel against the character definition, on a batch with two
+    # leading axes: axis groups of 4 plus 1 (2,5), a pair plus 1 (3,3) and
+    # (4,3), single axes (5,2) and (DENSE_MAX_Q,1), the FFT above; the
+    # full-support read at the full-support rows
+    cases = ((2, 5), (3, 3), (4, 3), (5, 2), (DENSE_MAX_Q, 1), (DENSE_MAX_Q + 1, 2), (64, 1))
+    for q, n in cases:
+        # chars[a, b] = chi_a(b); q = 2 is a sub-scheme alphabet, below SchemeParams' range
+        words = digits_table(q, n)
+        chars = np.exp(2j * np.pi * ((words @ words.T) % q) / q)
         rng = np.random.default_rng(q + n)
-        rows = rng.normal(size=(3, p.size)) + 1j * rng.normal(size=(3, p.size))
+        rows = rng.normal(size=(2, 3, q**n)) + 1j * rng.normal(size=(2, 3, q**n))
+        full_rows = weight_ranks(q, n, n)
         for sign, matrix in ((-1, chars.conj()), (+1, chars)):
+            expect = rows @ matrix.T
             got = axis_transform(rows, q, n, sign)
             assert got.shape == rows.shape
-            assert np.max(np.abs(got - rows @ matrix.T)) <= 1e-9 * p.size, (q, n, sign)
+            assert np.max(np.abs(got - expect)) <= 1e-9 * q**n, (q, n, sign)
+            got = full_support_transform(rows, q, n, sign)
+            assert got.shape == (2, 3, (q - 1) ** n)
+            assert np.max(np.abs(got - expect[..., full_rows])) <= 1e-9 * q**n, (q, n, sign)
 
 
 def test_fourier_inversion_and_delta():
