@@ -1,7 +1,7 @@
 """Local distributions in faces and the orthogonal-face transfer.
 
 The distance-classified sums of an eigenfunction over a face determine
-the sums over the orthogonal face through exact integer/rational
+the sums over the orthogonal face through exact integer
 coefficients; which closed form applies depends on how the face
 dimension k compares with h and n-h.
 

@@ -3,7 +3,7 @@
 Recovering the weight-k layer inverts M = sum_i r_{i,d-k} D_i on the
 (q-1)-ary k-dimensional sub-scheme; M is invertible iff none of its k+1
 eigenvalues ("nondegeneracy sums") vanish.  Both sides are exact here:
-the sums are rationals, and singularity of the densely built M is
+the sums are integers, and singularity of the densely built M is
 decided by certified modular rank computation.
 
 Run:  python demos/04_nondegeneracy_conditions.py

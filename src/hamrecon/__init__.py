@@ -6,7 +6,7 @@ nondegeneracy conditions, by its values on a single sphere around the
 origin: the radius-d sphere determines the radius-d ball, and the sphere
 whose radius equals the eigenvalue index determines the whole function.
 This package implements both reconstructions together with the exact
-integer/rational machinery needed to decide the conditions, plus
+integer machinery needed to decide the conditions, plus
 brute-force oracles that validate every step at desk scale.
 """
 

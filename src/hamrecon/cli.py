@@ -12,9 +12,9 @@ Subcommands:
 
 Exit codes: 0 success (conditions pass), 2 conditions fail, 3 input data
 inconsistent, 64 invalid parameters or malformed input.  Reports are
-bitwise deterministic for fixed flags and seed: exact integers and
-rationals are serialized as decimal strings, and wall-clock timing goes
-to stderr, never into the report.
+bitwise deterministic for fixed flags and seed: exact integers are
+serialized as decimal strings, and wall-clock timing goes to stderr,
+never into the report.
 """
 
 from __future__ import annotations
@@ -265,10 +265,9 @@ def run_reconstruct(config: JobConfig) -> int:
             gap = eta_discrepancy(out, h)
             summary["eta_oracle_max_discrepancy"] = gap
             if gap > config.tolerance * (1.0 + out.max_abs()):
-                sys.stderr.write(
-                    f"eta oracle disagrees with the closed form by {gap:.3e}\n"
+                raise DataInconsistencyError(
+                    f"eta oracle disagrees with the closed form by {gap:.3e}"
                 )
-                return EXIT_INCONSISTENT
     Path(config.output_path).write_text(dumps_vertex_json(payload))
     _print_json(summary)
     return EXIT_OK

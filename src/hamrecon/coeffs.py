@@ -28,17 +28,19 @@ set S^I.  Its eigenvalue on the l-th sub-scheme eigenspace is the
 
 and M is invertible iff every sums[l] is nonzero.  The same column over the
 whole q-ary k-face (alphabet q) gives the multipliers that apply Psi.
-Those exact zero tests
-are the whole point of this module: every quantity is an int or Fraction,
-and nothing here is allowed to touch floating point.
+Those exact zero tests are the whole point of this module, and every
+quantity in it is a Python int: regime I is an integer sum, and regime
+III combines integer Krawtchouk values with the rows of U^-1, which is
+integral because U is unitriangular.  Nothing here touches floating point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .krawtchouk import krawtchouk_value
 from .scheme import digits_table
@@ -137,18 +139,18 @@ def build_triangular(q: int, n: int, h: int, k: int) -> TriangularSystem:
     )
 
 
-def r_case_III(q: int, n: int, h: int, k: int, i: int, j: int) -> Fraction:
-    """Regime-III transfer coefficient (exact rational)."""
+def r_case_III(q: int, n: int, h: int, k: int, i: int, j: int) -> int:
+    """Regime-III transfer coefficient (exact integer)."""
     system = build_triangular(q, n, h, k)
     _check_ij(n, k, i, j)
-    total = Fraction(0)
+    total = 0
     for s in range(i, j + 1):
         total += system.inverse[j][s] * krawtchouk_value(q - 1, s - i, h - k, h - i)
     return (-1) ** i * total
 
 
 @lru_cache(maxsize=None)
-def coefficient(q: int, n: int, h: int, k: int, i: int, j: int) -> Fraction:
+def coefficient(q: int, n: int, h: int, k: int, i: int, j: int) -> int:
     """Transfer coefficient r_{ij} for the valid regime of (h, k).
 
     Dispatches to regime I for k <= n-h and to regime III for
@@ -158,9 +160,9 @@ def coefficient(q: int, n: int, h: int, k: int, i: int, j: int) -> Fraction:
     if k > h:
         raise RegimeError(f"no transfer formula for k={k} > h={h}")
     if i > j:
-        return Fraction(0)
+        return 0
     if k <= n - h:
-        return Fraction(r_case_I(q, n, h, k, i, j))
+        return r_case_I(q, n, h, k, i, j)
     return r_case_III(q, n, h, k, i, j)
 
 
@@ -173,7 +175,7 @@ class CoefficientTable:
     h: int
     k: int
     regime: str
-    entries: tuple[tuple[Fraction, ...], ...]  # entries[j][i]
+    entries: tuple[tuple[int, ...], ...]  # entries[j][i]
 
     @classmethod
     def build(cls, q: int, n: int, h: int, k: int) -> "CoefficientTable":
@@ -184,12 +186,12 @@ class CoefficientTable:
         )
         return cls(q=q, n=n, h=h, k=k, regime=regime, entries=rows)
 
-    def value(self, i: int, j: int) -> Fraction:
+    def value(self, i: int, j: int) -> int:
         if i > j:
-            return Fraction(0)
+            return 0
         return self.entries[j][i]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
+    def column(self, j: int) -> tuple[int, ...]:
         """Coefficients multiplying v_0..v_min(j,k) in the formula for vbar_j."""
         return self.entries[j]
 
@@ -209,19 +211,30 @@ class EigenSums:
     h: int
     d: int
     k: int
-    sums: tuple[Fraction, ...]  # indexed by sub-scheme eigenindex l = 0..k
+    sums: tuple[int, ...]  # indexed by sub-scheme eigenindex l = 0..k
 
     def zero_levels(self) -> tuple[int, ...]:
         return tuple(l for l, s in enumerate(self.sums) if s == 0)
 
 
 @lru_cache(maxsize=None)
-def layer_column(q: int, n: int, h: int, d: int, k: int) -> tuple[Fraction, ...]:
+def layer_column(q: int, n: int, h: int, d: int, k: int) -> tuple[int, ...]:
     """r_{i,d-k} for i = 0..min(k, d-k): the layer operator M = sum_i r_{i,d-k} D_i.
 
     The k-face has components i = 0..k, and r_{ij} = 0 for i > j.
     """
     return tuple(coefficient(q, n, h, k, i, d - k) for i in range(min(k, d - k) + 1))
+
+
+def _column_eigenvalues(alphabet: int, k: int, column: tuple[int, ...]) -> tuple[int, ...]:
+    """sum_i column[i] P_i(l; k) over ``alphabet`` for l = 0..k, exactly.
+
+    The eigenvalues of sum_i column[i] D_i on the k-cube over that alphabet.
+    """
+    return tuple(
+        sum(c * krawtchouk_value(alphabet, i, l, k) for i, c in enumerate(column))
+        for l in range(k + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -234,30 +247,19 @@ def eigen_sums(q: int, n: int, h: int, d: int, k: int) -> EigenSums:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
     if not d <= h:
         raise ValueError(f"need d <= h, got d={d}, h={h}")
-    column = layer_column(q, n, h, d, k)
-    sums = tuple(
-        sum(
-            (column[i] * krawtchouk_value(q - 1, i, l, k) for i in range(len(column))),
-            start=Fraction(0),
-        )
-        for l in range(k + 1)
-    )
+    sums = _column_eigenvalues(q - 1, k, layer_column(q, n, h, d, k))
     return EigenSums(q=q, n=n, h=h, d=d, k=k, sums=sums)
 
 
 @lru_cache(maxsize=None)
-def psi_multipliers(q: int, n: int, h: int, d: int, k: int) -> tuple[Fraction, ...]:
+def psi_multipliers(q: int, n: int, h: int, d: int, k: int) -> tuple[int, ...]:
     """lam[l] = sum_i r_{i,d-k} P_i(l; k) over alphabet q, exactly.
 
     The eigenvalues of sum_i r_{i,d-k} D_i on the whole q-ary k-face, the
     operator Psi applies: it multiplies a weight-l frequency of the face by
     lam[l].  Unlike :func:`eigen_sums` these are never tested for zero.
     """
-    column = layer_column(q, n, h, d, k)
-    return tuple(
-        sum((c * krawtchouk_value(q, i, l, k) for i, c in enumerate(column)), start=Fraction(0))
-        for l in range(k + 1)
-    )
+    return _column_eigenvalues(q, k, layer_column(q, n, h, d, k))
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +305,7 @@ def check_conditions(q: int, n: int, h: int, d: int) -> ConditionReport:
     """Evaluate the exact layer nondegeneracy conditions for radius d.
 
     Checks P_d(h; n) != 0 and, for every layer k = 1..d, that all k+1
-    nondegeneracy sums are nonzero.  All tests are exact integer/rational
-    comparisons.
+    nondegeneracy sums are nonzero.  All tests are exact integer comparisons.
     """
     if not 0 <= h <= n:
         raise ValueError(f"eigenindex {h} outside [0, {n}]")
@@ -322,8 +323,8 @@ def check_conditions(q: int, n: int, h: int, d: int) -> ConditionReport:
 # dense layer operator (oracle side)
 
 
-def dense_layer_matrix(q: int, n: int, h: int, d: int, k: int) -> list[list[Fraction]]:
-    """M = sum_i r_{i,d-k} D_i on the (q-1)-ary k-cube, as explicit entries.
+def dense_layer_matrix(q: int, n: int, h: int, d: int, k: int) -> np.ndarray:
+    """M = sum_i r_{i,d-k} D_i on the (q-1)-ary k-cube, as an int64 matrix.
 
     Rows and columns are indexed by the relabeled full-support points in
     lexicographic order; entry (a, b) is r_{rho(a,b), d-k}.  Built by
@@ -333,14 +334,9 @@ def dense_layer_matrix(q: int, n: int, h: int, d: int, k: int) -> list[list[Frac
     if not 1 <= k <= d <= h:
         raise ValueError(f"need 1 <= k <= d <= h, got k={k}, d={d}, h={h}")
     column = layer_column(q, n, h, d, k)
+    # distances past the end of the column carry weight zero
+    padded = np.zeros(k + 1, dtype=np.int64)
+    padded[: len(column)] = column
     pts = digits_table(q - 1, k)
-    m = pts.shape[0]
     dist = (pts[:, None, :] != pts[None, :, :]).sum(axis=2)
-    rows = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            dd = int(dist[a, b])
-            row.append(column[dd] if dd < len(column) else Fraction(0))
-        rows.append(row)
-    return rows
+    return padded[dist]

@@ -1,28 +1,27 @@
-"""Exact singularity testing for dense rational matrices.
+"""Exact singularity testing for dense integer matrices.
 
-The nondegeneracy sweep needs an answer to "is this matrix of exact
-rationals singular?" that is certified, not floating-point.  Small
-matrices go through plain fraction elimination.  For larger ones the
-verdict is still exact but assembled from cheaper certificates:
+The nondegeneracy sweep needs an answer to "is this integer matrix
+singular?" that is certified, not floating-point.  The verdict is exact
+but assembled from cheap certificates modulo word-sized primes:
 
 * a full rank modulo a single prime certifies nonsingularity outright
-  (a nonzero determinant mod p is nonzero over the rationals);
-* singularity is certified by an explicit rational kernel vector,
-  recovered from reduced row echelon forms modulo several word-sized
-  primes (CRT + rational reconstruction) and then verified by an exact
-  integer matrix-vector product.
+  (a nonzero determinant mod p is nonzero over the integers);
+* singularity is certified by an explicit integer kernel vector,
+  recovered from reduced row echelon forms modulo several primes
+  (CRT + rational reconstruction, Wang, Guy and Davenport 1982) and then
+  verified by an exact integer matrix-vector product.
 
 If the certificate search is exhausted without a verdict (which would
 take an adversarial matrix whose determinant is divisible by every prime
-in the list), the code falls back to full fraction elimination, so the
-answer is exact in every path.
+in the list), :func:`is_singular` falls back to full fraction
+elimination, so the answer is exact in every path.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -54,7 +53,8 @@ _PRIMES = (
     2147483059,
 )
 
-_FRACTION_ELIMINATION_LIMIT = 64
+# an integer ndarray or nested Python ints, every entry within int64
+IntMatrix = Union[np.ndarray, Sequence[Sequence[int]]]
 
 
 def fraction_rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -82,30 +82,6 @@ def fraction_rank(rows: Sequence[Sequence[Fraction]]) -> int:
         if rank == m:
             break
     return rank
-
-
-def _integer_matrix(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    # matrices here typically hold very few distinct values; memoize conversions
-    denom = 1
-    seen: dict = {}
-    for row in rows:
-        for x in row:
-            if x not in seen:
-                seen[x] = Fraction(x)
-                d = seen[x].denominator
-                denom = denom * d // math.gcd(denom, d)
-    if denom == 1:
-        scaled = {x: int(f) for x, f in seen.items()}
-    else:
-        scaled = {x: int(f * denom) for x, f in seen.items()}
-    return [[scaled[x] for x in row] for row in rows]
-
-
-def _mod_matrix(int_rows: list[list[int]], p: int) -> np.ndarray:
-    try:
-        return np.array(int_rows, dtype=np.int64) % p
-    except OverflowError:
-        return np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
 
 
 def _rank_mod(a: np.ndarray, p: int) -> int:
@@ -193,34 +169,36 @@ def _rational_reconstruct(r: int, m: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _verify_kernel(int_rows: list[list[int]], vec: list[int]) -> bool:
-    if all(x == 0 for x in vec):
-        return False
-    for row in int_rows:
-        if sum(a * b for a, b in zip(row, vec) if b != 0) != 0:
-            return False
-    return True
+def _checked_matrix(rows: IntMatrix) -> np.ndarray:
+    """``rows`` as a square int64 ndarray; refuses any other dtype before a cast."""
+    a = np.asarray(rows)
+    if not np.can_cast(a.dtype, np.int64):
+        raise TypeError(f"matrix entries must be integers that fit int64, got dtype {a.dtype}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    return a.astype(np.int64, copy=False)
 
 
-def kernel_vector(rows: Sequence[Sequence[Fraction]]) -> list[Fraction] | None:
-    """An exact, verified nonzero kernel vector, or None if nonsingular.
+def _certificate(a: np.ndarray) -> tuple[bool | None, list[int] | None]:
+    """Search for an exact verdict on the square integer matrix ``a``.
 
-    Only meaningful for square matrices.  The returned vector satisfies
-    M v = 0 in exact arithmetic (this is re-verified before returning).
+    Returns (True, v) when singular, with v a nonzero integer vector that
+    satisfies a v = 0 exactly; (False, None) when certified nonsingular;
+    (None, None) when no certificate turned up.
     """
-    m = len(rows)
-    int_rows = _integer_matrix(rows)
+    m = a.shape[0]
     for p in _PRIMES[:3]:
-        if _rank_mod(_mod_matrix(int_rows, p), p) == m:
-            return None
+        if _rank_mod(a % p, p) == m:
+            return False, None
     # deficient modulo several primes: hunt for an exact kernel certificate
+    exact = a.astype(object)
     reference_pivots: tuple[int, ...] | None = None
     residues: list[list[int]] = []
     moduli: list[int] = []
     for p in _PRIMES:
-        rref, pivots = _rref_mod(_mod_matrix(int_rows, p), p)
+        rref, pivots = _rref_mod(a % p, p)
         if len(pivots) == m:
-            return None  # full rank after all: nonsingular, certified
+            return False, None  # full rank after all: nonsingular, certified
         if reference_pivots is None:
             reference_pivots = pivots
         elif pivots != reference_pivots:
@@ -238,28 +216,30 @@ def kernel_vector(rows: Sequence[Sequence[Fraction]]) -> list[Fraction] | None:
                 break
             coords.append(frac)
         else:
-            denom = math.lcm(*(f.denominator for f in coords)) if coords else 1
+            denom = math.lcm(*(f.denominator for f in coords))
             candidate = [int(f * denom) for f in coords]
-            if _verify_kernel(int_rows, candidate):
-                return [Fraction(x) for x in candidate]
-    return None  # no certificate found; caller decides on the slow path
+            if any(candidate) and not (exact @ np.array(candidate, dtype=object)).any():
+                return True, candidate
+    return None, None
 
 
-def is_singular(rows: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact singularity decision for a square matrix of rationals."""
-    m = len(rows)
-    if any(len(row) != m for row in rows):
-        raise ValueError("matrix must be square")
-    if m == 0:
-        return False
-    if m <= _FRACTION_ELIMINATION_LIMIT:
-        return fraction_rank(rows) < m
-    int_rows = _integer_matrix(rows)
-    for p in _PRIMES[:3]:
-        if _rank_mod(_mod_matrix(int_rows, p), p) == m:
-            return False
-    vec = kernel_vector(rows)
-    if vec is not None:
-        return True
-    # certificate search failed: settle it by exact elimination
-    return fraction_rank(rows) < m
+def kernel_vector(rows: IntMatrix) -> list[int] | None:
+    """An exact, verified nonzero integer kernel vector of a square integer matrix.
+
+    The returned vector satisfies M v = 0 in exact arithmetic (this is
+    re-verified before returning).  None when M is nonsingular, or in the
+    unlikely case that the certificate search finds no vector;
+    :func:`is_singular` settles that case exactly.
+    """
+    _, vec = _certificate(_checked_matrix(rows))
+    return vec
+
+
+def is_singular(rows: IntMatrix) -> bool:
+    """Exact singularity decision for a square integer matrix (ndarray or nested ints)."""
+    a = _checked_matrix(rows)
+    verdict, _ = _certificate(a)
+    if verdict is None:
+        # certificate search failed: settle it by exact elimination
+        return fraction_rank(a.tolist()) < a.shape[0]
+    return verdict

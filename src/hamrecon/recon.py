@@ -38,11 +38,11 @@ Two algorithms, both linear in the data:
 
         eta = q^(n-2h) * sum_j (-1)^j (q-1)^(h-j) v_j .
 
-    On the full-support frequencies of a face this combination is
-    diagonal, so the coefficients come from one batched transform of the
-    ball values on all C(n, h) faces (in the same chunks).  The transform
-    vanishes off the weight-h sphere, so one inverse Fourier transform
-    finishes the job.
+    On the full-support frequencies of a face this combination is the
+    integer q^(n-h) times the face's own transform, so the coefficients
+    come from one batched transform of the ball values on all C(n, h)
+    faces (in the same chunks).  The transform vanishes off the weight-h
+    sphere, so one inverse Fourier transform finishes the job.
 
 All data vectors are dense complex arrays indexed by word rank; every
 combinatorial coefficient stays exact until the moment it multiplies
@@ -290,7 +290,7 @@ def _layer_rhs(
     face = ball[weights @ digits_table(q, k).T]
     face[:, weight_ranks(q, k, k)] = 0
     lam = psi_multipliers(q, n, h, d, k)
-    multiplier = np.array([float(x / q**k) for x in lam])[weight_table(q, k)]
+    multiplier = np.array([x / q**k for x in lam])[weight_table(q, k)]
     spectrum = axis_transform(face, q, k, sign=-1)
     spectrum *= multiplier
     psi = full_support_transform(spectrum, q, k, sign=+1)
@@ -409,18 +409,6 @@ def _eta_column(q: int, h: int) -> tuple[int, ...]:
     return tuple((-1) ** j * (q - 1) ** (h - j) for j in range(h + 1))
 
 
-def _eta_full_scale(q: int, n: int, h: int) -> Fraction:
-    """Factor of eta on the full-support frequencies of an h-face, exactly.
-
-    eta = q^(n-2h) sum_j c_j D_j on the face, and D_j is diagonal in the
-    face's Fourier basis with eigenvalue P_j(h; h) on a weight-h frequency,
-    so there FFT(eta) = q^(n-2h) (sum_j c_j P_j(h; h)) FFT(face values).
-    """
-    column = _eta_column(q, h)
-    lam = sum(c * krawtchouk_value(q, j, h, h) for j, c in enumerate(column))
-    return Fraction(q) ** (n - 2 * h) * lam
-
-
 def eta_face_values(ball: BallData, positions) -> np.ndarray:
     """Total of the function over the orthogonal face through every word of one h-face.
 
@@ -483,11 +471,20 @@ def reconstruct_full(sphere: SphereData, h: int | None = None) -> VertexFunction
 
     Requires the sphere radius to equal the eigenvalue index.  Fills the
     radius-h ball, then reads the Fourier coefficients on the weight-h
-    sphere off the eta sums of the C(n, h) faces, batched in chunks: on a
-    face's full-support frequencies the eta transform is the exact factor
-    of :func:`_eta_full_scale` times the transform of the ball values on
-    the face.  The rest of the spectrum is zero; one inverse transform
-    finishes.
+    sphere off the C(n, h) faces through the origin, batched in chunks.
+    For a of support I (|I| = h), summing f against conj chi_a over the
+    h-face F_I on I gives q^(h-n) sum_b f^(b) over the b that agree with a
+    on I; every such b has weight >= h with equality only at b = a, and an
+    index-h eigenfunction's spectrum lives on weight h, so
+
+        f^(a) = q^(n-h) * sum_{x in F_I} f(x) conj chi_a(x),
+
+    a face transform of ball values (F_I lies inside the radius-h ball)
+    read at its full-support frequencies.  This is the eta combination
+    on those frequencies: there eta multiplies the face transform by
+    q^(n-2h) sum_j (-1)^j (q-1)^(h-j) P_j(h; h) = q^(n-h), because
+    P_j(h; h) = (-1)^j C(h, j).  The rest of the spectrum is zero; one
+    inverse transform finishes.
     """
     params = sphere.params
     if h is None:
@@ -507,7 +504,7 @@ def reconstruct_full(sphere: SphereData, h: int | None = None) -> VertexFunction
     q, n = params.q, params.n
     fhat = np.zeros(params.size, dtype=np.complex128)
     full_rows = weight_ranks(q, h, h)
-    scale = float(_eta_full_scale(q, n, h))
+    scale = float(q ** (n - h))
     faces = _supports(n, h)
     # per face: ranks (half a word each), values and two transform buffers
     for chunk in _chunks(len(faces), 4 * q**h):

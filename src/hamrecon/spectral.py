@@ -21,8 +21,8 @@ would cost O(q^2) memory (32 GiB at q = 65536).  It is batched over leading
 axes, so the solvers transform a whole stack of faces in one call, and
 :func:`full_support_transform` evaluates it at the full-support words alone.
 
-Combinatorial coefficients are always exact integers or Fractions and are
-converted to floats only at the point where they multiply complex data.
+Combinatorial coefficients are always exact integers and are converted to
+floats only at the point where they multiply complex data.
 """
 
 from __future__ import annotations

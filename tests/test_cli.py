@@ -115,6 +115,26 @@ def test_generate_reconstruct_round_trip(tmp_path, capsys):
     assert np.max(np.abs(ball.values[mask] - truth.values[mask])) <= 1e-8
 
 
+def test_eta_oracle_disagreement_exits_3_without_output(tmp_path, capsys, monkeypatch):
+    sphere_path = tmp_path / "sphere.json"
+    out_path = tmp_path / "recovered.json"
+    code, _, _ = run(
+        capsys,
+        "generate", "--q", "3", "--n", "4", "--h", "2", "--seed", "7", "--d", "2",
+        "--output", str(sphere_path),
+    )
+    assert code == 0
+    monkeypatch.setattr("hamrecon.cli.eta_discrepancy", lambda f, h: 1.0)
+    code, out, err = run(
+        capsys,
+        "reconstruct", "--mode", "full",
+        "--input", str(sphere_path), "--output", str(out_path), "--oracle-eta",
+    )
+    assert code == 3
+    assert not out_path.exists() and out == ""
+    assert "disagrees with the closed form by 1.000e+00" in err
+
+
 def test_reconstruct_error_paths(tmp_path, capsys):
     # conditions fail: exit 2 with a JSON report on stderr
     sphere_path = tmp_path / "bad.json"

@@ -25,17 +25,16 @@ def test_is_singular_matches_fraction_rank_randomly():
         mat = rng.integers(-4, 5, size=(size, size))
         if trial % 3 == 0 and size > 1:
             mat[-1] = mat[0] + mat[1 % size]  # force a dependency
-        rows = [[Fraction(int(x)) for x in row] for row in mat]
-        assert hr.is_singular(rows) == (fraction_rank(rows) < size)
+        # the modular certificates against plain elimination
+        assert hr.is_singular(mat) == (fraction_rank(mat.tolist()) < size)
 
 
 def test_is_singular_large_nonsingular():
     rng = np.random.default_rng(11)
-    size = 90  # above the fraction-elimination cutoff: exercises the modular path
+    size = 90
     mat = rng.integers(-3, 4, size=(size, size)) + size * 10 * np.eye(size, dtype=np.int64)
-    rows = [[Fraction(int(x)) for x in row] for row in mat]
-    assert not hr.is_singular(rows)
-    assert hr.kernel_vector(rows) is None
+    assert not hr.is_singular(mat)
+    assert hr.kernel_vector(mat) is None
 
 
 def test_is_singular_large_singular_with_certificate():
@@ -44,12 +43,11 @@ def test_is_singular_large_singular_with_certificate():
     mat = rng.integers(-3, 4, size=(size, size)) + size * 10 * np.eye(size, dtype=np.int64)
     # a column dependency keeps the kernel vector small enough to reconstruct
     mat[:, -1] = 2 * mat[:, 3] - 5 * mat[:, 7]
-    rows = [[Fraction(int(x)) for x in row] for row in mat]
-    assert hr.is_singular(rows)
-    vec = hr.kernel_vector(rows)
-    assert vec is not None
+    assert hr.is_singular(mat)
+    vec = hr.kernel_vector(mat)
+    assert vec is not None and all(type(x) is int for x in vec)
     assert any(x != 0 for x in vec)
-    for row in rows:
+    for row in mat.tolist():
         assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
@@ -60,8 +58,7 @@ def test_is_singular_large_with_huge_kernel_entries():
     size = 70
     mat = rng.integers(-2, 3, size=(size, size)) + size * 10 * np.eye(size, dtype=np.int64)
     mat[-1] = mat[0] + mat[1]
-    rows = [[Fraction(int(x)) for x in row] for row in mat]
-    assert hr.is_singular(rows)
+    assert hr.is_singular(mat)
 
 
 def test_kernel_vector_on_layer_operator():
@@ -69,8 +66,8 @@ def test_kernel_vector_on_layer_operator():
     rows = hr.dense_layer_matrix(3, 4, 3, 2, 1)
     assert hr.is_singular(rows)
     vec = hr.kernel_vector(rows)
-    assert vec is not None
-    for row in rows:
+    assert vec is not None and all(type(x) is int for x in vec)
+    for row in rows.tolist():
         assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
@@ -83,4 +80,15 @@ def test_rational_reconstruction():
 
 def test_non_square_rejected():
     with pytest.raises(ValueError):
-        hr.is_singular([[Fraction(1), Fraction(2)]])
+        hr.is_singular([[1, 2]])
+
+
+@pytest.mark.parametrize("check", [hr.is_singular, hr.kernel_vector])
+def test_non_integer_and_non_square_matrices_rejected(check):
+    # an int64 cast would silently turn Fraction(1, 2) into 0
+    with pytest.raises(TypeError):
+        check([[Fraction(1, 2), 1], [1, 1]])
+    with pytest.raises(TypeError):
+        check(np.array([[0.5, 1.0], [1.0, 1.0]]))
+    with pytest.raises(ValueError):
+        check(np.ones((2, 3), dtype=np.int64))

@@ -5,7 +5,7 @@ import pytest
 
 import hamrecon as hr
 from hamrecon import recon
-from hamrecon.recon import _eta_full_scale, _sub_assignments
+from hamrecon.recon import _sub_assignments
 from hamrecon.scheme import digits_table, position_weights, weight_ranks, weight_table
 from hamrecon.spectral import axis_transform
 
@@ -241,15 +241,15 @@ def test_layer_rhs_matches_per_support_reference_at_cap_scale():
 
 
 def test_eta_spectrum_is_diagonal_on_full_support_rows():
-    # FFT(eta) on a face equals the exact scale times FFT(face values) at the
-    # full-support frequencies, for any ball values
+    # FFT(eta) on a face equals q^(n-h), the closing step's factor, times
+    # FFT(face values) at the full-support frequencies, for any ball values
     for q, n, h in ((3, 4, 2), (4, 3, 3), (5, 3, 1), (3, 5, 3)):
         p = params(q, n)
         rng = np.random.default_rng(q * 10 + n + h)
         raw = rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
         ball = hr.BallData(p, h, np.where(_ball_mask(q, n, h), raw, 0))
         full_rows = weight_ranks(q, h, h)
-        scale = float(_eta_full_scale(q, n, h))
+        scale = float(q ** (n - h))
         for positions in itertools.combinations(range(1, n + 1), h):
             ranks_face = digits_table(q, h) @ position_weights(p, positions)
             direct = axis_transform(hr.eta_face_values(ball, positions), q, h, -1)[full_rows]
