@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import hamrecon as hr
 from hamrecon.cli import main
@@ -348,3 +349,38 @@ def test_non_finite_and_malformed_input_exit_64(tmp_path, capsys):
         fn.write_text(json.dumps({**good, "values": good["values"][1:] + [broken]}))
         code, _, err = run(capsys, "local-dist", "--input", str(fn), *local)
         assert code == 64 and "cannot read function data" in err
+
+
+# Parameter errors: each row exits 64, prints nothing on stdout and writes no
+# file.  {sphere} is a valid (3, 4, 2, 2) sphere file, {fn} a valid (3, 4)
+# function file with h = 2, {out} a path that must stay absent.
+PARAMETER_ERRORS = {
+    "seed-negative": (
+        "generate", "--q", "3", "--n", "4", "--h", "2", "--seed", "-1", "--output", "{out}",
+    ),
+    "n-zero": ("generate", "--q", "3", "--n", "0", "--h", "0", "--output", "{out}"),
+    "dump-q-1": ("krawtchouk-dump", "--q", "1", "--n", "4", "--output", "{out}"),
+    "sweep-q-2": ("sweep", "--q", "2,3", "--n", "3", "--output", "{out}"),
+    "sweep-over-cap": ("sweep", "--q", "3,4", "--n", "3,9", "--output", "{out}"),
+    "tolerance-zero": (
+        "reconstruct", "--mode", "full", "--input", "{sphere}", "--output", "{out}",
+        "--tolerance", "0",
+    ),
+    "verify-h-above-n": ("verify", "--mode", "ball", "--q", "3", "--n", "4", "--h", "5"),
+    "generate-d-above-n": (
+        "generate", "--q", "3", "--n", "4", "--h", "2", "--d", "5", "--output", "{out}",
+    ),
+    "check-without-d": ("check", "--q", "3", "--n", "4", "--h", "2"),
+}
+
+
+@pytest.mark.parametrize("argv", PARAMETER_ERRORS.values(), ids=PARAMETER_ERRORS.keys())
+def test_parameter_errors_exit_64_without_output(argv, tmp_path, capsys):
+    sphere, fn, out = tmp_path / "sphere.json", tmp_path / "fn.json", tmp_path / "out.json"
+    gen = ("generate", "--q", "3", "--n", "4", "--h", "2", "--seed", "7")
+    assert run(capsys, *gen, "--d", "2", "--output", str(sphere))[0] == 0
+    assert run(capsys, *gen, "--output", str(fn))[0] == 0
+    paths = {"{sphere}": str(sphere), "{fn}": str(fn), "{out}": str(out)}
+    code, stdout, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert code == 64 and stdout == "" and "error" in err, (code, stdout, err)
+    assert not out.exists()
