@@ -84,30 +84,6 @@ def fraction_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
-def _rank_mod(a: np.ndarray, p: int) -> int:
-    """Rank of a over GF(p); destroys its argument."""
-    m, ncols = a.shape
-    rank = 0
-    for col in range(ncols):
-        if rank == m:
-            break
-        nz = np.nonzero(a[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        pivot = rank + int(nz[0])
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank, col:] = (a[rank, col:] * inv) % p
-        below = a[rank + 1 :, col]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            rows = rank + 1 + hit
-            a[rows, col:] = (a[rows, col:] - np.outer(a[rows, col], a[rank, col:])) % p
-        rank += 1
-    return rank
-
-
 def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form over GF(p) (canonical) and its pivot columns."""
     m, ncols = a.shape
@@ -188,7 +164,7 @@ def _certificate(a: np.ndarray) -> tuple[bool | None, list[int] | None]:
     """
     m = a.shape[0]
     for p in _PRIMES[:3]:
-        if _rank_mod(a % p, p) == m:
+        if len(_rref_mod(a % p, p)[1]) == m:
             return False, None
     # deficient modulo several primes: hunt for an exact kernel certificate
     exact = a.astype(object)

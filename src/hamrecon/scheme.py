@@ -72,10 +72,6 @@ class SchemeParams:
     def size(self) -> int:
         return self.q**self.n
 
-    def positions(self) -> range:
-        """All positions 1..n."""
-        return range(1, self.n + 1)
-
 
 # ---------------------------------------------------------------------------
 # words

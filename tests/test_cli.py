@@ -351,36 +351,47 @@ def test_non_finite_and_malformed_input_exit_64(tmp_path, capsys):
         assert code == 64 and "cannot read function data" in err
 
 
-# Parameter errors: each row exits 64, prints nothing on stdout and writes no
-# file.  {sphere} is a valid (3, 4, 2, 2) sphere file, {fn} a valid (3, 4)
-# function file with h = 2, {out} a path that must stay absent.
-PARAMETER_ERRORS = {
-    "seed-negative": (
-        "generate", "--q", "3", "--n", "4", "--h", "2", "--seed", "-1", "--output", "{out}",
+# Parameter errors: each row exits 64, prints nothing on stdout, writes no file
+# and names the cause on stderr.  {sphere} is a valid (3, 4, 2, 2) sphere file,
+# {fn} a valid (3, 4) function file with h = 2, {out} a path that must stay absent.
+GEN = ("generate", "--q", "3", "--n", "4", "--h", "2")
+FULL = ("reconstruct", "--mode", "full", "--input", "{sphere}", "--output", "{out}")
+VERIFY = ("verify", "--mode", "full", "--q", "3", "--n", "4", "--h", "2")
+PARAMETER_ERRORS = [
+    pytest.param((*GEN, "--seed", "-1", "--output", "{out}"), "seed", id="seed-negative"),
+    pytest.param(
+        ("generate", "--q", "3", "--n", "0", "--h", "0", "--output", "{out}"), "at least 1", id="n-zero"
     ),
-    "n-zero": ("generate", "--q", "3", "--n", "0", "--h", "0", "--output", "{out}"),
-    "dump-q-1": ("krawtchouk-dump", "--q", "1", "--n", "4", "--output", "{out}"),
-    "sweep-q-2": ("sweep", "--q", "2,3", "--n", "3", "--output", "{out}"),
-    "sweep-over-cap": ("sweep", "--q", "3,4", "--n", "3,9", "--output", "{out}"),
-    "tolerance-zero": (
-        "reconstruct", "--mode", "full", "--input", "{sphere}", "--output", "{out}",
-        "--tolerance", "0",
+    pytest.param(
+        ("krawtchouk-dump", "--q", "1", "--n", "4", "--output", "{out}"), "at least 2", id="dump-q-1"
     ),
-    "verify-h-above-n": ("verify", "--mode", "ball", "--q", "3", "--n", "4", "--h", "5"),
-    "generate-d-above-n": (
-        "generate", "--q", "3", "--n", "4", "--h", "2", "--d", "5", "--output", "{out}",
+    pytest.param(("sweep", "--q", "2,3", "--n", "3", "--output", "{out}"), "at least 3", id="sweep-q-2"),
+    pytest.param(
+        ("sweep", "--q", "3,4", "--n", "3,9", "--output", "{out}"), "enumeration cap", id="sweep-over-cap"
     ),
-    "check-without-d": ("check", "--q", "3", "--n", "4", "--h", "2"),
-}
+    pytest.param((*FULL, "--tolerance", "0"), "tolerance", id="tolerance-zero"),
+    pytest.param((*FULL, "--oracle-eta", "--tolerance", "nan"), "tolerance", id="oracle-tolerance-nan"),
+    pytest.param((*VERIFY, "--tolerance", "nan"), "tolerance", id="verify-tolerance-nan"),
+    pytest.param((*VERIFY, "--tolerance", "inf"), "tolerance", id="verify-tolerance-inf"),
+    pytest.param(
+        ("verify", "--mode", "ball", "--q", "3", "--n", "4", "--h", "5"), "5 outside [0, ",
+        id="verify-h-above-n",
+    ),
+    pytest.param((*GEN, "--d", "5", "--output", "{out}"), "5 outside [0, 4]", id="generate-d-above-n"),
+    pytest.param(("check", "--q", "3", "--n", "4", "--h", "2"), "--d", id="check-without-d"),
+    pytest.param(
+        ("local-dist", "--input", "{fn}", "--positions", "2,2", "--anchor", "0120"), "duplicates",
+        id="positions-repeated",
+    ),
+]
 
 
-@pytest.mark.parametrize("argv", PARAMETER_ERRORS.values(), ids=PARAMETER_ERRORS.keys())
-def test_parameter_errors_exit_64_without_output(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv, cause", PARAMETER_ERRORS)
+def test_parameter_errors_exit_64_without_output(argv, cause, tmp_path, capsys):
     sphere, fn, out = tmp_path / "sphere.json", tmp_path / "fn.json", tmp_path / "out.json"
-    gen = ("generate", "--q", "3", "--n", "4", "--h", "2", "--seed", "7")
-    assert run(capsys, *gen, "--d", "2", "--output", str(sphere))[0] == 0
-    assert run(capsys, *gen, "--output", str(fn))[0] == 0
+    assert run(capsys, *GEN, "--seed", "7", "--d", "2", "--output", str(sphere))[0] == 0
+    assert run(capsys, *GEN, "--seed", "7", "--output", str(fn))[0] == 0
     paths = {"{sphere}": str(sphere), "{fn}": str(fn), "{out}": str(out)}
     code, stdout, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
-    assert code == 64 and stdout == "" and "error" in err, (code, stdout, err)
+    assert code == 64 and stdout == "" and cause in err, (code, stdout, err)
     assert not out.exists()
