@@ -1,9 +1,11 @@
 """Local distributions in faces and the orthogonal-face transfer.
 
 The distance-classified sums of an eigenfunction over a face determine
-the sums over the orthogonal face through exact integer
-coefficients; which closed form applies depends on how the face
-dimension k compares with h and n-h.
+the sums over the orthogonal face through exact integer coefficients.
+One closed form, a Krawtchouk-type series, gives them for every face
+dimension k <= h; the regime printed beside k only says whether k also
+fits under n-h (I) or not (III).  Dimensions k > h have no formula and
+are refused.
 
 Run:  python demos/03_local_distributions.py
 """

@@ -15,15 +15,11 @@ from .coeffs import (
     ConditionReport,
     EigenSums,
     RegimeError,
-    TriangularSystem,
-    build_triangular,
     check_conditions,
     coefficient,
     coefficient_table,
     dense_layer_matrix,
     eigen_sums,
-    r_case_I,
-    r_case_III,
     regime_of,
 )
 from .krawtchouk import (

@@ -22,11 +22,11 @@ itself refuses q > 10 on ``generate`` and ``reconstruct`` before any
 work, since such words have no text form, and a sphere file without an
 eigenvalue index or that it cannot read.
 
-Exit codes: 0 success (conditions pass), 2 conditions fail, 3 input data
-inconsistent, 64 invalid parameters or malformed input.  Reports are
-bitwise deterministic for fixed flags and seed: exact integers are
-serialized as decimal strings, and wall-clock timing goes to stderr,
-never into the report.
+Exit codes: 0 success (conditions pass), 1 ``verify`` round-trip error
+above ``--tolerance``, 2 conditions fail, 3 input data inconsistent, 64
+invalid parameters or malformed input.  Reports are bitwise deterministic
+for fixed flags and seed: exact integers are serialized as decimal
+strings, and wall-clock timing goes to stderr, never into the report.
 """
 
 from __future__ import annotations

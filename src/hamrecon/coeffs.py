@@ -6,32 +6,37 @@ components in the orthogonal face linearly:
 
     vbar_j = sum_{i=0}^{min(j,k)} r_{ij} v_i ,   j = 0 .. n-k.
 
-The coefficients r_{ij} come in two closed forms depending on how k sits
-relative to h and n - h:
+Every exact number in this module is a coefficient of one series,
 
-* regime I,   k <= min(h, n-h):  an integer combination of Krawtchouk
-  values P_(j-i-l)(h-k; n-2k) for alphabet q;
-* regime III, n-h < k <= h:      solve a lower-unitriangular system first
-  (matrix U below), then combine (q-1)-ary Krawtchouk values P_(s-i)(h-k; h-i)
-  with the rows of U^-1.
+    K(m; a, b) = [y^m] (1 - y)^a (1 + (q-1)y)^b ,   a >= 0, b any integer,
 
-The remaining two parameter ranges (h < k <= n-h and k > max(h, n-h))
-have no closed form here and are rejected; sphere-to-ball reconstruction
-only ever needs k <= d <= h, which regimes I and III cover completely.
+the Krawtchouk generating function (x - y)^t (x + (q-1)y)^(N-t) at x = 1:
+for b >= 0, K(m; a, b) = P_m(a; a+b).  A negative b expands the second
+factor as a power series.  Three closed forms read it:
+
+* transfer coefficients  r_{ij}  = (-1)^i sum_l C(k-i, l) (q-2)^l K(j-i-l; h-k, n-k-h),
+  the y^j coefficient of (-y)^i (1+(q-2)y)^(k-i) (1-y)^(h-k) (1+(q-1)y)^(n-k-h);
+* nondegeneracy sums     sums[l] = K(d-k; h-k, n-k-h+l);
+* Psi multipliers        lam[l]  = K(d-k; h-l, n-k-h+l).
 
 The layer operator for weight-k recovery is M = sum_i r_{i,d-k} D_i taken
 inside the (q-1)-ary k-dimensional sub-scheme carried by the full-support
-set S^I.  Its eigenvalue on the l-th sub-scheme eigenspace is the
-"nondegeneracy sum"
+set S^I.  Its eigenvalue on the l-th sub-scheme eigenspace is sums[l] =
+sum_i r_{i,d-k} P_i(l; k) over alphabet q-1, and M is invertible iff
+every sums[l] is nonzero.  The same column over the whole q-ary k-face
+gives lam[l].  Both sums over i fold into the series by one substitution,
+x = 1 + (q-2)y and y -> -y, in the generating functions of the two
+Krawtchouk rows:
 
-    sums[l] = sum_i r_{i,d-k} P_i(l; k)   (alphabet q-1),
+    sum_i P_i(l; k) (-y)^i (1+(q-2)y)^(k-i) = (1+(q-1)y)^l             (alphabet q-1)
+                                            = (1+(q-1)y)^l (1-y)^(k-l)  (alphabet q)
 
-and M is invertible iff every sums[l] is nonzero.  The same column over the
-whole q-ary k-face (alphabet q) gives the multipliers that apply Psi.
-Those exact zero tests are the whole point of this module, and every
-quantity in it is a Python int: regime I is an integer sum, and regime
-III combines integer Krawtchouk values with the rows of U^-1, which is
-integral because U is unitriangular.  Nothing here touches floating point.
+(MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 5 sec. 7).
+The formulas hold for every k <= h, which is all that sphere-to-ball
+reconstruction needs (k <= d <= h).  :func:`regime_of` still names where k
+sits, "I" (k <= min(h, n-h)) or "III" (n-h < k <= h), and refuses
+h < k <= n-h and k > max(h, n-h).  Every quantity is a Python int and the
+zero tests are exact; nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -72,98 +77,39 @@ def _check_ij(n: int, k: int, i: int, j: int) -> None:
         raise ValueError(f"row i={i} outside [0, min(j={j}, k={k})]")
 
 
-def r_case_I(q: int, n: int, h: int, k: int, i: int, j: int) -> int:
-    """Regime-I transfer coefficient (exact integer)."""
-    if regime_of(n, h, k) != "I":
-        raise RegimeError(f"k={k} is not in regime I for h={h}, n={n}")
-    _check_ij(n, k, i, j)
-    total = 0
-    for l in range(j - i + 1):
-        if j - i - l > n - 2 * k:
-            continue  # Krawtchouk degree beyond n-2k: the coefficient is 0
-        total += (
-            krawtchouk_value(q, j - i - l, h - k, n - 2 * k)
-            * (q - 2) ** l
-            * math.comb(k - i, l)
-        )
-    return (-1) ** i * total
+def _krawtchouk_series(q: int, m: int, a: int, b: int) -> int:
+    """K(m; a, b) = [y^m] (1-y)^a (1+(q-1)y)^b for a >= 0 and any integer b.
 
-
-@dataclass(frozen=True)
-class TriangularSystem:
-    """The unitriangular matrix U of the regime-III system and its inverse.
-
-    U[j][i] = (q-1)^(j-i) C(h+k-n, j-i) for 0 <= i <= j <= n-k; the
-    diagonal is 1, so the inverse is again integer and unitriangular.
+    For b < 0 the second factor is the power series with coefficients
+    C(b, r) (q-1)^r, where C(b, r) = (-1)^r C(r-b-1, r).  Zero for m < 0.
     """
 
-    q: int
-    n: int
-    h: int
-    k: int
-    lower: tuple[tuple[int, ...], ...]
-    inverse: tuple[tuple[int, ...], ...]
+    def binom(r: int) -> int:
+        return math.comb(b, r) if b >= 0 else (-1) ** r * math.comb(r - b - 1, r)
 
-    @property
-    def dimension(self) -> int:
-        return self.n - self.k + 1
-
-
-@lru_cache(maxsize=None)
-def build_triangular(q: int, n: int, h: int, k: int) -> TriangularSystem:
-    """Build U and U^-1 by exact forward substitution; verifies U U^-1 = I."""
-    if regime_of(n, h, k) != "III":
-        raise RegimeError(f"k={k} is not in regime III for h={h}, n={n}")
-    m = n - k + 1
-    U = [[0] * m for _ in range(m)]
-    for j in range(m):
-        for i in range(j + 1):
-            U[j][i] = (q - 1) ** (j - i) * math.comb(h + k - n, j - i)
-    inv = [[0] * m for _ in range(m)]
-    for col in range(m):
-        inv[col][col] = 1
-        for row in range(col + 1, m):
-            inv[row][col] = -sum(U[row][t] * inv[t][col] for t in range(col, row))
-    for a in range(m):
-        for b in range(m):
-            got = sum(U[a][t] * inv[t][b] for t in range(m))
-            if got != (1 if a == b else 0):
-                raise AssertionError(f"U * U^-1 != I at ({a}, {b}) for (q,n,h,k)=({q},{n},{h},{k})")
-    return TriangularSystem(
-        q=q,
-        n=n,
-        h=h,
-        k=k,
-        lower=tuple(tuple(row) for row in U),
-        inverse=tuple(tuple(row) for row in inv),
+    return sum(
+        (-1) ** s * math.comb(a, s) * binom(m - s) * (q - 1) ** (m - s)
+        for s in range(min(m, a) + 1)
     )
-
-
-def r_case_III(q: int, n: int, h: int, k: int, i: int, j: int) -> int:
-    """Regime-III transfer coefficient (exact integer)."""
-    system = build_triangular(q, n, h, k)
-    _check_ij(n, k, i, j)
-    total = 0
-    for s in range(i, j + 1):
-        total += system.inverse[j][s] * krawtchouk_value(q - 1, s - i, h - k, h - i)
-    return (-1) ** i * total
 
 
 @lru_cache(maxsize=None)
 def coefficient(q: int, n: int, h: int, k: int, i: int, j: int) -> int:
-    """Transfer coefficient r_{ij} for the valid regime of (h, k).
+    """Transfer coefficient r_{ij} for a face dimension k <= h (exact integer).
 
-    Dispatches to regime I for k <= n-h and to regime III for
-    n-h < k <= h.  Entries above the diagonal (i > j) are zero by
-    triangularity of the transfer.
+    Entries above the diagonal (i > j) are zero by triangularity of the
+    transfer.
     """
     if k > h:
         raise RegimeError(f"no transfer formula for k={k} > h={h}")
     if i > j:
         return 0
-    if k <= n - h:
-        return r_case_I(q, n, h, k, i, j)
-    return r_case_III(q, n, h, k, i, j)
+    regime_of(n, h, k)  # refuses h or k outside [0, n]
+    _check_ij(n, k, i, j)
+    return (-1) ** i * sum(
+        math.comb(k - i, l) * (q - 2) ** l * _krawtchouk_series(q, j - i - l, h - k, n - k - h)
+        for l in range(j - i + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -217,49 +163,31 @@ class EigenSums:
         return tuple(l for l, s in enumerate(self.sums) if s == 0)
 
 
-@lru_cache(maxsize=None)
-def layer_column(q: int, n: int, h: int, d: int, k: int) -> tuple[int, ...]:
-    """r_{i,d-k} for i = 0..min(k, d-k): the layer operator M = sum_i r_{i,d-k} D_i.
-
-    The k-face has components i = 0..k, and r_{ij} = 0 for i > j.
-    """
-    return tuple(coefficient(q, n, h, k, i, d - k) for i in range(min(k, d - k) + 1))
-
-
-def _column_eigenvalues(alphabet: int, k: int, column: tuple[int, ...]) -> tuple[int, ...]:
-    """sum_i column[i] P_i(l; k) over ``alphabet`` for l = 0..k, exactly.
-
-    The eigenvalues of sum_i column[i] D_i on the k-cube over that alphabet.
-    """
-    return tuple(
-        sum(c * krawtchouk_value(alphabet, i, l, k) for i, c in enumerate(column))
-        for l in range(k + 1)
-    )
+def _check_layer(n: int, h: int, d: int, k: int) -> None:
+    if not 1 <= k <= d:
+        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
+    if not d <= h <= n:
+        raise ValueError(f"need d <= h <= n, got d={d}, h={h}, n={n}")
 
 
 @lru_cache(maxsize=None)
 def eigen_sums(q: int, n: int, h: int, d: int, k: int) -> EigenSums:
-    """sums[l] = sum_i r_{i,d-k} P_i(l; k) over alphabet q-1, exactly.
-
-    The written range i = 0..k collapses to the :func:`layer_column` range.
-    """
-    if not 1 <= k <= d:
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
-    if not d <= h:
-        raise ValueError(f"need d <= h, got d={d}, h={h}")
-    sums = _column_eigenvalues(q - 1, k, layer_column(q, n, h, d, k))
+    """sums[l] = sum_i r_{i,d-k} P_i(l; k) over alphabet q-1 = K(d-k; h-k, n-k-h+l)."""
+    _check_layer(n, h, d, k)
+    sums = tuple(_krawtchouk_series(q, d - k, h - k, n - k - h + l) for l in range(k + 1))
     return EigenSums(q=q, n=n, h=h, d=d, k=k, sums=sums)
 
 
 @lru_cache(maxsize=None)
 def psi_multipliers(q: int, n: int, h: int, d: int, k: int) -> tuple[int, ...]:
-    """lam[l] = sum_i r_{i,d-k} P_i(l; k) over alphabet q, exactly.
+    """lam[l] = sum_i r_{i,d-k} P_i(l; k) over alphabet q = K(d-k; h-l, n-k-h+l).
 
     The eigenvalues of sum_i r_{i,d-k} D_i on the whole q-ary k-face, the
     operator Psi applies: it multiplies a weight-l frequency of the face by
     lam[l].  Unlike :func:`eigen_sums` these are never tested for zero.
     """
-    return _column_eigenvalues(q, k, layer_column(q, n, h, d, k))
+    _check_layer(n, h, d, k)
+    return tuple(_krawtchouk_series(q, d - k, h - l, n - k - h + l) for l in range(k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +249,17 @@ def check_conditions(q: int, n: int, h: int, d: int) -> ConditionReport:
 
 # ---------------------------------------------------------------------------
 # dense layer operator (oracle side)
+
+
+@lru_cache(maxsize=None)
+def layer_column(q: int, n: int, h: int, d: int, k: int) -> tuple[int, ...]:
+    """r_{i,d-k} for i = 0..min(k, d-k): the layer operator M = sum_i r_{i,d-k} D_i.
+
+    The k-face has components i = 0..k, and r_{ij} = 0 for i > j.  Only
+    the oracles build M from its column; recovery reads M's eigenvalues
+    from :func:`eigen_sums` and :func:`psi_multipliers`.
+    """
+    return tuple(coefficient(q, n, h, k, i, d - k) for i in range(min(k, d - k) + 1))
 
 
 def dense_layer_matrix(q: int, n: int, h: int, d: int, k: int) -> np.ndarray:

@@ -84,11 +84,10 @@ class KrawtchoukTable:
 
     @classmethod
     def build(cls, q: int, N: int) -> "KrawtchoukTable":
+        """Column t is :func:`generating_coefficients` (q, t, N): O(N^3) in all."""
         _check_args(q, 0, 0, N)
-        rows = tuple(
-            tuple(krawtchouk_value(q, i, t, N) for t in range(N + 1)) for i in range(N + 1)
-        )
-        return cls(q=q, N=N, values=rows)
+        columns = [generating_coefficients(q, t, N) for t in range(N + 1)]
+        return cls(q=q, N=N, values=tuple(zip(*columns)))
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, t = key

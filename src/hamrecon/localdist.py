@@ -111,9 +111,9 @@ def substituted_coefficients(dist: LocalDistribution) -> np.ndarray:
 def transfer_orthogonal(dist: LocalDistribution, h: int) -> LocalDistribution:
     """Local distribution of the same eigenfunction in the orthogonal face.
 
-    Valid when the face dimension k falls in regime I (k <= min(h, n-h))
-    or III (n-h < k <= h); other dimensions raise RegimeError.  The
-    result has components for every j = 0..n-k.
+    Valid for every face dimension k <= h (regimes I and III); other
+    dimensions raise RegimeError.  The result has components for every
+    j = 0..n-k.
     """
     params = dist.params
     k = len(dist.face)

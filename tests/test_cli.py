@@ -223,6 +223,14 @@ def test_verify_command(capsys):
     assert code == 2
     assert json.loads(err)["pass"] is False
 
+    # round-trip error above the tolerance: exit 1, report still printed
+    code, out, _ = run(
+        capsys, "verify", "--mode", "full", "--q", "3", "--n", "4", "--h", "2", "--tolerance", "1e-300"
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["pass"] is False and report["max_rel_error"] > 1e-300
+
     # full mode with mismatched d
     code, _, _ = run(
         capsys, "verify", "--mode", "full", "--q", "3", "--n", "4", "--h", "2", "--d", "1", "--seed", "0"

@@ -63,64 +63,48 @@ def test_regime_dispatch():
         hr.regime_of(4, 1, 4)  # regime IV: k > max(h, n-h)
 
 
+# the desk grid plus the cap-scale (q, n) pairs, where regime III reaches n - k = 9
+ORACLE_QN = (*DESK_QN, (3, 10), (4, 8))
+
+
 def test_r_case_I_fixed_values():
     # i = j: only l = 0 survives
     for q, n, h in ((3, 6, 3), (4, 5, 2)):
         for k in range(0, min(h, n - h) + 1):
             for j in range(min(k, n - k) + 1):
-                assert hr.r_case_I(q, n, h, k, j, j) == (-1) ** j
+                assert hr.coefficient(q, n, h, k, j, j) == (-1) ** j
     # worked example: P_1(1; 2) + (q-2) * C(1, 1) = 1 + 1
-    assert hr.r_case_I(3, 4, 2, 1, 0, 1) == 2
+    assert hr.coefficient(3, 4, 2, 1, 0, 1) == 2
     # k = 0 transfer is the weight distribution: column j has single entry P_j(h; n)
     for j in range(5):
-        assert hr.r_case_I(3, 4, 2, 0, 0, j) == hr.krawtchouk_value(3, j, 2, 4)
+        assert hr.coefficient(3, 4, 2, 0, 0, j) == hr.krawtchouk_value(3, j, 2, 4)
 
 
 def test_r_case_I_against_polynomial_oracle():
-    for q, n in DESK_QN:
+    for q, n in ORACLE_QN:
         for h in range(n + 1):
             for k in range(0, min(h, n - h) + 1):
                 for j in range(n - k + 1):
                     for i in range(min(j, k) + 1):
-                        assert hr.r_case_I(q, n, h, k, i, j) == _oracle_r_case_I(
+                        assert hr.coefficient(q, n, h, k, i, j) == _oracle_r_case_I(
                             q, n, h, k, i, j
                         ), (q, n, h, k, i, j)
 
 
-def test_triangular_system():
-    sys34 = hr.build_triangular(3, 4, 3, 2)
-    assert sys34.lower == ((1, 0, 0), (2, 1, 0), (0, 2, 1))
-    assert sys34.inverse == ((1, 0, 0), (-2, 1, 0), (4, -2, 1))
-    for q, n, h, k in ((3, 4, 3, 2), (3, 5, 4, 3), (4, 6, 5, 3), (5, 5, 4, 2)):
-        system = hr.build_triangular(q, n, h, k)
-        m = system.dimension
-        for j in range(m):
-            assert system.lower[j][j] == 1
-            if j > 0:
-                assert system.lower[j][j - 1] == (q - 1) * (h + k - n)
-        # product check is also done inside build; repeat it independently
-        for a in range(m):
-            for b in range(m):
-                got = sum(system.lower[a][t] * system.inverse[t][b] for t in range(m))
-                assert got == (1 if a == b else 0)
-    with pytest.raises(hr.RegimeError):
-        hr.build_triangular(3, 4, 2, 1)
-
-
 def test_r_case_III_fixed_values():
-    assert hr.r_case_III(3, 4, 3, 2, 0, 0) == 1
+    assert hr.coefficient(3, 4, 3, 2, 0, 0) == 1
     for q, n, h, k in ((3, 4, 3, 2), (3, 5, 4, 3), (4, 5, 4, 2)):
         for j in range(min(k, n - k) + 1):
-            assert hr.r_case_III(q, n, h, k, j, j) == (-1) ** j
+            assert hr.coefficient(q, n, h, k, j, j) == (-1) ** j
 
 
 def test_r_case_III_against_polynomial_oracle():
-    for q, n in DESK_QN:
+    for q, n in ORACLE_QN:
         for h in range(n + 1):
             for k in range(max(1, n - h + 1), h + 1):
                 for j in range(n - k + 1):
                     for i in range(min(j, k) + 1):
-                        assert hr.r_case_III(q, n, h, k, i, j) == _oracle_r_case_III(
+                        assert hr.coefficient(q, n, h, k, i, j) == _oracle_r_case_III(
                             q, n, h, k, i, j
                         ), (q, n, h, k, i, j)
 
@@ -162,6 +146,25 @@ def test_eigen_sums_are_dense_operator_eigenvalues():
             chi = np.exp(2j * np.pi * (pts @ b % sub_q) / sub_q)
             level = int(weight_table(sub_q, k)[b_rank])
             assert np.max(np.abs(dense @ chi - float(sums[level]) * chi)) <= 1e-9
+
+
+def test_layer_eigenvalues_are_column_sums_against_krawtchouk_rows():
+    # sums and multipliers come from the series in closed form; the reference
+    # sums the layer column against P_i(l; k) over alphabets q-1 and q
+    desk = [(q, n, h) for q in range(3, 8) for n in range(1, 11) for h in range(n + 1)]
+    for q, n, h in [*desk, *CAP_CELLS]:
+        for d in range(1, h + 1):
+            for k in range(1, d + 1):
+                column = layer_column(q, n, h, d, k)
+                for alphabet, got in (
+                    (q - 1, hr.eigen_sums(q, n, h, d, k).sums),
+                    (q, psi_multipliers(q, n, h, d, k)),
+                ):
+                    expect = tuple(
+                        sum(c * hr.krawtchouk_value(alphabet, i, l, k) for i, c in enumerate(column))
+                        for l in range(k + 1)
+                    )
+                    assert got == expect, (alphabet, q, n, h, d, k)
 
 
 def test_psi_multipliers_are_face_operator_eigenvalues():
@@ -208,7 +211,8 @@ def test_check_conditions():
 
 def test_exact_serialization_round_trip():
     # the audit: every stored coefficient survives exact string serialization;
-    # regime III, built on U^-1, is where non-integers could come from
+    # regime III, where the series expands a negative power, is where
+    # non-integers could come from
     seen_regime_iii = False
     for q, n in ((3, 5), (4, 4)):
         for h in range(n + 1):

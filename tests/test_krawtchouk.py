@@ -64,8 +64,14 @@ def test_table_invariants():
         assert table[0, t] == 1
     for i in range(7):
         assert table[i, 0] == 2**i * math.comb(6, i)
-        for t in range(7):
-            assert table[i, t] == hr.krawtchouk_value(3, i, t, 6)
+    # the table expands generating polynomials; check it against the defining sum
+    for q, N in ((3, 6), (3, 40), (5, 9)):
+        table = KrawtchoukTable.build(q, N)
+        for i in range(N + 1):
+            for t in range(N + 1):
+                assert table[i, t] == hr.krawtchouk_value(q, i, t, N), (q, N, i, t)
+    with pytest.raises(ValueError):
+        KrawtchoukTable.build(3, -1)
 
 
 def test_everything_is_int():
