@@ -6,8 +6,9 @@ nondegeneracy conditions, by its values on a single sphere around the
 origin: the radius-d sphere determines the radius-d ball, and the sphere
 whose radius equals the eigenvalue index determines the whole function.
 This package implements both reconstructions together with the exact
-integer machinery needed to decide the conditions, plus
-brute-force oracles that validate every step at desk scale.
+integer machinery needed to decide the conditions.  The tuple-level
+brute-force references that check the solvers at desk scale live with
+the tests, in ``tests/oracles.py``.
 """
 
 from .coeffs import (
@@ -20,20 +21,17 @@ from .coeffs import (
     coefficient_table,
     dense_layer_matrix,
     eigen_sums,
-    regime_of,
 )
 from .krawtchouk import (
     KrawtchoukTable,
     SpectralIndex,
     eigenvalue_of_index,
     generating_coefficients,
-    index_of_eigenvalue,
     krawtchouk_row,
     krawtchouk_value,
 )
 from .localdist import (
     LocalDistribution,
-    enumerator_eval,
     local_distribution,
     sigma_delta_split,
     substituted_coefficients,
@@ -47,8 +45,6 @@ from .recon import (
     DataInconsistencyError,
     LayerSystem,
     SphereData,
-    apply_layer_operator,
-    eta_direct_sum,
     eta_discrepancy,
     eta_face_values,
     layer_rhs,
@@ -60,25 +56,16 @@ from .recon import (
 from .scheme import (
     SchemeParams,
     Word,
-    ball,
     complement,
-    enumerate_region,
-    face,
-    full_support,
-    hamming_distance,
-    inner_product,
     max_states,
     parse_word,
     rank_word,
-    sphere,
     support,
     weight,
-    weight_support,
     word_rank,
     word_text,
 )
 from .spectral import (
-    FourierContext,
     VertexFunction,
     apply_distance_operator,
     character,

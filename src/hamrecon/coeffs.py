@@ -7,6 +7,7 @@ components in the orthogonal face linearly:
     vbar_j = sum_{i=0}^{min(j,k)} r_{ij} v_i ,   j = 0 .. n-k.
 
 Every exact number in this module is a coefficient of one series,
+``krawtchouk.krawtchouk_series``,
 
     K(m; a, b) = [y^m] (1 - y)^a (1 + (q-1)y)^b ,   a >= 0, b any integer,
 
@@ -32,11 +33,11 @@ Krawtchouk rows:
                                             = (1+(q-1)y)^l (1-y)^(k-l)  (alphabet q)
 
 (MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 5 sec. 7).
-The formulas hold for every k <= h, which is all that sphere-to-ball
-reconstruction needs (k <= d <= h).  :func:`regime_of` still names where k
-sits, "I" (k <= min(h, n-h)) or "III" (n-h < k <= h), and refuses
-h < k <= n-h and k > max(h, n-h).  Every quantity is a Python int and the
-zero tests are exact; nothing here touches floating point.
+The formulas hold for every face dimension 0 <= k <= h <= n, which is
+all that sphere-to-ball reconstruction needs (k <= d <= h); a face with
+k > h has no transfer formula and raises :class:`RegimeError`.  Every
+quantity is a Python int and the zero tests are exact; nothing here
+touches floating point.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .krawtchouk import krawtchouk_value
+from .krawtchouk import krawtchouk_series, krawtchouk_value
 from .scheme import digits_table
 
 
@@ -55,19 +56,11 @@ class RegimeError(ValueError):
     """Face dimension falls in a parameter range with no transfer formula."""
 
 
-def regime_of(n: int, h: int, k: int) -> str:
-    """"I" or "III"; raises RegimeError for the unsupported ranges."""
-    if not 0 <= h <= n:
-        raise ValueError(f"eigenindex {h} outside [0, {n}]")
-    if not 0 <= k <= n:
-        raise ValueError(f"face dimension {k} outside [0, {n}]")
-    if k <= min(h, n - h):
-        return "I"
-    if n - h < k <= h:
-        return "III"
-    if k <= n - h:
-        raise RegimeError(f"regime II (h < k <= n-h) unsupported: h={h}, k={k}, n={n}")
-    raise RegimeError(f"regime IV (k > max(h, n-h)) unsupported: h={h}, k={k}, n={n}")
+def _check_face(n: int, h: int, k: int) -> None:
+    if k > h:
+        raise RegimeError(f"no transfer formula for k={k} > h={h}")
+    if not 0 <= k <= h <= n:
+        raise ValueError(f"need 0 <= k <= h <= n, got k={k}, h={h}, n={n}")
 
 
 def _check_ij(n: int, k: int, i: int, j: int) -> None:
@@ -77,37 +70,19 @@ def _check_ij(n: int, k: int, i: int, j: int) -> None:
         raise ValueError(f"row i={i} outside [0, min(j={j}, k={k})]")
 
 
-def _krawtchouk_series(q: int, m: int, a: int, b: int) -> int:
-    """K(m; a, b) = [y^m] (1-y)^a (1+(q-1)y)^b for a >= 0 and any integer b.
-
-    For b < 0 the second factor is the power series with coefficients
-    C(b, r) (q-1)^r, where C(b, r) = (-1)^r C(r-b-1, r).  Zero for m < 0.
-    """
-
-    def binom(r: int) -> int:
-        return math.comb(b, r) if b >= 0 else (-1) ** r * math.comb(r - b - 1, r)
-
-    return sum(
-        (-1) ** s * math.comb(a, s) * binom(m - s) * (q - 1) ** (m - s)
-        for s in range(min(m, a) + 1)
-    )
-
-
 @lru_cache(maxsize=None)
 def coefficient(q: int, n: int, h: int, k: int, i: int, j: int) -> int:
-    """Transfer coefficient r_{ij} for a face dimension k <= h (exact integer).
+    """Transfer coefficient r_{ij} for a face dimension 0 <= k <= h <= n (exact integer).
 
     Entries above the diagonal (i > j) are zero by triangularity of the
     transfer.
     """
-    if k > h:
-        raise RegimeError(f"no transfer formula for k={k} > h={h}")
+    _check_face(n, h, k)
     if i > j:
         return 0
-    regime_of(n, h, k)  # refuses h or k outside [0, n]
     _check_ij(n, k, i, j)
     return (-1) ** i * sum(
-        math.comb(k - i, l) * (q - 2) ** l * _krawtchouk_series(q, j - i - l, h - k, n - k - h)
+        math.comb(k - i, l) * (q - 2) ** l * krawtchouk_series(q, j - i - l, h - k, n - k - h)
         for l in range(j - i + 1)
     )
 
@@ -120,17 +95,16 @@ class CoefficientTable:
     n: int
     h: int
     k: int
-    regime: str
     entries: tuple[tuple[int, ...], ...]  # entries[j][i]
 
     @classmethod
     def build(cls, q: int, n: int, h: int, k: int) -> "CoefficientTable":
-        regime = regime_of(n, h, k)
+        _check_face(n, h, k)
         rows = tuple(
             tuple(coefficient(q, n, h, k, i, j) for i in range(min(j, k) + 1))
             for j in range(n - k + 1)
         )
-        return cls(q=q, n=n, h=h, k=k, regime=regime, entries=rows)
+        return cls(q=q, n=n, h=h, k=k, entries=rows)
 
     def value(self, i: int, j: int) -> int:
         if i > j:
@@ -174,7 +148,7 @@ def _check_layer(n: int, h: int, d: int, k: int) -> None:
 def eigen_sums(q: int, n: int, h: int, d: int, k: int) -> EigenSums:
     """sums[l] = sum_i r_{i,d-k} P_i(l; k) over alphabet q-1 = K(d-k; h-k, n-k-h+l)."""
     _check_layer(n, h, d, k)
-    sums = tuple(_krawtchouk_series(q, d - k, h - k, n - k - h + l) for l in range(k + 1))
+    sums = tuple(krawtchouk_series(q, d - k, h - k, n - k - h + l) for l in range(k + 1))
     return EigenSums(q=q, n=n, h=h, d=d, k=k, sums=sums)
 
 
@@ -187,7 +161,7 @@ def psi_multipliers(q: int, n: int, h: int, d: int, k: int) -> tuple[int, ...]:
     lam[l].  Unlike :func:`eigen_sums` these are never tested for zero.
     """
     _check_layer(n, h, d, k)
-    return tuple(_krawtchouk_series(q, d - k, h - l, n - k - h + l) for l in range(k + 1))
+    return tuple(krawtchouk_series(q, d - k, h - l, n - k - h + l) for l in range(k + 1))
 
 
 # ---------------------------------------------------------------------------

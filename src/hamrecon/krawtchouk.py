@@ -11,7 +11,13 @@ the bivariate generating polynomial
     (x - y)^t (x + (q-1)y)^(N-t) = sum_i P_i(t; N) y^i x^(N-i),
 
 which this module expands independently (plain integer convolution) so the
-two routes can be cross-checked against each other.
+two routes can be cross-checked against each other.  At x = 1 the
+polynomial is the series
+
+    K(m; a, b) = [y^m] (1 - y)^a (1 + (q-1)y)^b ,   a >= 0, b any integer,
+
+so P_i(t; N) = K(i; t, N-t); a negative b expands the second factor as a
+power series, which the transfer coefficients of ``coeffs`` need.
 
 Everything here is arbitrary-precision integer arithmetic.  The
 nondegeneracy checks downstream hinge on exact zero tests, so no value in
@@ -35,13 +41,26 @@ def _check_args(q: int, i: int, t: int, N: int) -> None:
         raise ValueError(f"argument t={t} outside [0, {N}]")
 
 
-def krawtchouk_value(q: int, i: int, t: int, N: int) -> int:
-    """P_i(t; N) for alphabet size q, by the defining alternating sum."""
-    _check_args(q, i, t, N)
+def krawtchouk_series(q: int, m: int, a: int, b: int) -> int:
+    """K(m; a, b) = [y^m] (1-y)^a (1+(q-1)y)^b for a >= 0 and any integer b.
+
+    For b < 0 the second factor is the power series with coefficients
+    C(b, r) (q-1)^r, where C(b, r) = (-1)^r C(r-b-1, r).  Zero for m < 0.
+    """
+
+    def binom(r: int) -> int:
+        return math.comb(b, r) if b >= 0 else (-1) ** r * math.comb(r - b - 1, r)
+
     return sum(
-        (-1) ** j * (q - 1) ** (i - j) * math.comb(t, j) * math.comb(N - t, i - j)
-        for j in range(i + 1)
+        (-1) ** s * math.comb(a, s) * binom(m - s) * (q - 1) ** (m - s)
+        for s in range(min(m, a) + 1)
     )
+
+
+def krawtchouk_value(q: int, i: int, t: int, N: int) -> int:
+    """P_i(t; N) for alphabet size q: the defining alternating sum, K(i; t, N-t)."""
+    _check_args(q, i, t, N)
+    return krawtchouk_series(q, i, t, N - t)
 
 
 def krawtchouk_row(q: int, t: int, N: int) -> list[int]:
@@ -106,14 +125,3 @@ def eigenvalue_of_index(q: int, n: int, h: int) -> SpectralIndex:
     if not 0 <= h <= n:
         raise ValueError(f"eigenvalue index h={h} outside [0, {n}]")
     return SpectralIndex(h=h, eigenvalue=(q - 1) * n - q * h)
-
-
-def index_of_eigenvalue(q: int, n: int, eigenvalue: int) -> SpectralIndex:
-    """Inverse of :func:`eigenvalue_of_index`; rejects non-eigenvalues."""
-    num = (q - 1) * n - eigenvalue
-    h, rem = divmod(num, q)
-    if rem != 0 or not 0 <= h <= n:
-        raise ValueError(
-            f"{eigenvalue} is not an eigenvalue of the ({q}, {n}) Hamming graph"
-        )
-    return SpectralIndex(h=h, eigenvalue=eigenvalue)

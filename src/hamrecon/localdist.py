@@ -88,12 +88,6 @@ def local_distribution(f: VertexFunction, positions, anchor) -> LocalDistributio
     return LocalDistribution(f.params, pos, a, comps)
 
 
-def enumerator_eval(dist: LocalDistribution, x: complex, y: complex) -> complex:
-    """Value of the local enumerator sum_j v_j y^j x^(k-j)."""
-    k = len(dist.face)
-    return complex(sum(dist.components[j] * y**j * x ** (k - j) for j in range(k + 1)))
-
-
 def substituted_coefficients(dist: LocalDistribution) -> np.ndarray:
     """Coefficients of y^l x^(k-l) in g(x + (q-2)y, -y), l = 0..k."""
     q = dist.params.q
@@ -111,9 +105,9 @@ def substituted_coefficients(dist: LocalDistribution) -> np.ndarray:
 def transfer_orthogonal(dist: LocalDistribution, h: int) -> LocalDistribution:
     """Local distribution of the same eigenfunction in the orthogonal face.
 
-    Valid for every face dimension k <= h (regimes I and III); other
-    dimensions raise RegimeError.  The result has components for every
-    j = 0..n-k.
+    Valid for every face dimension k <= h; a face with k > h has no
+    transfer formula and raises RegimeError.  The result has components
+    for every j = 0..n-k.
     """
     params = dist.params
     k = len(dist.face)

@@ -63,7 +63,6 @@ from .coeffs import (
     ConditionReport,
     check_conditions,
     eigen_sums,
-    layer_column,
     psi_multipliers,
 )
 from .krawtchouk import krawtchouk_value
@@ -237,20 +236,6 @@ def _chunks(count: int, words_each: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
-def _distance_combination(values: np.ndarray, q: int, k: int, column) -> np.ndarray:
-    """sum_i column[i] D_i values on the q-ary k-cube, per row of ``values``.
-
-    The last axis holds the q^k word values, leading axes are a batch.  The
-    coefficients stay exact until they are converted to float at the
-    multiply; distances past the end of ``column`` carry weight zero.
-    """
-    tensors = distance_tensor_stack(values, q, k, len(column) - 1)
-    acc = np.zeros_like(tensors[0])
-    for c, t in zip(column, tensors):
-        acc += float(c) * t
-    return acc.reshape(values.shape)
-
-
 def _layer_words(q: int, n: int, h: int, d: int, k: int) -> int:
     """Complex words one support of layer k keeps live: the larger of Psi and Phi.
 
@@ -364,12 +349,6 @@ def solve_layer(system: LayerSystem, q: int, n: int, h: int, d: int) -> np.ndarr
     return solution
 
 
-def apply_layer_operator(q: int, n: int, h: int, d: int, k: int, vec: np.ndarray) -> np.ndarray:
-    """M vec by direct sphere sums on the sub-cube (residual-check oracle)."""
-    column = layer_column(q, n, h, d, k)
-    return _distance_combination(vec, q - 1, k, column)
-
-
 # ---------------------------------------------------------------------------
 # whole-sphere drivers
 
@@ -416,7 +395,10 @@ def eta_face_values(ball: BallData, positions) -> np.ndarray:
     equal the ball radius).  Entry r belongs to the face word whose digits
     on ``positions`` spell r in base q.  Uses the closed form
     eta = q^(n-2h) sum_j (-1)^j (q-1)^(h-j) v_j, with v the local
-    distribution of the ball values in the face, for all words at once.
+    distribution of the ball values in the face, for all words at once:
+    v_j at every face word is D_j of the face values, from one
+    distance-stack pass.  That keeps it independent of the
+    Fourier-diagonal form the closing step of :func:`reconstruct_full` uses.
     """
     params = ball.params
     q, n = params.q, params.n
@@ -425,30 +407,19 @@ def eta_face_values(ball: BallData, positions) -> np.ndarray:
     if h != ball.d:
         raise ValueError(f"face dimension {h} must equal the ball radius {ball.d}")
     ranks_face = digits_table(q, h) @ position_weights(params, pos)
-    acc = _distance_combination(ball.values[ranks_face], q, h, _eta_column(q, h))
-    return float(Fraction(q) ** (n - 2 * h)) * acc
-
-
-def eta_direct_sum(f: VertexFunction, positions, beta) -> complex:
-    """Direct summation of a *full* function over the orthogonal face.
-
-    The independent oracle for :func:`eta_face_values`: needs values
-    outside the ball, so it only applies when the whole function is available.
-    """
-    params = f.params
-    pos = check_positions(positions, params.n)
-    comp = complement(pos, params.n)
-    b = tuple(int(x) for x in beta)
-    if not comp:
-        return complex(f.values[np.sum([b[p - 1] * params.q ** (params.n - p) for p in pos])])
-    ranks = (digits_table(params.q, len(comp)) @ position_weights(params, comp)) + sum(
-        b[p - 1] * params.q ** (params.n - p) for p in pos
-    )
-    return complex(f.values[ranks].sum())
+    tensors = distance_tensor_stack(ball.values[ranks_face], q, h, h)
+    acc = np.zeros_like(tensors[0])
+    for c, t in zip(_eta_column(q, h), tensors):
+        acc += float(c) * t
+    return float(Fraction(q) ** (n - 2 * h)) * acc.reshape(-1)
 
 
 def eta_discrepancy(f: VertexFunction, h: int) -> float:
-    """Max |closed form - direct sum| of eta over all h-faces of a full function."""
+    """Max |closed form - direct sum| of eta over all h-faces of a full function.
+
+    The direct totals over the orthogonal faces through an h-face on I are
+    the full function summed over the axes off I.
+    """
     params = f.params
     ball = BallData(
         params,
@@ -461,7 +432,7 @@ def eta_discrepancy(f: VertexFunction, h: int) -> float:
     for positions in itertools.combinations(range(1, params.n + 1), h):
         closed = eta_face_values(ball, positions)
         comp_axes = tuple(p - 1 for p in complement(positions, params.n))
-        direct = t.sum(axis=comp_axes).reshape(-1) if comp_axes else t.reshape(-1)
+        direct = t.sum(axis=comp_axes).reshape(-1)
         worst = max(worst, float(np.max(np.abs(closed - direct))))
     return worst
 

@@ -1,33 +1,34 @@
-"""Words, Hamming metric, and region enumeration for the q-ary n-cube.
+"""Words, Hamming weight and dense index tables for the q-ary n-cube.
 
 The vertex set is the abelian group Z_q^n of words with n digits in
 {0, ..., q-1}.  Two words are adjacent when they differ in exactly one
-position.  Everything downstream (local distributions, transfer
-coefficients, reconstruction) enumerates the regions defined here:
+position.  The regions the rest of the package works on are
 
-* sphere  W_r(c)   -- words at Hamming distance exactly r from c,
-* ball    B_r(c)   -- words at distance at most r,
+* sphere  W_r      -- words of weight exactly r,
+* ball    B_r      -- words of weight at most r,
 * face    G^I(c)   -- words agreeing with c outside the position set I
                       (an |I|-dimensional subcube),
-* full-support S^I -- words whose set of nonzero positions is exactly I.
+* full-support S^I -- words whose set of nonzero positions is exactly I,
+
+and the package never walks them word by word: it selects them as rank
+arrays from the cached tables at the end of this module.  Tuple-level
+enumerators live with the test references in ``tests/oracles.py``.
 
 Positions are 1-based throughout the public API.  A word is a plain tuple
 of digits; its rank is the value of the digit string read as a base-q
 numeral, most significant position first, which doubles as the index into
 dense value arrays.
 
-Enumeration alone never allocates more than q^n items; construction of
-``SchemeParams`` refuses instances above a configurable state cap so a
-typo in (q, n) fails fast instead of exhausting memory.
+Construction of ``SchemeParams`` refuses instances above a configurable
+state cap so a typo in (q, n) fails fast instead of exhausting memory.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -85,10 +86,6 @@ def check_word(params: SchemeParams, word: Sequence[int]) -> Word:
         if not 0 <= x < params.q:
             raise ValueError(f"digit {x} outside [0, {params.q})")
     return w
-
-
-def zero_word(params: SchemeParams) -> Word:
-    return (0,) * params.n
 
 
 def word_rank(params: SchemeParams, word: Sequence[int]) -> int:
@@ -157,13 +154,6 @@ def text_ranks(params: SchemeParams, texts: Sequence[str]) -> np.ndarray:
     return digits @ (params.q ** np.arange(n - 1, -1, -1, dtype=np.int64))
 
 
-def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
-    """Number of positions where the two words differ."""
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum(1 for x, y in zip(a, b) if x != y)
-
-
 def weight(a: Sequence[int]) -> int:
     return sum(1 for x in a if x != 0)
 
@@ -171,18 +161,6 @@ def weight(a: Sequence[int]) -> int:
 def support(a: Sequence[int]) -> IndexSet:
     """1-based positions of the nonzero digits."""
     return tuple(pos for pos, x in enumerate(a, start=1) if x != 0)
-
-
-def weight_support(a: Sequence[int]) -> tuple[int, IndexSet]:
-    s = support(a)
-    return len(s), s
-
-
-def inner_product(params: SchemeParams, a: Sequence[int], b: Sequence[int]) -> int:
-    """<a, b> = sum_i a_i b_i mod q."""
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum(int(x) * int(y) for x, y in zip(a, b)) % params.q
 
 
 # ---------------------------------------------------------------------------
@@ -203,86 +181,6 @@ def check_positions(positions: Iterable[int], n: int) -> IndexSet:
 def complement(positions: Iterable[int], n: int) -> IndexSet:
     inside = set(check_positions(positions, n))
     return tuple(p for p in range(1, n + 1) if p not in inside)
-
-
-# ---------------------------------------------------------------------------
-# region enumeration (deterministic order, restartable generators)
-
-
-def sphere(params: SchemeParams, center: Sequence[int], radius: int) -> Iterator[Word]:
-    """Words at Hamming distance exactly ``radius`` from the center."""
-    c = check_word(params, center)
-    if not 0 <= radius <= params.n:
-        raise ValueError(f"radius {radius} outside [0, {params.n}]")
-    if radius == 0:
-        yield c
-        return
-    for pos_subset in itertools.combinations(range(params.n), radius):
-        choices = [[x for x in range(params.q) if x != c[p]] for p in pos_subset]
-        for vals in itertools.product(*choices):
-            w = list(c)
-            for p, v in zip(pos_subset, vals):
-                w[p] = v
-            yield tuple(w)
-
-
-def ball(params: SchemeParams, center: Sequence[int], radius: int) -> Iterator[Word]:
-    """Words at Hamming distance at most ``radius`` from the center."""
-    if not 0 <= radius <= params.n:
-        raise ValueError(f"radius {radius} outside [0, {params.n}]")
-    for r in range(radius + 1):
-        yield from sphere(params, center, r)
-
-
-def face(params: SchemeParams, positions: Iterable[int], anchor: Sequence[int]) -> Iterator[Word]:
-    """The subcube of words agreeing with ``anchor`` outside ``positions``."""
-    a = check_word(params, anchor)
-    pos = check_positions(positions, params.n)
-    if not pos:
-        yield a
-        return
-    for vals in itertools.product(range(params.q), repeat=len(pos)):
-        w = list(a)
-        for p, v in zip(pos, vals):
-            w[p - 1] = v
-        yield tuple(w)
-
-
-def full_support(params: SchemeParams, positions: Iterable[int]) -> Iterator[Word]:
-    """Words whose support is exactly ``positions``, in lexicographic order."""
-    pos = check_positions(positions, params.n)
-    if not pos:
-        yield zero_word(params)
-        return
-    for vals in itertools.product(range(1, params.q), repeat=len(pos)):
-        w = [0] * params.n
-        for p, v in zip(pos, vals):
-            w[p - 1] = v
-        yield tuple(w)
-
-
-def enumerate_region(
-    params: SchemeParams,
-    kind: str,
-    center: Sequence[int] | None = None,
-    radius: int | None = None,
-    positions: Iterable[int] | None = None,
-) -> Iterator[Word]:
-    """Dispatch to one of the four region generators by name."""
-    if kind == "sphere" or kind == "ball":
-        if center is None or radius is None:
-            raise ValueError(f"{kind} needs center and radius")
-        gen = sphere if kind == "sphere" else ball
-        return gen(params, center, radius)
-    if kind == "face":
-        if center is None or positions is None:
-            raise ValueError("face needs an anchor (center) and positions")
-        return face(params, positions, center)
-    if kind == "full_support":
-        if positions is None:
-            raise ValueError("full_support needs positions")
-        return full_support(params, positions)
-    raise ValueError(f"unknown region kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -47,24 +47,6 @@ from .scheme import (
 )
 
 
-@dataclass(frozen=True)
-class FourierContext:
-    """Primitive q-th root of unity used by all character sums."""
-
-    q: int
-    xi: complex
-
-    @classmethod
-    def create(cls, q: int) -> "FourierContext":
-        if q < 2:
-            raise ValueError(f"need q >= 2, got {q}")
-        return cls(q=q, xi=np.exp(2j * np.pi / q))
-
-    def power_table(self) -> np.ndarray:
-        """xi^v for v = 0..q-1."""
-        return np.exp(2j * np.pi * np.arange(self.q) / self.q)
-
-
 @dataclass
 class VertexFunction:
     """Dense complex-valued function on the vertices, indexed by word rank.
@@ -102,7 +84,7 @@ def character(params: SchemeParams, beta) -> VertexFunction:
     b = check_word(params, beta)
     digits = digits_table(params.q, params.n)
     ip = (digits @ np.asarray(b, dtype=np.int64)) % params.q
-    powers = FourierContext.create(params.q).power_table()
+    powers = np.exp(2j * np.pi * np.arange(params.q) / params.q)
     return VertexFunction(params, powers[ip], eigenindex=weight(b))
 
 

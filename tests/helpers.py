@@ -1,8 +1,13 @@
-"""Shared helpers for the test suite: desk-scale grids and cached fixtures."""
+"""Shared helpers for the test suite: desk-scale grids, cached fixtures, repository files."""
 
+import importlib.util
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import hamrecon as hr
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # every (q, n) the acceptance criteria quantify over
 DESK_QN = [(q, n) for q in (3, 4, 5) for n in (3, 4, 5, 6) if q**n <= 4096]
@@ -29,3 +34,13 @@ def eigfn(q, n, h, seed=0):
 
 def tol_for(f, base=1e-9):
     return base * (1.0 + f.max_abs())
+
+
+def load_spans(monkeypatch):
+    """The benchmark's span recorder module (``bench/spans.py``), loaded from its file."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the file runs
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    return spans

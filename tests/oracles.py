@@ -1,10 +1,18 @@
-"""Per-support references for the batched recovery drivers.
+"""Brute-force references for the test suite; none of this is ``hamrecon`` API.
 
-Each weight layer is solved one support set at a time, and the closing
-step of full recovery runs one face at a time, the way the paper states
-the algorithm.  The code shares no batching, chunking or transform
-routine with ``hamrecon.recon``: Phi is gathered subset by subset, Psi is
-one distance-stack pass per face, the layer solve builds its own dense
+Tuple-level references walk words one at a time, the way the paper
+defines the regions: the sphere, face and full-support enumerators, the
+Hamming distance, the weight and support of a word, the value of a
+local enumerator, and the totals of a full function over orthogonal
+faces by direct summation.  The layer operator M is applied through the
+distance stack, never through its Fourier diagonal.
+
+Per-support references redo the batched recovery drivers the way the
+paper states the algorithm: each weight layer one support set at a
+time, and the closing step of full recovery one face at a time.  The
+code shares no batching, chunking or transform routine with
+``hamrecon.recon``: Phi is gathered subset by subset, Psi is one
+distance-stack pass per face, the layer solve builds its own dense
 q x q kernel, and the Fourier coefficients come from the eta sums
 themselves (``eta_face_values``), not from their diagonal form.
 """
@@ -15,8 +23,99 @@ import numpy as np
 
 import hamrecon as hr
 from hamrecon.coeffs import layer_column
-from hamrecon.scheme import digits_table, position_weights, weight_ranks, weight_table
+from hamrecon.scheme import (
+    check_positions,
+    check_word,
+    digits_table,
+    position_weights,
+    weight_ranks,
+    weight_table,
+)
 from hamrecon.spectral import distance_tensor_stack
+
+
+# ---------------------------------------------------------------------------
+# words and regions, one tuple at a time
+
+
+def hamming_distance(a, b):
+    """Number of positions where the two words differ."""
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    return sum(1 for x, y in zip(a, b) if x != y)
+
+
+def weight_support(a):
+    """(weight, 1-based support) of a word."""
+    s = hr.support(a)
+    return len(s), s
+
+
+def sphere(params, center, radius):
+    """Words at Hamming distance exactly ``radius`` from the center."""
+    c = check_word(params, center)
+    if not 0 <= radius <= params.n:
+        raise ValueError(f"radius {radius} outside [0, {params.n}]")
+    for pos_subset in itertools.combinations(range(params.n), radius):
+        choices = [[x for x in range(params.q) if x != c[p]] for p in pos_subset]
+        for vals in itertools.product(*choices):
+            w = list(c)
+            for p, v in zip(pos_subset, vals):
+                w[p] = v
+            yield tuple(w)
+
+
+def face(params, positions, anchor):
+    """The subcube of words agreeing with ``anchor`` outside ``positions``."""
+    a = check_word(params, anchor)
+    pos = check_positions(positions, params.n)
+    for vals in itertools.product(range(params.q), repeat=len(pos)):
+        w = list(a)
+        for p, v in zip(pos, vals):
+            w[p - 1] = v
+        yield tuple(w)
+
+
+def full_support(params, positions):
+    """Words whose support is exactly ``positions``, in lexicographic order."""
+    pos = check_positions(positions, params.n)
+    for vals in itertools.product(range(1, params.q), repeat=len(pos)):
+        w = [0] * params.n
+        for p, v in zip(pos, vals):
+            w[p - 1] = v
+        yield tuple(w)
+
+
+def enumerator_eval(dist, x, y):
+    """Value of the local enumerator sum_j v_j y^j x^(k-j) of a local distribution."""
+    k = len(dist.face)
+    return complex(sum(dist.components[j] * y**j * x ** (k - j) for j in range(k + 1)))
+
+
+def orthogonal_face_totals(f, positions):
+    """Totals of a full function over the orthogonal faces through the face on ``positions``.
+
+    The sum over the axes off ``positions``; entry r belongs to the face
+    word whose digits on ``positions`` spell r in base q.
+    """
+    q, n = f.params.q, f.params.n
+    comp_axes = tuple(p - 1 for p in hr.complement(positions, n))
+    return f.values.reshape((q,) * n).sum(axis=comp_axes).reshape(-1)
+
+
+def _distance_combination(values, q, k, column):
+    """sum_i column[i] D_i values on the q-ary k-cube, by one distance stack."""
+    tensors = distance_tensor_stack(values, q, k, len(column) - 1)
+    return sum(float(c) * t for c, t in zip(column, tensors)).reshape(np.shape(values))
+
+
+def apply_layer_operator(q, n, h, d, k, vec):
+    """M vec, M = sum_i r_{i,d-k} D_i on the (q-1)-ary k-cube (residual-check reference)."""
+    return _distance_combination(vec, q - 1, k, layer_column(q, n, h, d, k))
+
+
+# ---------------------------------------------------------------------------
+# batched drivers, one support set at a time
 
 
 def _dense_transform(values, q, n, sign):
@@ -47,11 +146,10 @@ def support_rhs(sphere, ball, positions, h):
         subsets = itertools.combinations(comp, d - k)
         tau = np.concatenate([_full_support_ranks(params, s) for s in subsets])
     phi = sphere.values[ranks_full[:, None] + tau[None, :]].sum(axis=1)
-    face = ball[digits_table(q, k) @ position_weights(params, positions)]
+    face_values = ball[digits_table(q, k) @ position_weights(params, positions)]
     full_rows = weight_ranks(q, k, k)
-    face[full_rows] = 0
-    tensors = distance_tensor_stack(face, q, k, len(column) - 1)
-    psi = sum(float(c) * t for c, t in zip(column, tensors)).reshape(-1)[full_rows]
+    face_values[full_rows] = 0
+    psi = _distance_combination(face_values, q, k, column)[full_rows]
     return ranks_full, phi - psi
 
 

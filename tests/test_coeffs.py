@@ -48,22 +48,7 @@ def _oracle_r_case_III(q, n, h, k, i, j):
     return sol[j]
 
 
-def test_regime_dispatch():
-    # q=3, n=4, h=3: k=1 regime I, k=2..3 regime III, k=4 out of scope
-    assert hr.regime_of(4, 3, 1) == "I"
-    assert hr.regime_of(4, 3, 2) == "III"
-    assert hr.regime_of(4, 3, 3) == "III"
-    with pytest.raises(hr.RegimeError):
-        hr.coefficient(3, 4, 3, 4, 0, 0)
-    # boundary k = n-h goes through regime I
-    assert hr.regime_of(6, 3, 3) == "I"
-    with pytest.raises(hr.RegimeError):
-        hr.regime_of(6, 1, 3)  # regime II: h < k <= n-h
-    with pytest.raises(hr.RegimeError):
-        hr.regime_of(4, 1, 4)  # regime IV: k > max(h, n-h)
-
-
-# the desk grid plus the cap-scale (q, n) pairs, where regime III reaches n - k = 9
+# the desk grid plus the cap-scale (q, n) pairs, where k > n - h reaches n - k = 9
 ORACLE_QN = (*DESK_QN, (3, 10), (4, 8))
 
 
@@ -113,11 +98,22 @@ def test_coefficient_triangularity_and_types():
     assert hr.coefficient(3, 4, 2, 1, 1, 0) == 0
     assert hr.coefficient(3, 4, 3, 2, 2, 1) == 0
     table = hr.coefficient_table(3, 4, 3, 2)
-    assert table.regime == "III"
     for j in range(3):
         for i in range(min(j, 2) + 1):
             assert type(table.value(i, j)) is int
-    assert hr.coefficient_table(3, 4, 2, 1).regime == "I"
+    # the parameters are checked before the i > j shortcut: k > h has no
+    # formula, and h > n or k < 0 are no face at all
+    for i, j in ((0, 0), (1, 0)):
+        with pytest.raises(hr.RegimeError):
+            hr.coefficient(3, 4, 3, 4, i, j)
+        with pytest.raises(hr.RegimeError):
+            hr.coefficient(3, 6, 1, 3, i, j)
+        for bad in ((3, 4, 9, 1), (3, 4, 2, -1), (3, 4, -1, -2)):
+            with pytest.raises(ValueError):
+                hr.coefficient(*bad, i, j)
+    for bad in ((3, 4, 3, 4), (3, 6, 1, 3), (3, 4, 9, 1), (3, 4, 2, -1), (3, 3, 3, 5)):
+        with pytest.raises(ValueError):
+            hr.coefficient_table(*bad)
 
 
 def test_eigen_sums_fixed_values():
@@ -211,9 +207,9 @@ def test_check_conditions():
 
 def test_exact_serialization_round_trip():
     # the audit: every stored coefficient survives exact string serialization;
-    # regime III, where the series expands a negative power, is where
+    # k > n - h, where the series expands a negative power, is where
     # non-integers could come from
-    seen_regime_iii = False
+    seen_negative_power = False
     for q, n in ((3, 5), (4, 4)):
         for h in range(n + 1):
             for k in range(n + 1):
@@ -225,8 +221,8 @@ def test_exact_serialization_round_trip():
                     for x in row:
                         assert not isinstance(x, float)
                         assert Fraction(str(x)) == x
-                seen_regime_iii = seen_regime_iii or table.regime == "III"
-    assert seen_regime_iii
+                seen_negative_power = seen_negative_power or k > n - h
+    assert seen_negative_power
 
 
 def test_dense_layer_matrix_shape_and_symmetry():

@@ -10,7 +10,17 @@ from hamrecon.scheme import digits_table, position_weights, weight_ranks, weight
 from hamrecon.spectral import axis_transform
 
 from helpers import desk_cells, eigfn, params, tol_for
-from oracles import per_support_ball, per_support_full, support_rhs
+from oracles import (
+    apply_layer_operator,
+    face,
+    full_support,
+    hamming_distance,
+    orthogonal_face_totals,
+    per_support_ball,
+    per_support_full,
+    sphere,
+    support_rhs,
+)
 
 
 def _ball_mask(q, n, d):
@@ -23,10 +33,10 @@ def test_reconstruct_origin_character_oracle():
     beta = (1, 0, 2, 0)  # weight h
     chi = hr.character(p, beta)
     # brute-force the character sum over the sphere
-    brute = sum(chi.values[hr.word_rank(p, w)] for w in hr.sphere(p, (0, 0, 0, 0), d))
+    brute = sum(chi.values[hr.word_rank(p, w)] for w in sphere(p, (0, 0, 0, 0), d))
     assert abs(brute - hr.krawtchouk_value(q, d, h, n)) <= 1e-9
-    sphere = hr.SphereData.from_function(chi, d)
-    assert abs(hr.reconstruct_origin(sphere, h) - 1.0) <= 1e-9
+    data = hr.SphereData.from_function(chi, d)
+    assert abs(hr.reconstruct_origin(data, h) - 1.0) <= 1e-9
 
 
 def test_reconstruct_origin_edge_cases():
@@ -67,11 +77,11 @@ def test_layer_rhs_matches_brute_force():
                 assert np.array_equal(
                     hr.layer_rhs(sphere, polluted, positions, h).rhs, system.rhs
                 ), (q, n, h, d, positions)
-                for idx, alpha in enumerate(hr.full_support(p, positions)):
+                for idx, alpha in enumerate(full_support(p, positions)):
                     # Phi by enumeration, asserting the weight bookkeeping
                     phi = 0j
-                    for w in hr.face(p, hr.complement(positions, n), alpha):
-                        if hr.hamming_distance(w, alpha) == d - k:
+                    for w in face(p, hr.complement(positions, n), alpha):
+                        if hamming_distance(w, alpha) == d - k:
                             assert hr.weight(w) == d
                             phi += sphere.values[hr.word_rank(p, w)]
                     _, delta = hr.sigma_delta_split(
@@ -81,7 +91,7 @@ def test_layer_rhs_matches_brute_force():
                     assert abs(system.rhs[idx] - (phi - psi)) <= 1e-9, (q, n, h, d, alpha)
                 # the layer equation itself: M applied to the true values gives the rhs
                 truth = f.values[_sub_assignments(q, k) @ position_weights(p, positions)]
-                applied = hr.apply_layer_operator(q, n, h, d, k, truth)
+                applied = apply_layer_operator(q, n, h, d, k, truth)
                 assert np.max(np.abs(applied - system.rhs)) <= tol_for(f)
 
 
@@ -111,7 +121,7 @@ def test_solve_layer_dense_oracle_and_linearity():
     # scaling and residual
     scaled = hr.solve_layer(hr.LayerSystem((2,), 3.5 * rhs), q, n, h, d)
     assert np.max(np.abs(scaled - 3.5 * got)) <= 1e-9
-    back = hr.apply_layer_operator(q, n, h, d, 1, got)
+    back = apply_layer_operator(q, n, h, d, 1, got)
     assert np.max(np.abs(back - rhs)) <= 1e-9
 
     # a singular layer is refused with a diagnosis
@@ -266,6 +276,7 @@ def test_eta_sum_against_direct_oracle():
         f = eigfn(q, n, h, seed)
         ball = hr.BallData(p, h, np.where(_ball_mask(q, n, h), f.values, 0), eigenindex=h)
         for positions in itertools.combinations(range(1, n + 1), h):
+            totals = orthogonal_face_totals(f, positions)
             for _ in range(5):
                 beta = [0] * n
                 for pos in positions:
@@ -273,7 +284,7 @@ def test_eta_sum_against_direct_oracle():
                 beta = tuple(beta)
                 face_rank = hr.word_rank(params(q, h), [beta[pos - 1] for pos in positions])
                 closed = hr.eta_face_values(ball, positions)[face_rank]
-                direct = hr.eta_direct_sum(f, positions, beta)
+                direct = totals[face_rank]
                 assert abs(closed - direct) <= tol_for(f)
                 checked += 1
     assert checked >= 100

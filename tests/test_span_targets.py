@@ -6,19 +6,12 @@ run with an AttributeError.
 """
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+from helpers import load_spans
 
 
 def test_every_span_target_resolves(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules while the file runs
-    monkeypatch.setitem(sys.modules, spec.name, spans)
-    spec.loader.exec_module(spans)
+    spans = load_spans(monkeypatch)
     assert spans.TARGETS
     for target in spans.TARGETS:
         module = importlib.import_module(target.module)

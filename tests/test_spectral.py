@@ -5,21 +5,21 @@ import pytest
 
 import hamrecon as hr
 from hamrecon.scheme import digits_table, weight_ranks, weight_table
-from hamrecon.spectral import (
-    DENSE_MAX_Q,
-    FourierContext,
-    axis_transform,
-    full_support_transform,
-)
+from hamrecon.spectral import DENSE_MAX_Q, axis_transform, full_support_transform
 
 from helpers import eigfn, params, tol_for
+from oracles import sphere
 
 
 def test_fourier_context_invariants():
+    # the characters read a table of q-th roots of unity: along the first
+    # axis, the weight-1 character takes every power of xi = exp(2 pi i / q)
     for q in (3, 4, 5, 7):
-        ctx = FourierContext.create(q)
-        assert abs(ctx.xi**q - 1) < 1e-12
-        assert abs(ctx.power_table().sum()) < 1e-12
+        p = params(q, 2)
+        xi = np.exp(2j * np.pi / q)
+        line = hr.character(p, (1, 0)).values[::q]
+        assert np.max(np.abs(line - xi ** np.arange(q))) < 1e-12
+        assert abs(line.sum()) < 1e-12
 
 
 def test_character_basics():
@@ -117,7 +117,7 @@ def test_distance_operator_basics():
             got = hr.apply_distance_operator(g, i)
             for rank in range(p2.size):
                 center = hr.rank_word(p2, rank)
-                brute = sum(g.values[hr.word_rank(p2, w)] for w in hr.sphere(p2, center, i))
+                brute = sum(g.values[hr.word_rank(p2, w)] for w in sphere(p2, center, i))
                 assert abs(got.values[rank] - brute) < 1e-10, (q, n, i, rank)
 
 
