@@ -33,8 +33,7 @@ for k in range(n + 1):
     print(f"k={k}: transfer vs direct enumeration: {err:.2e}")
     table = hr.coefficient_table(q, n, h, k)
     print(f"   coefficient columns r_ij (j down, i across): "
-          + "; ".join("[" + ", ".join(str(x) for x in table.column(j)) + "]"
-                      for j in range(n - k + 1)))
+          + "; ".join("[" + ", ".join(str(x) for x in column) + "]" for column in table))
 
 print("\nthe identity behind it, checked coefficientwise on cross-multiplied")
 print("polynomials for every face through a random anchor:")

@@ -36,4 +36,4 @@ print(f"\na character comes back exactly: {np.max(np.abs(chi_back.values - chi.v
 
 zero = hr.SphereData(params, h, np.zeros(params.size, dtype=complex), eigenindex=h)
 print(f"zero sphere data -> zero function (the sphere is a reconstructive set): "
-      f"{np.max(np.abs(hr.reconstruct_full(zero).values)):.1f}")
+      f"{np.max(np.abs(hr.reconstruct_full(zero, h).values)):.1f}")

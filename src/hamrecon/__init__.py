@@ -12,9 +12,7 @@ the tests, in ``tests/oracles.py``.
 """
 
 from .coeffs import (
-    CoefficientTable,
     ConditionReport,
-    EigenSums,
     RegimeError,
     check_conditions,
     coefficient,
@@ -23,11 +21,8 @@ from .coeffs import (
     eigen_sums,
 )
 from .krawtchouk import (
-    KrawtchoukTable,
-    SpectralIndex,
-    eigenvalue_of_index,
     generating_coefficients,
-    krawtchouk_row,
+    krawtchouk_table,
     krawtchouk_value,
 )
 from .localdist import (

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .coeffs import check_conditions
-from .krawtchouk import KrawtchoukTable
+from .krawtchouk import krawtchouk_table
 from .recon import (
     ConditionError,
     DataInconsistencyError,
@@ -139,8 +139,18 @@ def _build_parser() -> _Parser:
     p_rec.add_argument("--mode", choices=("ball", "full"), required=True)
     p_rec.add_argument("--input", type=str, required=True)
     p_rec.add_argument("--output", type=str, required=True)
-    p_rec.add_argument("--tolerance", type=_tolerance, default=1e-8)
-    p_rec.add_argument("--oracle-eta", action="store_true")
+    p_rec.add_argument(
+        "--tolerance",
+        type=_tolerance,
+        default=1e-8,
+        help="largest eta oracle gap, relative to 1 + max |f|; read only with --oracle-eta",
+    )
+    p_rec.add_argument(
+        "--oracle-eta",
+        action="store_true",
+        help="full mode only: check the eta closed form against direct sums on the"
+        " recovered function, exit 3 with no output file beyond --tolerance",
+    )
 
     p_ver = sub.add_parser("verify", help="seeded mask-and-recover round trip")
     p_ver.set_defaults(run=run_verify)
@@ -324,9 +334,8 @@ def run_local_dist(args: argparse.Namespace) -> int:
 
 
 def run_krawtchouk_dump(args: argparse.Namespace) -> int:
-    table = KrawtchoukTable.build(args.q, args.n)
     lines = ["i," + ",".join(str(t) for t in range(args.n + 1))]
-    for i, row in enumerate(table.values):
+    for i, row in enumerate(krawtchouk_table(args.q, args.n)):
         lines.append(f"{i}," + ",".join(str(v) for v in row))
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK

@@ -36,8 +36,8 @@ Krawtchouk rows:
 The formulas hold for every face dimension 0 <= k <= h <= n, which is
 all that sphere-to-ball reconstruction needs (k <= d <= h); a face with
 k > h has no transfer formula and raises :class:`RegimeError`.  Every
-quantity is a Python int and the zero tests are exact; nothing here
-touches floating point.
+quantity is a Python int, and a table is a plain tuple of them; the zero
+tests are exact, and nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -87,54 +87,17 @@ def coefficient(q: int, n: int, h: int, k: int, i: int, j: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """All coefficients r_{ij}, 0 <= i <= min(j, k), 0 <= j <= n-k."""
-
-    q: int
-    n: int
-    h: int
-    k: int
-    entries: tuple[tuple[int, ...], ...]  # entries[j][i]
-
-    @classmethod
-    def build(cls, q: int, n: int, h: int, k: int) -> "CoefficientTable":
-        _check_face(n, h, k)
-        rows = tuple(
-            tuple(coefficient(q, n, h, k, i, j) for i in range(min(j, k) + 1))
-            for j in range(n - k + 1)
-        )
-        return cls(q=q, n=n, h=h, k=k, entries=rows)
-
-    def value(self, i: int, j: int) -> int:
-        if i > j:
-            return 0
-        return self.entries[j][i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        """Coefficients multiplying v_0..v_min(j,k) in the formula for vbar_j."""
-        return self.entries[j]
-
-
 @lru_cache(maxsize=None)
-def coefficient_table(q: int, n: int, h: int, k: int) -> CoefficientTable:
-    """Cached :meth:`CoefficientTable.build` (tables are immutable)."""
-    return CoefficientTable.build(q, n, h, k)
+def coefficient_table(q: int, n: int, h: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """All coefficients r_{ij}, 0 <= i <= min(j, k), 0 <= j <= n-k, as columns: ``table[j][i]``.
 
-
-@dataclass(frozen=True)
-class EigenSums:
-    """Eigenvalues of the weight-k layer operator on the sub-scheme eigenspaces."""
-
-    q: int
-    n: int
-    h: int
-    d: int
-    k: int
-    sums: tuple[int, ...]  # indexed by sub-scheme eigenindex l = 0..k
-
-    def zero_levels(self) -> tuple[int, ...]:
-        return tuple(l for l, s in enumerate(self.sums) if s == 0)
+    Column j multiplies v_0..v_min(j,k) in the formula for vbar_j.
+    """
+    _check_face(n, h, k)
+    return tuple(
+        tuple(coefficient(q, n, h, k, i, j) for i in range(min(j, k) + 1))
+        for j in range(n - k + 1)
+    )
 
 
 def _check_layer(n: int, h: int, d: int, k: int) -> None:
@@ -145,11 +108,14 @@ def _check_layer(n: int, h: int, d: int, k: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def eigen_sums(q: int, n: int, h: int, d: int, k: int) -> EigenSums:
-    """sums[l] = sum_i r_{i,d-k} P_i(l; k) over alphabet q-1 = K(d-k; h-k, n-k-h+l)."""
+def eigen_sums(q: int, n: int, h: int, d: int, k: int) -> tuple[int, ...]:
+    """sums[l] = sum_i r_{i,d-k} P_i(l; k) over alphabet q-1 = K(d-k; h-k, n-k-h+l).
+
+    The eigenvalues of the weight-k layer operator, indexed by sub-scheme
+    eigenindex l = 0..k.
+    """
     _check_layer(n, h, d, k)
-    sums = tuple(krawtchouk_series(q, d - k, h - k, n - k - h + l) for l in range(k + 1))
-    return EigenSums(q=q, n=n, h=h, d=d, k=k, sums=sums)
+    return tuple(krawtchouk_series(q, d - k, h - k, n - k - h + l) for l in range(k + 1))
 
 
 @lru_cache(maxsize=None)
@@ -216,8 +182,7 @@ def check_conditions(q: int, n: int, h: int, d: int) -> ConditionReport:
     origin = krawtchouk_value(q, d, h, n)
     failures = []
     for k in range(1, d + 1):
-        for l in eigen_sums(q, n, h, d, k).zero_levels():
-            failures.append((k, l))
+        failures += [(k, l) for l, s in enumerate(eigen_sums(q, n, h, d, k)) if s == 0]
     return ConditionReport(q=q, n=n, h=h, d=d, origin_value=origin, failures=tuple(failures))
 
 

@@ -1,4 +1,4 @@
-"""Exact Krawtchouk polynomial values and Hamming-graph eigenvalues.
+"""Exact Krawtchouk polynomial values.
 
 For an alphabet of size q the value at integer arguments is
 
@@ -27,7 +27,6 @@ this module may ever pass through a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def _check_args(q: int, i: int, t: int, N: int) -> None:
@@ -63,13 +62,8 @@ def krawtchouk_value(q: int, i: int, t: int, N: int) -> int:
     return krawtchouk_series(q, i, t, N - t)
 
 
-def krawtchouk_row(q: int, t: int, N: int) -> list[int]:
-    """[P_0(t; N), ..., P_N(t; N)]."""
-    return [krawtchouk_value(q, i, t, N) for i in range(N + 1)]
-
-
-def _binomial_power(a: int, e: int) -> list[int]:
-    # y-coefficients of (x + a*y)^e as a homogeneous bivariate polynomial
+def binomial_power(a: int, e: int) -> list[int]:
+    """y-coefficients of (x + a*y)^e as a homogeneous bivariate polynomial."""
     return [math.comb(e, m) * a**m for m in range(e + 1)]
 
 
@@ -90,38 +84,13 @@ def generating_coefficients(q: int, t: int, N: int) -> list[int]:
     the alternating sum, only multiplies out the two binomial powers.
     """
     _check_args(q, 0, t, N)
-    return polymul(_binomial_power(-1, t), _binomial_power(q - 1, N - t))
+    return polymul(binomial_power(-1, t), binomial_power(q - 1, N - t))
 
 
-@dataclass(frozen=True)
-class KrawtchoukTable:
-    """All values P_i(t; N), 0 <= i, t <= N, for a fixed (q, N)."""
+def krawtchouk_table(q: int, N: int) -> tuple[tuple[int, ...], ...]:
+    """All values P_i(t; N), 0 <= i, t <= N, as rows: ``table[i][t]``.
 
-    q: int
-    N: int
-    values: tuple[tuple[int, ...], ...]  # values[i][t]
-
-    @classmethod
-    def build(cls, q: int, N: int) -> "KrawtchoukTable":
-        """Column t is :func:`generating_coefficients` (q, t, N): O(N^3) in all."""
-        _check_args(q, 0, 0, N)
-        columns = [generating_coefficients(q, t, N) for t in range(N + 1)]
-        return cls(q=q, N=N, values=tuple(zip(*columns)))
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, t = key
-        return self.values[i][t]
-
-
-@dataclass(frozen=True)
-class SpectralIndex:
-    """Eigenvalue lambda = (q-1)n - q*h together with its index h."""
-
-    h: int
-    eigenvalue: int
-
-
-def eigenvalue_of_index(q: int, n: int, h: int) -> SpectralIndex:
-    if not 0 <= h <= n:
-        raise ValueError(f"eigenvalue index h={h} outside [0, {n}]")
-    return SpectralIndex(h=h, eigenvalue=(q - 1) * n - q * h)
+    Column t is :func:`generating_coefficients` (q, t, N): O(N^3) in all.
+    """
+    _check_args(q, 0, 0, N)
+    return tuple(zip(*(generating_coefficients(q, t, N) for t in range(N + 1))))

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coeffs
+from .krawtchouk import binomial_power
 from .scheme import (
     SchemeParams,
     Word,
@@ -114,19 +115,13 @@ def transfer_orthogonal(dist: LocalDistribution, h: int) -> LocalDistribution:
     table = coeffs.coefficient_table(params.q, params.n, h, k)
     v = dist.components
     out = np.zeros(params.n - k + 1, dtype=np.complex128)
-    for j in range(params.n - k + 1):
-        col = table.column(j)
-        out[j] = sum(float(col[i]) * v[i] for i in range(len(col)))
+    for j, col in enumerate(table):
+        out[j] = sum(float(c) * v[i] for i, c in enumerate(col))
     return LocalDistribution(params, complement(dist.face, params.n), dist.anchor, out)
 
 
 # ---------------------------------------------------------------------------
 # the orthogonal-face identity, checked as polynomials
-
-
-def _pow_x_plus_ay(a: int, e: int) -> np.ndarray:
-    # y-coefficients of (x + a*y)^e
-    return np.array([math.comb(e, m) * a**m for m in range(e + 1)], dtype=np.complex128)
 
 
 def verify_face_relation(f: VertexFunction, positions, anchor, h: int) -> float:
@@ -152,10 +147,10 @@ def verify_face_relation(f: VertexFunction, positions, anchor, h: int) -> float:
     g_sub = substituted_coefficients(local_distribution(f, pos, anchor))
     e_left = h - (n - k)  # exponent on the Ibar side
     e_right = h - k  # exponent on the I side
-    lhs = np.convolve(_pow_x_plus_ay(q - 1, max(0, e_left)), gbar)
-    lhs = np.convolve(_pow_x_plus_ay(-1, max(0, -e_right)), lhs)
-    rhs = np.convolve(_pow_x_plus_ay(-1, max(0, e_right)), g_sub)
-    rhs = np.convolve(_pow_x_plus_ay(q - 1, max(0, -e_left)), rhs)
+    lhs = np.convolve(binomial_power(q - 1, max(0, e_left)), gbar)
+    lhs = np.convolve(binomial_power(-1, max(0, -e_right)), lhs)
+    rhs = np.convolve(binomial_power(-1, max(0, e_right)), g_sub)
+    rhs = np.convolve(binomial_power(q - 1, max(0, -e_left)), rhs)
     if lhs.shape != rhs.shape:
         raise AssertionError(f"side degrees differ: {lhs.shape} vs {rhs.shape}")
     return float(np.max(np.abs(lhs - rhs)))

@@ -167,13 +167,6 @@ class BallData(_RadiusData):
     def domain_ranks(self) -> np.ndarray:
         return np.nonzero(weight_table(self.params.q, self.params.n) <= self.d)[0]
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "BallData":
-        params, values, eigenindex, d = read_vertex_dict(data)
-        if d is None:
-            raise ValueError("ball data requires an explicit radius field 'd'")
-        return cls(params, d, values, eigenindex)
-
 
 @dataclass
 class LayerSystem:
@@ -291,14 +284,14 @@ def _solve_layers(rhs: np.ndarray, q: int, n: int, h: int, d: int, k: int) -> np
     Refuses (rather than pseudo-inverts) when a sum vanishes.
     """
     sums = eigen_sums(q, n, h, d, k)
-    zeros = sums.zero_levels()
+    zeros = [l for l, s in enumerate(sums) if s == 0]
     if zeros:
         raise ConditionError(
-            f"layer k={k} is singular: nondegeneracy sum vanishes at levels {list(zeros)}",
+            f"layer k={k} is singular: nondegeneracy sum vanishes at levels {zeros}",
             report=check_conditions(q, n, h, d),
         )
     sub_q = q - 1
-    divisors = np.array([float(s) for s in sums.sums])[weight_table(sub_q, k)]
+    divisors = np.array([float(s) for s in sums])[weight_table(sub_q, k)]
     spectrum = axis_transform(rhs, sub_q, k, sign=-1) / divisors
     return axis_transform(spectrum, sub_q, k, sign=+1) / sub_q**k
 
@@ -437,7 +430,7 @@ def eta_discrepancy(f: VertexFunction, h: int) -> float:
     return worst
 
 
-def reconstruct_full(sphere: SphereData, h: int | None = None) -> VertexFunction:
+def reconstruct_full(sphere: SphereData, h: int) -> VertexFunction:
     """Recover the whole eigenfunction from its values on the weight-h sphere.
 
     Requires the sphere radius to equal the eigenvalue index.  Fills the
@@ -458,10 +451,6 @@ def reconstruct_full(sphere: SphereData, h: int | None = None) -> VertexFunction
     inverse transform finishes.
     """
     params = sphere.params
-    if h is None:
-        h = sphere.eigenindex
-    if h is None:
-        raise ValueError("eigenvalue index h is required (not present in the sphere data)")
     if sphere.d != h:
         raise ValueError(
             f"full reconstruction needs sphere radius d={sphere.d} equal to the index h={h}"

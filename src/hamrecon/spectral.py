@@ -4,10 +4,9 @@ A vertex function is a dense complex vector indexed by word rank.  The
 characters chi_b(g) = xi^<b,g> with xi = exp(2*pi*i/q) diagonalize all
 distance matrices simultaneously; chi_b lies in the eigenspace V_h with
 h = wt(b), so a function belongs to V_h exactly when its Fourier transform
-vanishes off the weight-h sphere.  That equivalence gives two independent
-routes to the eigenspace projector (distance-operator combination vs.
-Fourier masking), and the pair is kept around deliberately: each one
-cross-checks the other in the test suite.
+vanishes off the weight-h sphere, and the eigenspace projector is a Fourier
+mask.  The test suite checks it against the independent route through the
+distance operators, q^-n sum_i P_h(i; n) D_i.
 
 Conventions:
     forward   f^(a) = sum_b f(b) * conj(xi^<a,b>)
@@ -33,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .krawtchouk import eigenvalue_of_index, krawtchouk_value
+from .krawtchouk import krawtchouk_value
 from .scheme import (
     SchemeParams,
     check_word,
@@ -224,21 +223,18 @@ def distance_tensor_stack(values: np.ndarray, q: int, n: int, up_to: int) -> lis
     return [a if a is not None else np.zeros_like(t) for a in acc]
 
 
-def _distance_tensors(f: VertexFunction, up_to: int) -> list[np.ndarray]:
-    return distance_tensor_stack(f.values, f.params.q, f.params.n, up_to)
-
-
 def apply_distance_operator(f: VertexFunction, i: int) -> VertexFunction:
     """(D_i f)(a) = sum of f over the radius-i sphere around a."""
     if not 0 <= i <= f.params.n:
         raise ValueError(f"distance index {i} outside [0, {f.params.n}]")
-    t = _distance_tensors(f, i)[i]
+    t = distance_tensor_stack(f.values, f.params.q, f.params.n, i)[i]
     return VertexFunction(f.params, t.reshape(-1))
 
 
 def eigen_residual(f: VertexFunction, h: int) -> float:
     """max_a |sum_{b in W_1(a)} f(b) - lambda_h f(a)|."""
-    lam = eigenvalue_of_index(f.params.q, f.params.n, h).eigenvalue
+    # D_1 is the adjacency matrix, so lambda_h is its eigenvalue P_1(h; n)
+    lam = krawtchouk_value(f.params.q, 1, h, f.params.n)
     d1 = apply_distance_operator(f, 1)
     return float(np.max(np.abs(d1.values - lam * f.values)))
 
@@ -247,36 +243,25 @@ def eigen_residual(f: VertexFunction, h: int) -> float:
 # eigenspace projection
 
 
-def project_eigenspace(f: VertexFunction, h: int, method: str = "fourier") -> VertexFunction:
+def project_eigenspace(f: VertexFunction, h: int) -> VertexFunction:
     """Orthogonal projection onto the eigenspace V_h.
 
-    Two interchangeable implementations, kept as mutual cross-checks:
-
-    * ``fourier``:  zero the transform off the weight-h sphere and invert;
-    * ``distance``: q^-n * sum_i P_h(i; n) D_i f, the idempotent of the
-      scheme algebra written in the distance-matrix basis.
+    Zeroes the Fourier transform off the weight-h sphere and inverts it.
     """
     params = f.params
     if not 0 <= h <= params.n:
         raise ValueError(f"eigenindex {h} outside [0, {params.n}]")
-    if method == "fourier":
-        ghat = fourier_transform(f).values
-        ghat[weight_table(params.q, params.n) != h] = 0
-        out = inverse_fourier(VertexFunction(params, ghat)).values
-    elif method == "distance":
-        tensors = _distance_tensors(f, params.n)
-        acc = np.zeros_like(tensors[0])
-        for i, t in enumerate(tensors):
-            acc = acc + krawtchouk_value(params.q, h, i, params.n) * t
-        out = acc.reshape(-1) / params.size
-    else:
-        raise ValueError(f"unknown projection method {method!r}")
+    ghat = fourier_transform(f).values
+    ghat[weight_table(params.q, params.n) != h] = 0
+    out = inverse_fourier(VertexFunction(params, ghat)).values
     return VertexFunction(params, out, eigenindex=h)
 
 
-def random_eigenfunction(
-    params: SchemeParams, h: int, seed: int, max_retries: int = 8
-) -> VertexFunction:
+# Draws before random_eigenfunction gives up on a vanishing projection.
+_MAX_DRAWS = 8
+
+
+def random_eigenfunction(params: SchemeParams, h: int, seed: int) -> VertexFunction:
     """Seeded random element of V_h, rescaled to max modulus 1.
 
     Projects a uniform random complex vector onto the eigenspace;
@@ -286,7 +271,7 @@ def random_eigenfunction(
     if not 0 <= h <= params.n:
         raise ValueError(f"eigenindex {h} outside [0, {params.n}]")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(_MAX_DRAWS):
         raw = rng.uniform(-1.0, 1.0, size=2 * params.size)
         f = VertexFunction(params, raw[: params.size] + 1j * raw[params.size :])
         proj = project_eigenspace(f, h)
@@ -294,7 +279,7 @@ def random_eigenfunction(
         if scale > 1e-12:
             return VertexFunction(params, proj.values / scale, eigenindex=h)
     raise RuntimeError(
-        f"eigenspace projection degenerate after {max_retries} attempts (q={params.q},"
+        f"eigenspace projection degenerate after {_MAX_DRAWS} attempts (q={params.q},"
         f" n={params.n}, h={h}, seed={seed})"
     )
 

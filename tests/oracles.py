@@ -4,8 +4,9 @@ Tuple-level references walk words one at a time, the way the paper
 defines the regions: the sphere, face and full-support enumerators, the
 Hamming distance, the weight and support of a word, the value of a
 local enumerator, and the totals of a full function over orthogonal
-faces by direct summation.  The layer operator M is applied through the
-distance stack, never through its Fourier diagonal.
+faces by direct summation.  The layer operator M and the eigenspace
+projector (the scheme idempotent q^-n sum_i P_h(i; n) D_i) are applied
+through the distance stack, never through their Fourier diagonals.
 
 Per-support references redo the batched recovery drivers the way the
 paper states the algorithm: each weight layer one support set at a
@@ -114,6 +115,13 @@ def apply_layer_operator(q, n, h, d, k, vec):
     return _distance_combination(vec, q - 1, k, layer_column(q, n, h, d, k))
 
 
+def project_by_distance(f, h):
+    """Projection onto V_h as q^-n sum_i P_h(i; n) D_i f: the scheme idempotent."""
+    q, n = f.params.q, f.params.n
+    column = [hr.krawtchouk_value(q, h, i, n) for i in range(n + 1)]
+    return hr.VertexFunction(f.params, _distance_combination(f.values, q, n, column) / q**n, h)
+
+
 # ---------------------------------------------------------------------------
 # batched drivers, one support set at a time
 
@@ -154,7 +162,7 @@ def support_rhs(sphere, ball, positions, h):
 
 
 def _support_solve(rhs, q, n, h, d, k):
-    sums = hr.eigen_sums(q, n, h, d, k).sums
+    sums = hr.eigen_sums(q, n, h, d, k)
     sub_q = q - 1
     divisors = np.array([float(s) for s in sums])[weight_table(sub_q, k)]
     spectrum = _dense_transform(rhs, sub_q, k, -1) / divisors

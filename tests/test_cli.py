@@ -111,7 +111,7 @@ def test_generate_reconstruct_round_trip(tmp_path, capsys):
         "reconstruct", "--mode", "ball", "--input", str(sphere_path), "--output", str(ball_path),
     )
     assert code == 0
-    ball = hr.BallData.from_dict(json.loads(ball_path.read_text()))
+    ball = hr.function_from_dict(json.loads(ball_path.read_text()))
     mask = hr.scheme.weight_table(3, 4) <= 2
     assert np.max(np.abs(ball.values[mask] - truth.values[mask])) <= 1e-8
 

@@ -3,7 +3,6 @@ import math
 import pytest
 
 import hamrecon as hr
-from hamrecon.krawtchouk import KrawtchoukTable
 
 
 def test_fixed_values():
@@ -28,7 +27,8 @@ def test_generating_agrees_with_defining_sum():
     for q in (2, 3, 4, 5):
         for N in range(9):
             for t in range(N + 1):
-                assert hr.generating_coefficients(q, t, N) == hr.krawtchouk_row(q, t, N)
+                row = [hr.krawtchouk_value(q, i, t, N) for i in range(N + 1)]
+                assert hr.generating_coefficients(q, t, N) == row
 
 
 def test_argument_validation():
@@ -43,32 +43,31 @@ def test_argument_validation():
 
 
 def test_eigenvalue_index_maps():
-    assert hr.eigenvalue_of_index(3, 4, 0).eigenvalue == 8
-    assert hr.eigenvalue_of_index(3, 4, 1).eigenvalue == 5
+    # the adjacency matrix is the first distance matrix: its eigenvalue on
+    # V_h is P_1(h; n) = (q-1)n - qh
+    assert hr.krawtchouk_value(3, 1, 0, 4) == 8
+    assert hr.krawtchouk_value(3, 1, 1, 4) == 5
     with pytest.raises(ValueError):
-        hr.eigenvalue_of_index(3, 4, 5)
+        hr.krawtchouk_value(3, 1, 5, 4)
     for q, n in ((3, 4), (4, 6), (5, 3)):
         for h in range(n + 1):
-            idx = hr.eigenvalue_of_index(q, n, h)
-            assert idx.h == h
-            # the adjacency matrix is the first distance matrix
-            assert hr.krawtchouk_value(q, 1, h, n) == idx.eigenvalue
+            assert hr.krawtchouk_value(q, 1, h, n) == (q - 1) * n - q * h
 
 
 def test_table_invariants():
-    table = KrawtchoukTable.build(3, 6)
+    table = hr.krawtchouk_table(3, 6)
     for t in range(7):
-        assert table[0, t] == 1
+        assert table[0][t] == 1
     for i in range(7):
-        assert table[i, 0] == 2**i * math.comb(6, i)
+        assert table[i][0] == 2**i * math.comb(6, i)
     # the table expands generating polynomials; check it against the defining sum
     for q, N in ((3, 6), (3, 40), (5, 9)):
-        table = KrawtchoukTable.build(q, N)
+        table = hr.krawtchouk_table(q, N)
         for i in range(N + 1):
             for t in range(N + 1):
-                assert table[i, t] == hr.krawtchouk_value(q, i, t, N), (q, N, i, t)
+                assert table[i][t] == hr.krawtchouk_value(q, i, t, N), (q, N, i, t)
     with pytest.raises(ValueError):
-        KrawtchoukTable.build(3, -1)
+        hr.krawtchouk_table(3, -1)
 
 
 def test_everything_is_int():

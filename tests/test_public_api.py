@@ -5,6 +5,10 @@ package (other than ``__init__``) or in a demo, outside the name's own
 definition, or be a function the benchmark's span recorder rebinds.  A
 helper that only tests call belongs in ``tests/oracles.py``, not in the
 public API.
+
+No exported function has a one-value knob: a defaulted parameter is
+justified only when the package's own modules or the benchmark both pass
+it and leave it out.  Tests and demos do not count as callers.
 """
 
 import ast
@@ -75,3 +79,52 @@ def test_every_export_has_a_caller_outside_the_tests(monkeypatch):
     assert len(exports) > 40
     unused = [name for name in exports if name not in used and name not in rebound]
     assert not unused, f"exported but used only by tests: {unused}"
+
+
+def _exported_functions():
+    """(name, definition) of every top-level function ``hamrecon/__init__`` exports."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            module = ast.parse((PACKAGE / f"{node.module}.py").read_text())
+            defs = {d.name: d for d in module.body if isinstance(d, ast.FunctionDef)}
+            for alias in node.names:
+                if alias.name in defs:
+                    yield alias.asname or alias.name, defs[alias.name]
+
+
+def _callee(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def test_no_exported_function_has_a_one_value_knob():
+    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "bench").glob("*.py"))
+    calls = [
+        node
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+    ]
+    functions = list(_exported_functions())
+    assert len(functions) > 30
+    knobs = []
+    for name, fn in functions:
+        positional = fn.args.posonlyargs + fn.args.args
+        defaulted = list(enumerate(positional))[len(positional) - len(fn.args.defaults) :]
+        defaulted += [
+            (None, arg) for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default
+        ]
+        sites = [call for call in calls if _callee(call) == name]
+        for index, arg in defaulted:
+            passed = [
+                any(kw.arg == arg.arg for kw in call.keywords)
+                or (index is not None and len(call.args) > index)
+                for call in sites
+            ]
+            if not any(passed) or all(passed):
+                knobs.append(f"{name}({arg.arg})")
+    assert not knobs, f"defaulted parameters that callers never vary: {knobs}"

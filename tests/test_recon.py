@@ -332,7 +332,7 @@ def test_reconstruct_full_characters_and_zero():
     assert np.max(np.abs(got.values - chi.values)) <= 1e-9
 
     zero = hr.SphereData(p, h, np.zeros(p.size, dtype=complex), eigenindex=h)
-    out = hr.reconstruct_full(zero)
+    out = hr.reconstruct_full(zero, h)
     assert np.all(out.values == 0)  # the sphere is a reconstructive set
 
 
@@ -342,9 +342,6 @@ def test_reconstruct_full_validation_and_h0():
     sphere = hr.SphereData.from_function(f, 1)  # d != h
     with pytest.raises(ValueError):
         hr.reconstruct_full(sphere, 2)
-    anon = hr.SphereData(p, 2, np.where(weight_table(3, 4) == 2, f.values, 0))
-    with pytest.raises(ValueError):
-        hr.reconstruct_full(anon)  # no eigenindex anywhere
 
     const = hr.VertexFunction(p, np.full(p.size, 2.5 - 1j), eigenindex=0)
     got = hr.reconstruct_full(hr.SphereData.from_function(const, 0), 0)
@@ -360,7 +357,7 @@ def test_sphere_and_ball_json_round_trip():
     assert np.array_equal(back.values, sphere.values)
 
     ballr = hr.reconstruct_ball(sphere, 2)
-    back_ball = hr.BallData.from_dict(ballr.to_dict())
+    back_ball = hr.function_from_dict(ballr.to_dict())
     assert np.array_equal(back_ball.values, ballr.values)
 
     # omitted words mean zero; the radius comes from the explicit field

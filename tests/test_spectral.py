@@ -8,7 +8,7 @@ from hamrecon.scheme import digits_table, weight_ranks, weight_table
 from hamrecon.spectral import DENSE_MAX_Q, axis_transform, full_support_transform
 
 from helpers import eigfn, params, tol_for
-from oracles import sphere
+from oracles import project_by_distance, sphere
 
 
 def test_fourier_context_invariants():
@@ -153,11 +153,9 @@ def test_projection_methods_agree():
                     f = hr.VertexFunction(
                         p, rng.uniform(-1, 1, p.size) + 1j * rng.uniform(-1, 1, p.size)
                     )
-                    a = hr.project_eigenspace(f, h, method="fourier")
-                    b = hr.project_eigenspace(f, h, method="distance")
+                    a = hr.project_eigenspace(f, h)
+                    b = project_by_distance(f, h)
                     assert np.max(np.abs(a.values - b.values)) <= 1e-9
-    with pytest.raises(ValueError):
-        hr.project_eigenspace(hr.character(params(3, 3), (0, 0, 0)), 1, method="magic")
 
 
 def test_projection_idempotent():
