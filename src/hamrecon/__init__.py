@@ -35,7 +35,6 @@ from .localdist import (
 )
 from .rankcheck import fraction_rank, is_singular, kernel_vector
 from .recon import (
-    BallData,
     ConditionError,
     DataInconsistencyError,
     LayerSystem,

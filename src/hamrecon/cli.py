@@ -18,9 +18,9 @@ drops repeats; ``--positions`` keeps them as given).  Every other rule is
 the library's, whose ``ValueError`` exits 64 like a parser error: the
 state cap (``SchemeParams``, for every ``sweep`` pair before any row), the
 h and d ranges, distinct positions, and d = h in full mode.  The CLI
-itself refuses q > 10 on ``generate`` and ``reconstruct`` before any
-work, since such words have no text form, and a sphere file without an
-eigenvalue index or that it cannot read.
+itself refuses, before any work, ``--oracle-eta`` in ball mode, q > 10
+on ``generate`` and ``reconstruct`` (such words have no text form), and
+a sphere file without an eigenvalue index or that it cannot read.
 
 Exit codes: 0 success (conditions pass), 1 ``verify`` round-trip error
 above ``--tolerance``, 2 conditions fail, 3 input data inconsistent, 64
@@ -57,6 +57,7 @@ from .spectral import (
     function_from_dict,
     function_to_dict,
     random_eigenfunction,
+    vertex_dict,
 )
 
 EXIT_OK = 0
@@ -148,8 +149,9 @@ def _build_parser() -> _Parser:
     p_rec.add_argument(
         "--oracle-eta",
         action="store_true",
-        help="full mode only: check the eta closed form against direct sums on the"
-        " recovered function, exit 3 with no output file beyond --tolerance",
+        help="full mode only (refused with exit 64 in ball mode): check the eta closed"
+        " form against direct sums on the recovered function, exit 3 with no output"
+        " file beyond --tolerance",
     )
 
     p_ver = sub.add_parser("verify", help="seeded mask-and-recover round trip")
@@ -239,6 +241,8 @@ def run_generate(args: argparse.Namespace) -> int:
 
 
 def run_reconstruct(args: argparse.Namespace) -> int:
+    if args.oracle_eta and args.mode == "ball":
+        raise UsageError("--oracle-eta acts in full mode only")
     try:
         sphere = SphereData.from_dict(json.loads(Path(args.input).read_text()))
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
@@ -259,7 +263,7 @@ def run_reconstruct(args: argparse.Namespace) -> int:
         "output": args.output,
     }
     if args.mode == "ball":
-        payload = reconstruct_ball(sphere, h).to_dict()
+        payload = vertex_dict(sphere.params, reconstruct_ball(sphere, h).values, h, sphere.d)
     else:
         out = reconstruct_full(sphere, h)
         payload = function_to_dict(out)

@@ -46,14 +46,16 @@ Two algorithms, both linear in the data:
 
 All data vectors are dense complex arrays indexed by word rank; every
 combinatorial coefficient stays exact until the moment it multiplies
-data.
+data.  The sphere is the one outside input and is checked on entry
+(:class:`SphereData`); the recovered ball is a plain :class:`VertexFunction`
+that is zero off the ball.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -99,14 +101,15 @@ class DataInconsistencyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# data containers
+# the sphere input
 
 
 @dataclass
-class _RadiusData:
-    """Values on a region of radius d around the origin (dense, zero off the region).
+class SphereData:
+    """Values on the weight-d sphere around the origin (dense, zero off W_d).
 
-    A subclass names the region in ``_what`` and lists its ranks in ``domain_ranks``.
+    Sphere data is the one input that comes from outside the program, so
+    construction checks the radius, the shape and that no value lies off W_d.
     """
 
     params: SchemeParams
@@ -121,20 +124,9 @@ class _RadiusData:
         if v.shape != (self.params.size,):
             raise ValueError(f"values must have shape ({self.params.size},), got {v.shape}")
         self.values = v
-        # nonzeros off the domain, counted without copying the q^n values
+        # nonzeros off the sphere, counted without copying the q^n values
         if np.count_nonzero(v) != np.count_nonzero(v[self.domain_ranks()]):
-            raise ValueError(f"{self._what} carries nonzero values outside its domain")
-
-    def to_dict(self) -> dict:
-        return vertex_dict(
-            self.params, self.values, self.domain_ranks(), self.eigenindex, d=self.d
-        )
-
-
-class SphereData(_RadiusData):
-    """Values on the weight-d sphere around the origin (dense, zero off W_d)."""
-
-    _what = "sphere data"
+            raise ValueError("sphere data carries nonzero values outside its domain")
 
     @classmethod
     def from_function(cls, f: VertexFunction, d: int) -> "SphereData":
@@ -144,6 +136,9 @@ class SphereData(_RadiusData):
 
     def domain_ranks(self) -> np.ndarray:
         return weight_ranks(self.params.q, self.params.n, self.d)
+
+    def to_dict(self) -> dict:
+        return vertex_dict(self.params, self.values, self.eigenindex, self.d)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SphereData":
@@ -159,22 +154,13 @@ class SphereData(_RadiusData):
         return cls(params, d, values, eigenindex)
 
 
-class BallData(_RadiusData):
-    """Values on the radius-d ball around the origin (dense, zero off B_d)."""
-
-    _what = "ball data"
-
-    def domain_ranks(self) -> np.ndarray:
-        return np.nonzero(weight_table(self.params.q, self.params.n) <= self.d)[0]
-
-
 @dataclass
 class LayerSystem:
     """One weight layer on one support set: right-hand side and solution."""
 
     positions: tuple[int, ...]
     rhs: np.ndarray
-    solution: np.ndarray | None = field(default=None)
+    solution: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +286,7 @@ def _solve_layers(rhs: np.ndarray, q: int, n: int, h: int, d: int, k: int) -> np
 # one support set: the batched kernel on a stack of one
 
 
-def layer_rhs(
-    sphere: SphereData, partial: BallData, positions, h: int
-) -> LayerSystem:
+def layer_rhs(sphere: SphereData, partial: VertexFunction, positions, h: int) -> LayerSystem:
     """Right-hand side Phi - Psi of the weight-k system on one support set.
 
     Phi(a) sums the sphere values over the orthogonal face at distance
@@ -325,8 +309,6 @@ def layer_rhs(
     k = len(pos)
     if not 1 <= k <= d:
         raise ValueError(f"support size {k} outside [1, d={d}]")
-    if partial.d < k - 1:
-        raise ValueError(f"partial ball of radius {partial.d} misses weights below {k}")
     supports = np.array([pos], dtype=np.int64)
     _, rhs = _layer_rhs(sphere.values, partial.values, q, n, h, d, supports)
     return LayerSystem(positions=pos, rhs=rhs[0])
@@ -346,7 +328,7 @@ def solve_layer(system: LayerSystem, q: int, n: int, h: int, d: int) -> np.ndarr
 # whole-sphere drivers
 
 
-def reconstruct_ball(sphere: SphereData, h: int) -> BallData:
+def reconstruct_ball(sphere: SphereData, h: int) -> VertexFunction:
     """Recover the radius-d ball from the weight-d sphere values.
 
     Validates the exact nondegeneracy conditions up front, then fills
@@ -355,7 +337,9 @@ def reconstruct_ball(sphere: SphereData, h: int) -> BallData:
     its operator is the identity (the column is (1,)) and Psi vanishes on
     its full-support words, so the given sphere values are copied through
     verbatim.  Sphere data that no index-h eigenfunction restricts to is
-    not detected here.
+    not detected here.  The ball comes back as an index-h
+    :class:`VertexFunction` that is zero off B_d: only the ranks of B_d are
+    ever written.
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
@@ -364,7 +348,7 @@ def reconstruct_ball(sphere: SphereData, h: int) -> BallData:
         raise ConditionError(
             f"reconstruction conditions fail for (q={q}, n={n}, h={h}, d={d})", report=report
         )
-    ball = BallData(params, d, np.zeros(params.size, dtype=np.complex128), eigenindex=h)
+    ball = VertexFunction(params, np.zeros(params.size, dtype=np.complex128), eigenindex=h)
     ball.values[0] = reconstruct_origin(sphere, h)
     for k in range(1, d):
         supports = _supports(n, k)
@@ -381,26 +365,25 @@ def _eta_column(q: int, h: int) -> tuple[int, ...]:
     return tuple((-1) ** j * (q - 1) ** (h - j) for j in range(h + 1))
 
 
-def eta_face_values(ball: BallData, positions) -> np.ndarray:
+def eta_face_values(f: VertexFunction, positions) -> np.ndarray:
     """Total of the function over the orthogonal face through every word of one h-face.
 
-    ``positions`` spans the known h-face through the origin (h = |I| must
-    equal the ball radius).  Entry r belongs to the face word whose digits
-    on ``positions`` spell r in base q.  Uses the closed form
+    ``positions`` spans the h-face through the origin, h = |I|; it holds
+    only words of weight <= h, so ``f`` may be the radius-h ball or the
+    whole function.  Entry r belongs to the face word whose digits on
+    ``positions`` spell r in base q.  Uses the closed form
     eta = q^(n-2h) sum_j (-1)^j (q-1)^(h-j) v_j, with v the local
-    distribution of the ball values in the face, for all words at once:
+    distribution of the values of ``f`` in the face, for all words at once:
     v_j at every face word is D_j of the face values, from one
     distance-stack pass.  That keeps it independent of the
     Fourier-diagonal form the closing step of :func:`reconstruct_full` uses.
     """
-    params = ball.params
+    params = f.params
     q, n = params.q, params.n
     pos = check_positions(positions, n)
     h = len(pos)
-    if h != ball.d:
-        raise ValueError(f"face dimension {h} must equal the ball radius {ball.d}")
     ranks_face = digits_table(q, h) @ position_weights(params, pos)
-    tensors = distance_tensor_stack(ball.values[ranks_face], q, h, h)
+    tensors = distance_tensor_stack(f.values[ranks_face], q, h, h)
     acc = np.zeros_like(tensors[0])
     for c, t in zip(_eta_column(q, h), tensors):
         acc += float(c) * t
@@ -414,16 +397,10 @@ def eta_discrepancy(f: VertexFunction, h: int) -> float:
     the full function summed over the axes off I.
     """
     params = f.params
-    ball = BallData(
-        params,
-        h,
-        np.where(weight_table(params.q, params.n) <= h, f.values, 0),
-        eigenindex=h,
-    )
     t = f.values.reshape((params.q,) * params.n)
     worst = 0.0
     for positions in itertools.combinations(range(1, params.n + 1), h):
-        closed = eta_face_values(ball, positions)
+        closed = eta_face_values(f, positions)
         comp_axes = tuple(p - 1 for p in complement(positions, params.n))
         direct = t.sum(axis=comp_axes).reshape(-1)
         worst = max(worst, float(np.max(np.abs(closed - direct))))

@@ -291,23 +291,22 @@ def random_eigenfunction(params: SchemeParams, h: int, seed: int) -> VertexFunct
 #
 # Words are base-q digit strings, most significant position first.  Entries
 # come in ascending word rank and zero values are omitted: words absent from
-# "values" carry the value 0.  Sphere and ball files carry their radius "d";
-# full functions omit it.  "eigenindex" is present when known.  Files are
-# written by dumps_vertex_json: keys sorted, one-space indent, the same bytes
-# as json.dumps(payload, sort_keys=True, indent=1) plus a newline, so they are
-# stable for a fixed seed and flags.  Reading rejects header numbers that are
-# not integers, malformed words, duplicate words and non-finite values.
+# "values" carry the value 0.  A sphere or a recovered ball is zero off its
+# region, so its file lists words of that region only.  Sphere and ball files
+# carry their radius "d"; full functions omit it.  "eigenindex" is present
+# when known.  Files are written by dumps_vertex_json: keys sorted, one-space
+# indent, the same bytes as json.dumps(payload, sort_keys=True, indent=1) plus
+# a newline, so they are stable for a fixed seed and flags.  Reading rejects
+# header numbers that are not integers, malformed words, duplicate words and
+# non-finite values.
 
 
-def values_to_entries(params: SchemeParams, values: np.ndarray, ranks=None) -> list[dict]:
-    """JSON entries of the nonzero values at ``ranks`` (default: every word), in that order."""
-    if ranks is None:
-        ranks = np.arange(params.size)
-    ranks = np.asarray(ranks, dtype=np.int64)
-    picked = np.asarray(values)[ranks]
-    keep = (picked.real != 0) | (picked.imag != 0)
-    picked = picked[keep]
-    texts = rank_texts(params, ranks[keep])
+def values_to_entries(params: SchemeParams, values: np.ndarray) -> list[dict]:
+    """JSON entries of the nonzero values, in ascending word rank."""
+    values = np.asarray(values)
+    ranks = np.flatnonzero((values.real != 0) | (values.imag != 0))
+    picked = values[ranks]
+    texts = rank_texts(params, ranks)
     return [
         {"w": w, "re": re, "im": im}
         for w, re, im in zip(texts, picked.real.tolist(), picked.imag.tolist())
@@ -338,11 +337,7 @@ def entries_to_values(params: SchemeParams, entries) -> np.ndarray:
 
 
 def vertex_dict(
-    params: SchemeParams,
-    values: np.ndarray,
-    ranks=None,
-    eigenindex: int | None = None,
-    d: int | None = None,
+    params: SchemeParams, values: np.ndarray, eigenindex: int | None, d: int | None = None
 ) -> dict:
     """The JSON payload of a vertex function, or of sphere/ball data with radius ``d``."""
     data: dict = {"q": params.q, "n": params.n}
@@ -350,7 +345,7 @@ def vertex_dict(
         data["d"] = int(d)
     if eigenindex is not None:
         data["eigenindex"] = int(eigenindex)
-    data["values"] = values_to_entries(params, values, ranks)
+    data["values"] = values_to_entries(params, values)
     return data
 
 
@@ -406,7 +401,7 @@ def dumps_vertex_json(payload: dict) -> str:
 
 
 def function_to_dict(f: VertexFunction) -> dict:
-    return vertex_dict(f.params, f.values, eigenindex=f.eigenindex)
+    return vertex_dict(f.params, f.values, f.eigenindex)
 
 
 def function_from_dict(data: dict) -> VertexFunction:

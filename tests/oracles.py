@@ -186,7 +186,7 @@ def per_support_full(sphere, h):
     """The whole function (d = h), one h-face per Fourier block."""
     params = sphere.params
     q, n = params.q, params.n
-    ball = hr.BallData(params, h, per_support_ball(sphere, h), eigenindex=h)
+    ball = hr.VertexFunction(params, per_support_ball(sphere, h), eigenindex=h)
     fhat = np.zeros(params.size, dtype=np.complex128)
     full_rows = weight_ranks(q, h, h)
     for positions in itertools.combinations(range(1, n + 1), h):

@@ -211,7 +211,7 @@ def test_criterion_8_eta_closed_form():
     faces = list(itertools.combinations(range(1, n + 1), h))
     while checked < 100:
         f = eigfn(q, n, h, seed=checked % 7)
-        ball = hr.BallData(p, h, np.where(weight_table(q, n) <= h, f.values, 0), eigenindex=h)
+        ball = hr.VertexFunction(p, np.where(weight_table(q, n) <= h, f.values, 0), eigenindex=h)
         positions = faces[int(rng.integers(0, len(faces)))]
         beta = [0] * n
         for pos in positions:

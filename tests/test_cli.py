@@ -5,6 +5,7 @@ import pytest
 
 import hamrecon as hr
 from hamrecon.cli import main
+from hamrecon.spectral import vertex_dict
 
 
 def run(capsys, *argv):
@@ -315,7 +316,7 @@ def test_written_files_match_json_dumps(tmp_path, capsys):
     expect = {
         full: hr.function_to_dict(truth),
         sphere: data.to_dict(),
-        ball: hr.reconstruct_ball(data, 3).to_dict(),
+        ball: vertex_dict(data.params, hr.reconstruct_ball(data, 3).values, 3, 3),
         recovered: hr.function_to_dict(hr.reconstruct_full(data, 3)),
     }
     for path, payload in expect.items():
@@ -379,6 +380,10 @@ PARAMETER_ERRORS = [
     ),
     pytest.param((*FULL, "--tolerance", "0"), "tolerance", id="tolerance-zero"),
     pytest.param((*FULL, "--oracle-eta", "--tolerance", "nan"), "tolerance", id="oracle-tolerance-nan"),
+    pytest.param(
+        ("reconstruct", "--mode", "ball", "--input", "{sphere}", "--output", "{out}", "--oracle-eta"),
+        "--oracle-eta acts in full mode only", id="oracle-eta-in-ball-mode",
+    ),
     pytest.param((*VERIFY, "--tolerance", "nan"), "tolerance", id="verify-tolerance-nan"),
     pytest.param((*VERIFY, "--tolerance", "inf"), "tolerance", id="verify-tolerance-inf"),
     pytest.param(

@@ -7,7 +7,7 @@ import hamrecon as hr
 from hamrecon import recon
 from hamrecon.recon import _sub_assignments
 from hamrecon.scheme import digits_table, position_weights, weight_ranks, weight_table
-from hamrecon.spectral import axis_transform
+from hamrecon.spectral import axis_transform, vertex_dict
 
 from helpers import desk_cells, eigfn, params, tol_for
 from oracles import (
@@ -63,12 +63,10 @@ def test_layer_rhs_matches_brute_force():
         rng = np.random.default_rng(q * 100 + n)
         for k in range(1, d + 1):
             # partial ball holding exactly the weights below k
-            partial = hr.BallData(p, k - 1 if k > 1 else 0, np.where(wt <= k - 1, f.values, 0))
+            partial = hr.VertexFunction(p, np.where(wt <= k - 1, f.values, 0))
             # the same ball polluted at weights >= k, which layer_rhs must ignore
             noise = rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
-            polluted = hr.BallData(
-                p, d, np.where(wt <= d, f.values + np.where(wt >= k, noise, 0), 0)
-            )
+            polluted = hr.VertexFunction(p, f.values + np.where(wt >= k, noise, 0))
             column = [
                 float(hr.coefficient(q, n, h, k, i, d - k)) for i in range(min(k, d - k) + 1)
             ]
@@ -84,9 +82,7 @@ def test_layer_rhs_matches_brute_force():
                         if hamming_distance(w, alpha) == d - k:
                             assert hr.weight(w) == d
                             phi += sphere.values[hr.word_rank(p, w)]
-                    _, delta = hr.sigma_delta_split(
-                        hr.VertexFunction(p, partial.values), alpha
-                    )
+                    _, delta = hr.sigma_delta_split(partial, alpha)
                     psi = sum(column[i] * delta[i] for i in range(len(column)))
                     assert abs(system.rhs[idx] - (phi - psi)) <= 1e-9, (q, n, h, d, alpha)
                 # the layer equation itself: M applied to the true values gives the rhs
@@ -98,7 +94,7 @@ def test_layer_rhs_matches_brute_force():
 def test_layer_rhs_zero_input():
     p = params(3, 4)
     zero_sphere = hr.SphereData(p, 2, np.zeros(p.size, dtype=complex))
-    zero_ball = hr.BallData(p, 0, np.zeros(p.size, dtype=complex))
+    zero_ball = hr.VertexFunction(p, np.zeros(p.size, dtype=complex))
     system = hr.layer_rhs(zero_sphere, zero_ball, (2,), 2)
     assert np.all(system.rhs == 0)
     with pytest.raises(ValueError):
@@ -144,7 +140,7 @@ def test_reconstruct_ball_round_trips():
                 mask = _ball_mask(q, n, d)
                 err = np.max(np.abs(got.values[mask] - f.values[mask]))
                 assert err <= 1e-8 * f.max_abs(), (q, n, h, d, err)
-                assert got.d == d and got.eigenindex == h
+                assert got.eigenindex == h
                 # off the ball everything is zero
                 assert np.all(got.values[~mask] == 0)
                 # the given sphere values are copied through bit-for-bit
@@ -257,7 +253,7 @@ def test_eta_spectrum_is_diagonal_on_full_support_rows():
         p = params(q, n)
         rng = np.random.default_rng(q * 10 + n + h)
         raw = rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
-        ball = hr.BallData(p, h, np.where(_ball_mask(q, n, h), raw, 0))
+        ball = hr.VertexFunction(p, np.where(_ball_mask(q, n, h), raw, 0))
         full_rows = weight_ranks(q, h, h)
         scale = float(q ** (n - h))
         for positions in itertools.combinations(range(1, n + 1), h):
@@ -274,7 +270,7 @@ def test_eta_sum_against_direct_oracle():
     checked = 0
     for seed in range(4):
         f = eigfn(q, n, h, seed)
-        ball = hr.BallData(p, h, np.where(_ball_mask(q, n, h), f.values, 0), eigenindex=h)
+        ball = hr.VertexFunction(p, np.where(_ball_mask(q, n, h), f.values, 0), eigenindex=h)
         for positions in itertools.combinations(range(1, n + 1), h):
             totals = orthogonal_face_totals(f, positions)
             for _ in range(5):
@@ -296,12 +292,41 @@ def test_eta_sum_validation_and_linearity():
     p = params(3, 4)
     f = eigfn(3, 4, 2, seed=8)
     ball_vals = np.where(_ball_mask(3, 4, 2), f.values, 0)
-    ball = hr.BallData(p, 2, ball_vals)
-    with pytest.raises(ValueError):
-        hr.eta_face_values(ball, (1, 2, 3))  # face dimension != ball radius
-    doubled = hr.BallData(p, 2, 2 * ball_vals)
+    ball = hr.VertexFunction(p, ball_vals)
+    for positions in ((1, 5), (2, 2)):  # a position outside 1..n, a repeated one
+        with pytest.raises(ValueError):
+            hr.eta_face_values(ball, positions)
+    doubled = hr.VertexFunction(p, 2 * ball_vals)
     gap = hr.eta_face_values(doubled, (1, 2)) - 2 * hr.eta_face_values(ball, (1, 2))
     assert np.max(np.abs(gap)) <= 1e-9
+
+
+def test_eta_face_values_read_only_the_ball():
+    # the h-face through the origin holds words of weight <= h only, so a full
+    # eigenfunction and the same function zeroed off B_h give the same totals
+    cells = [(q, n, h) for q, n, h, d in desk_cells() if 0 < d == h] + [(4, 8, 6)]
+    for q, n, h in cells:
+        f = eigfn(q, n, h)
+        ball = hr.VertexFunction(f.params, np.where(_ball_mask(q, n, h), f.values, 0))
+        for positions in itertools.combinations(range(1, n + 1), h):
+            assert np.array_equal(
+                hr.eta_face_values(f, positions), hr.eta_face_values(ball, positions)
+            ), (q, n, h, positions)
+
+
+def test_reconstruct_ball_is_zero_off_the_ball_at_cap_scale():
+    checked = 0
+    for q, n in ((3, 10), (4, 8)):
+        d = 3
+        off_ball = ~_ball_mask(q, n, d)
+        for h in range(d, n + 1):
+            if not hr.check_conditions(q, n, h, d).passed:
+                continue
+            got = hr.reconstruct_ball(hr.SphereData.from_function(eigfn(q, n, h), d), h)
+            assert got.eigenindex == h, (q, n, h)
+            assert not np.any(got.values[off_ball]), (q, n, h)
+            checked += 1
+    assert checked >= 8
 
 
 def test_eta_discrepancy_small_for_eigenfunctions():
@@ -357,7 +382,7 @@ def test_sphere_and_ball_json_round_trip():
     assert np.array_equal(back.values, sphere.values)
 
     ballr = hr.reconstruct_ball(sphere, 2)
-    back_ball = hr.function_from_dict(ballr.to_dict())
+    back_ball = hr.function_from_dict(vertex_dict(ballr.params, ballr.values, 2, 2))
     assert np.array_equal(back_ball.values, ballr.values)
 
     # omitted words mean zero; the radius comes from the explicit field

@@ -5,7 +5,7 @@ import pytest
 
 import hamrecon as hr
 from hamrecon.scheme import digits_table, weight_ranks, weight_table
-from hamrecon.spectral import DENSE_MAX_Q, axis_transform, full_support_transform
+from hamrecon.spectral import DENSE_MAX_Q, axis_transform, full_support_transform, vertex_dict
 
 from helpers import eigfn, params, tol_for
 from oracles import project_by_distance, sphere
@@ -271,7 +271,7 @@ def test_vertex_json_writer_matches_json_dumps():
         hr.function_to_dict(f),
         hr.function_to_dict(hr.VertexFunction(f.params, f.values)),  # no eigenindex
         sphere.to_dict(),
-        hr.reconstruct_ball(sphere, 3).to_dict(),
+        vertex_dict(f.params, hr.reconstruct_ball(sphere, 3).values, 3, 3),
         {"q": 3, "n": 4, "d": 2, "eigenindex": 2, "values": []},
         {"q": 3, "n": 4, "values": []},
         {
