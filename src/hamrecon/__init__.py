@@ -63,14 +63,13 @@ from .spectral import (
     VertexFunction,
     apply_distance_operator,
     character,
-    dumps_vertex_json,
     eigen_residual,
     fourier_transform,
     function_from_dict,
-    function_to_dict,
     inverse_fourier,
     project_eigenspace,
     random_eigenfunction,
+    vertex_json_chunks,
 )
 
 __version__ = "0.1.0"

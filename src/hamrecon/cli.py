@@ -22,6 +22,10 @@ itself refuses, before any work, ``--oracle-eta`` in ball mode, q > 10
 on ``generate`` and ``reconstruct`` (such words have no text form), and
 a sphere file without an eigenvalue index or that it cannot read.
 
+``generate`` and ``reconstruct`` stream their JSON from the value array in
+bounded chunks, the same bytes as the stdlib's indented ``json.dumps``; a
+write that fails part way removes the output file.
+
 Exit codes: 0 success (conditions pass), 1 ``verify`` round-trip error
 above ``--tolerance``, 2 conditions fail, 3 input data inconsistent, 64
 invalid parameters or malformed input.  Reports are bitwise deterministic
@@ -34,8 +38,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -52,13 +58,7 @@ from .recon import (
 )
 from .localdist import local_distribution
 from .scheme import SchemeParams, parse_word, weight_table, word_text
-from .spectral import (
-    dumps_vertex_json,
-    function_from_dict,
-    function_to_dict,
-    random_eigenfunction,
-    vertex_dict,
-)
+from .spectral import function_from_dict, random_eigenfunction, vertex_json_chunks
 
 EXIT_OK = 0
 EXIT_CONDITION_FAIL = 2
@@ -181,11 +181,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(pieces: Iterable[str], path: str | None) -> None:
+    """Write the pieces to stdout, or to the file at ``path``, which a failed write removes."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        sys.stdout.writelines(pieces)
+        return
+    # opened outside the try: a file that cannot be opened is not ours to remove
+    out = open(path, "w")
+    try:
+        with out:
+            out.writelines(pieces)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _print_json(data: dict) -> None:
@@ -224,7 +232,7 @@ def run_sweep(args: argparse.Namespace) -> int:
                     f"{q},{n},{h},{d},{str(report.passed).lower()},{kind},"
                     f"{first_k},{first_l},{report.origin_value}"
                 )
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK
 
 
@@ -233,10 +241,11 @@ def run_generate(args: argparse.Namespace) -> int:
         raise UsageError(f"text form of words needs q <= 10, got q={args.q}")
     f = random_eigenfunction(SchemeParams(args.q, args.n), args.h, args.seed)
     if args.d is None:
-        data = function_to_dict(f)
+        pieces = vertex_json_chunks(f.params, f.values, f.eigenindex)
     else:
-        data = SphereData.from_function(f, args.d).to_dict()
-    _emit(dumps_vertex_json(data), args.output)
+        sphere = SphereData.from_function(f, args.d)
+        pieces = vertex_json_chunks(sphere.params, sphere.values, sphere.eigenindex, sphere.d)
+    _emit(pieces, args.output)
     return EXIT_OK
 
 
@@ -263,10 +272,11 @@ def run_reconstruct(args: argparse.Namespace) -> int:
         "output": args.output,
     }
     if args.mode == "ball":
-        payload = vertex_dict(sphere.params, reconstruct_ball(sphere, h).values, h, sphere.d)
+        ball = reconstruct_ball(sphere, h)
+        pieces = vertex_json_chunks(ball.params, ball.values, h, sphere.d)
     else:
         out = reconstruct_full(sphere, h)
-        payload = function_to_dict(out)
+        pieces = vertex_json_chunks(out.params, out.values, out.eigenindex)
         if args.oracle_eta:
             gap = eta_discrepancy(out, h)
             summary["eta_oracle_max_discrepancy"] = gap
@@ -274,7 +284,7 @@ def run_reconstruct(args: argparse.Namespace) -> int:
                 raise DataInconsistencyError(
                     f"eta oracle disagrees with the closed form by {gap:.3e}"
                 )
-    Path(args.output).write_text(dumps_vertex_json(payload))
+    _emit(pieces, args.output)
     _print_json(summary)
     return EXIT_OK
 
@@ -341,7 +351,7 @@ def run_krawtchouk_dump(args: argparse.Namespace) -> int:
     lines = ["i," + ",".join(str(t) for t in range(args.n + 1))]
     for i, row in enumerate(krawtchouk_table(args.q, args.n)):
         lines.append(f"{i}," + ",".join(str(v) for v in row))
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK
 
 

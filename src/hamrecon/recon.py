@@ -84,7 +84,6 @@ from .spectral import (
     full_support_transform,
     inverse_fourier,
     read_vertex_dict,
-    vertex_dict,
 )
 
 
@@ -136,9 +135,6 @@ class SphereData:
 
     def domain_ranks(self) -> np.ndarray:
         return weight_ranks(self.params.q, self.params.n, self.d)
-
-    def to_dict(self) -> dict:
-        return vertex_dict(self.params, self.values, self.eigenindex, self.d)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SphereData":

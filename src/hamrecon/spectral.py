@@ -27,6 +27,7 @@ floats only at the point where they multiply complex data.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -294,30 +295,81 @@ def random_eigenfunction(params: SchemeParams, h: int, seed: int) -> VertexFunct
 # "values" carry the value 0.  A sphere or a recovered ball is zero off its
 # region, so its file lists words of that region only.  Sphere and ball files
 # carry their radius "d"; full functions omit it.  "eigenindex" is present
-# when known.  Files are written by dumps_vertex_json: keys sorted, one-space
-# indent, the same bytes as json.dumps(payload, sort_keys=True, indent=1) plus
-# a newline, so they are stable for a fixed seed and flags.  Reading rejects
-# header numbers that are not integers, malformed words, duplicate words and
-# non-finite values.
+# when known.  Files are written by vertex_json_chunks, which formats the
+# entries straight from the value array, _CHUNK_WORDS words at a time, so a
+# write holds one chunk's text, not one object per word.  The bytes are those
+# of json.dumps(payload, sort_keys=True, indent=1) plus a newline: keys
+# sorted, one-space indent, stable for a fixed seed and flags.  Reading
+# rejects header numbers that are not integers, malformed words, duplicate
+# words, and values that are booleans or not finite.
+
+# Words per piece of file text: about 0.3 MB of text, so a write holds
+# little, and few enough pieces that the per-piece numpy calls do not show.
+_CHUNK_WORDS = 4096
+
+_ENTRY = '  {\n   "im": %s,\n   "re": %s,\n   "w": "%s"\n  }'
 
 
-def values_to_entries(params: SchemeParams, values: np.ndarray) -> list[dict]:
-    """JSON entries of the nonzero values, in ascending word rank."""
-    values = np.asarray(values)
-    ranks = np.flatnonzero((values.real != 0) | (values.imag != 0))
+def _float_texts(xs: np.ndarray) -> list[str]:
+    # float.__repr__ is how json spells a finite float; NaN and the
+    # infinities take json's own spellings
+    texts = list(map(float.__repr__, xs.tolist()))
+    for i in np.flatnonzero(~np.isfinite(xs)):
+        texts[i] = json.dumps(float(xs[i]))
+    return texts
+
+
+def values_to_entries(params: SchemeParams, values: np.ndarray, ranks: np.ndarray) -> list[str]:
+    """File text of the entries of the words at ``ranks``, one string per word."""
     picked = values[ranks]
-    texts = rank_texts(params, ranks)
-    return [
-        {"w": w, "re": re, "im": im}
-        for w, re, im in zip(texts, picked.real.tolist(), picked.imag.tolist())
-    ]
+    rows = zip(_float_texts(picked.imag), _float_texts(picked.real), rank_texts(params, ranks))
+    return [_ENTRY % row for row in rows]
+
+
+def vertex_json_chunks(
+    params: SchemeParams, values: np.ndarray, eigenindex: int | None, d: int | None = None
+) -> Iterator[str]:
+    """File text of a vertex function, or of sphere/ball data with radius ``d``, in pieces.
+
+    The pieces joined equal ``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``
+    for the payload that lists one ``{"w", "re", "im"}`` entry per nonzero
+    value, in ascending word rank.
+    """
+    header: dict = {"q": params.q, "n": params.n}
+    if d is not None:
+        header["d"] = int(d)
+    if eigenindex is not None:
+        header["eigenindex"] = int(eigenindex)
+    text = json.dumps({**header, "values": []}, sort_keys=True, indent=1) + "\n"
+    ranks = np.flatnonzero((values.real != 0) | (values.imag != 0))
+    if not ranks.size:
+        yield text
+        return
+    # a newline cannot occur inside a JSON string, so this is the top-level key
+    head, tail = text.split('\n "values": []', 1)
+    yield head + '\n "values": [\n'
+    for start in range(0, ranks.size, _CHUNK_WORDS):
+        # looked up as a module global per chunk, so the span recorder's rebinding sees each call
+        entries = values_to_entries(params, values, ranks[start : start + _CHUNK_WORDS])
+        yield (",\n" if start else "") + ",\n".join(entries)
+    yield "\n ]" + tail
+
+
+def _entry_floats(entries, key: str, texts: list[str]) -> np.ndarray:
+    raw = [entry[key] for entry in entries]
+    # bool is a subclass of int, but true is no value
+    kinds = list(map(type, raw))
+    if bool in kinds:
+        raise ValueError(f"boolean {key!r} for word {texts[kinds.index(bool)]!r}")
+    return np.array(list(map(float, raw)), dtype=np.float64)
 
 
 def entries_to_values(params: SchemeParams, entries) -> np.ndarray:
-    """Dense values from JSON entries; inverse of :func:`values_to_entries`.
+    """Dense values from the JSON entries of a file written by :func:`vertex_json_chunks`.
 
     Raises KeyError or TypeError on a malformed entry, ValueError on a
-    malformed or duplicate word and on a value that is not finite.
+    malformed or duplicate word and on a value that is a boolean or not
+    finite.
     """
     values = np.zeros(params.size, dtype=np.complex128)
     texts = [entry["w"] for entry in entries]
@@ -326,27 +378,14 @@ def entries_to_values(params: SchemeParams, entries) -> np.ndarray:
     repeated = counts[ranks] > 1
     if repeated.any():
         raise ValueError(f"duplicate word {texts[int(np.argmax(repeated))]!r}")
-    re = np.array([float(entry["re"]) for entry in entries], dtype=np.float64)
-    im = np.array([float(entry["im"]) for entry in entries], dtype=np.float64)
+    re = _entry_floats(entries, "re", texts)
+    im = _entry_floats(entries, "im", texts)
     finite = np.isfinite(re) & np.isfinite(im)
     if not finite.all():
         raise ValueError(f"non-finite value for word {texts[int(np.argmin(finite))]!r}")
     values.real[ranks] = re
     values.imag[ranks] = im
     return values
-
-
-def vertex_dict(
-    params: SchemeParams, values: np.ndarray, eigenindex: int | None, d: int | None = None
-) -> dict:
-    """The JSON payload of a vertex function, or of sphere/ball data with radius ``d``."""
-    data: dict = {"q": params.q, "n": params.n}
-    if d is not None:
-        data["d"] = int(d)
-    if eigenindex is not None:
-        data["eigenindex"] = int(eigenindex)
-    data["values"] = values_to_entries(params, values)
-    return data
 
 
 def _header_int(key: str, value) -> int | None:
@@ -366,42 +405,6 @@ def read_vertex_dict(data: dict) -> tuple[SchemeParams, np.ndarray, int | None, 
     values = entries_to_values(params, data.get("values", []))
     eigenindex = _header_int("eigenindex", data.get("eigenindex"))
     return params, values, eigenindex, _header_int("d", data.get("d"))
-
-
-_ENTRY = '  {\n   "im": %s,\n   "re": %s,\n   "w": "%s"\n  }'
-
-
-def _float_texts(xs: list[float]) -> list[str]:
-    # float.__repr__ is how json spells a finite float; NaN and the
-    # infinities take json's own spellings
-    texts = list(map(float.__repr__, xs))
-    for i in np.flatnonzero(~np.isfinite(xs)):
-        texts[i] = json.dumps(xs[i])
-    return texts
-
-
-def dumps_vertex_json(payload: dict) -> str:
-    """File text of a JSON payload, without the stdlib's pure-Python indenting encoder.
-
-    The text equals ``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``
-    when ``payload["values"]`` holds entries as made by :func:`values_to_entries`.
-    """
-    entries = payload.get("values")
-    if not entries:
-        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    text = json.dumps({**payload, "values": []}, sort_keys=True, indent=1) + "\n"
-    rows = zip(
-        _float_texts([e["im"] for e in entries]),
-        _float_texts([e["re"] for e in entries]),
-        [e["w"] for e in entries],
-    )
-    body = ",\n".join([_ENTRY % row for row in rows])
-    # a newline cannot occur inside a JSON string, so the top-level key is unique
-    return text.replace('\n "values": []', '\n "values": [\n' + body + "\n ]", 1)
-
-
-def function_to_dict(f: VertexFunction) -> dict:
-    return vertex_dict(f.params, f.values, f.eigenindex)
 
 
 def function_from_dict(data: dict) -> VertexFunction:

@@ -16,9 +16,14 @@ code shares no batching, chunking or transform routine with
 distance-stack pass per face, the layer solve builds its own dense
 q x q kernel, and the Fourier coefficients come from the eta sums
 themselves (``eta_face_values``), not from their diagonal form.
+
+The JSON payload of a vertex function is built one word at a time as a
+dict, and its file text comes from the stdlib's ``json.dumps``: the
+reference the package's streaming writer must match byte for byte.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -194,3 +199,28 @@ def per_support_full(sphere, h):
         spectrum = _dense_transform(hr.eta_face_values(ball, positions), q, h, -1)
         fhat[ranks_face[full_rows]] = spectrum[full_rows]
     return _dense_transform(fhat, q, n, +1) / params.size
+
+
+# ---------------------------------------------------------------------------
+# the JSON file form, one word at a time
+
+
+def vertex_payload(params, values, eigenindex, d=None):
+    """JSON payload of a vertex function: one entry per nonzero value, in rank order."""
+    data = {"q": params.q, "n": params.n}
+    if d is not None:
+        data["d"] = d
+    if eigenindex is not None:
+        data["eigenindex"] = eigenindex
+    data["values"] = [
+        {"w": hr.word_text(hr.rank_word(params, rank)), "re": value.real, "im": value.imag}
+        for rank, value in enumerate(values.tolist())
+        if value != 0
+    ]
+    return data
+
+
+def vertex_json_text(params, values, eigenindex, d=None):
+    """File text of :func:`vertex_payload` as written by the stdlib encoder."""
+    payload = vertex_payload(params, values, eigenindex, d)
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import hamrecon as hr
+from hamrecon import spectral
 from hamrecon.cli import main
-from hamrecon.spectral import vertex_dict
+
+from oracles import vertex_json_text
 
 
 def run(capsys, *argv):
@@ -296,31 +298,48 @@ def test_usage_errors(capsys):
     assert code == 64
 
 
-def _oracle_text(payload):
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-
-
 def test_written_files_match_json_dumps(tmp_path, capsys):
     full, sphere, ball, recovered = (tmp_path / f"{name}.json" for name in ("f", "s", "b", "r"))
     gen = ("generate", "--q", "4", "--n", "4", "--h", "3", "--seed", "9")
     assert run(capsys, *gen, "--output", str(full))[0] == 0
+    code, printed, _ = run(capsys, *gen)
+    assert code == 0 and printed == full.read_text()
     assert run(capsys, *gen, "--d", "3", "--output", str(sphere))[0] == 0
     for mode, path in (("ball", ball), ("full", recovered)):
         code, _, _ = run(
             capsys, "reconstruct", "--mode", mode, "--input", str(sphere), "--output", str(path)
         )
         assert code == 0
-    # the oracle applied to the dict each command serializes
+    # the stdlib encoder applied to the payload of what each command writes
     truth = hr.random_eigenfunction(hr.SchemeParams(4, 4), 3, seed=9)
     data = hr.SphereData.from_function(truth, 3)
+    rec = hr.reconstruct_full(data, 3)
     expect = {
-        full: hr.function_to_dict(truth),
-        sphere: data.to_dict(),
-        ball: vertex_dict(data.params, hr.reconstruct_ball(data, 3).values, 3, 3),
-        recovered: hr.function_to_dict(hr.reconstruct_full(data, 3)),
+        full: vertex_json_text(truth.params, truth.values, 3),
+        sphere: vertex_json_text(data.params, data.values, 3, 3),
+        ball: vertex_json_text(data.params, hr.reconstruct_ball(data, 3).values, 3, 3),
+        recovered: vertex_json_text(rec.params, rec.values, 3),
     }
-    for path, payload in expect.items():
-        assert path.read_text() == _oracle_text(payload)
+    for path, text in expect.items():
+        assert path.read_text() == text
+
+
+def test_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    sphere, out = tmp_path / "sphere.json", tmp_path / "full.json"
+    gen = ("generate", "--q", "4", "--n", "8", "--h", "2", "--d", "2", "--output", str(sphere))
+    assert run(capsys, *gen)[0] == 0
+    format_entries, calls = spectral.values_to_entries, []
+
+    def fail_on_second_chunk(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("write interrupted")
+        return format_entries(*args)
+
+    monkeypatch.setattr(spectral, "values_to_entries", fail_on_second_chunk)
+    with pytest.raises(RuntimeError, match="write interrupted"):
+        main(["reconstruct", "--mode", "full", "--input", str(sphere), "--output", str(out)])
+    assert len(calls) == 2 and not out.exists()
 
 
 def test_non_finite_and_malformed_input_exit_64(tmp_path, capsys):

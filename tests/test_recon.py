@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import hamrecon as hr
 from hamrecon import recon
 from hamrecon.recon import _sub_assignments
 from hamrecon.scheme import digits_table, position_weights, weight_ranks, weight_table
-from hamrecon.spectral import axis_transform, vertex_dict
+from hamrecon.spectral import axis_transform
 
 from helpers import desk_cells, eigfn, params, tol_for
 from oracles import (
@@ -377,12 +378,14 @@ def test_sphere_and_ball_json_round_trip():
     p = params(3, 4)
     f = eigfn(3, 4, 2, seed=12)
     sphere = hr.SphereData.from_function(f, 2)
-    back = hr.SphereData.from_dict(sphere.to_dict())
+    text = "".join(hr.vertex_json_chunks(sphere.params, sphere.values, 2, 2))
+    back = hr.SphereData.from_dict(json.loads(text))
     assert back.d == 2 and back.eigenindex == 2
     assert np.array_equal(back.values, sphere.values)
 
     ballr = hr.reconstruct_ball(sphere, 2)
-    back_ball = hr.function_from_dict(vertex_dict(ballr.params, ballr.values, 2, 2))
+    text = "".join(hr.vertex_json_chunks(ballr.params, ballr.values, 2, 2))
+    back_ball = hr.function_from_dict(json.loads(text))
     assert np.array_equal(back_ball.values, ballr.values)
 
     # omitted words mean zero; the radius comes from the explicit field

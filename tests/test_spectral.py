@@ -1,14 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hamrecon as hr
 from hamrecon.scheme import digits_table, weight_ranks, weight_table
-from hamrecon.spectral import DENSE_MAX_Q, axis_transform, full_support_transform, vertex_dict
+from hamrecon.spectral import DENSE_MAX_Q, axis_transform, full_support_transform
 
 from helpers import eigfn, params, tol_for
-from oracles import project_by_distance, sphere
+from oracles import project_by_distance, sphere, vertex_json_text
 
 
 def test_fourier_context_invariants():
@@ -205,9 +206,13 @@ def test_fourier_support_characterization():
                 assert hr.eigen_residual(g, h) <= tol_for(g)
 
 
+def _writer_text(params, values, eigenindex, d=None):
+    return "".join(hr.vertex_json_chunks(params, values, eigenindex, d))
+
+
 def test_json_round_trip():
     f = eigfn(3, 4, 2)
-    data = hr.function_to_dict(f)
+    data = json.loads(_writer_text(f.params, f.values, f.eigenindex))
     assert data["q"] == 3 and data["n"] == 4 and data["eigenindex"] == 2
     g = hr.function_from_dict(data)
     assert np.array_equal(g.values, f.values)
@@ -234,6 +239,8 @@ def test_json_round_trip():
         ({"w": "02", "im": 0.0}, KeyError),  # no real part
         ({"w": "02", "re": None, "im": 0.0}, TypeError),
         ({"w": "02", "re": "x", "im": 0.0}, ValueError),
+        ({"w": "02", "re": True, "im": 0.0}, ValueError),  # float(True) is 1.0
+        ({"w": "02", "re": 1.0, "im": False}, ValueError),
     ]
     for entry, exc in bad_entries:
         with pytest.raises(exc):
@@ -253,42 +260,70 @@ def test_json_round_trip():
     # numbers given as ints or numeric strings are read as before
     g3 = hr.function_from_dict({"q": 3, "n": 2, "values": [{"w": "21", "re": 1, "im": "1.5"}]})
     assert g3.values[hr.word_rank(g3.params, (2, 1))] == 1 + 1.5j
-    # non-finite values are rejected, naming the word
-    for bad in (float("nan"), float("inf"), -float("inf")):
+    # booleans and non-finite values are rejected, naming the word
+    for bad in (True, False, float("nan"), float("inf"), -float("inf")):
         for entry in ({"w": "10", "re": bad, "im": 0.0}, {"w": "10", "re": 0.0, "im": bad}):
             with pytest.raises(ValueError, match="'10'"):
                 hr.function_from_dict({"q": 3, "n": 2, "values": [entry]})
 
 
-def _oracle_text(payload):
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-
-
 def test_vertex_json_writer_matches_json_dumps():
     f = eigfn(4, 5, 3, seed=4)
-    sphere = hr.SphereData.from_function(f, 3)
-    payloads = [
-        hr.function_to_dict(f),
-        hr.function_to_dict(hr.VertexFunction(f.params, f.values)),  # no eigenindex
-        sphere.to_dict(),
-        vertex_dict(f.params, hr.reconstruct_ball(sphere, 3).values, 3, 3),
-        {"q": 3, "n": 4, "d": 2, "eigenindex": 2, "values": []},
-        {"q": 3, "n": 4, "values": []},
-        {
-            "q": 3,
-            "n": 2,
-            "eigenindex": 1,
-            "values": [
-                {"w": "01", "re": -0.0, "im": 5e-324},
-                {"w": "02", "re": 1e300, "im": 1e-05},
-                {"w": "10", "re": 1.0, "im": -1.0},
-                {"w": "11", "re": 0.0, "im": 0.1},
-                {"w": "12", "re": float("nan"), "im": float("inf")},
-                {"w": "20", "re": -float("inf"), "im": 2.5},
-            ],
-        },
+    data = hr.SphereData.from_function(f, 3)
+    ball = hr.reconstruct_ball(data, 3)
+    empty = np.zeros(81, dtype=np.complex128)
+    edge = np.zeros(9, dtype=np.complex128)
+    for word, re, im in [
+        ((0, 1), -0.0, 5e-324),
+        ((0, 2), 1e300, 1e-05),
+        ((1, 0), 1.0, -1.0),
+        ((1, 1), 0.0, 0.1),
+        ((1, 2), float("nan"), float("inf")),
+        ((2, 0), -float("inf"), 2.5),
+    ]:
+        rank = hr.word_rank(params(3, 2), word)
+        edge.real[rank], edge.imag[rank] = re, im
+    cases = [
+        (f.params, f.values, 3),
+        (f.params, f.values, None),  # no eigenindex
+        (data.params, data.values, 3, 3),
+        (ball.params, ball.values, 3, 3),
+        (params(3, 4), empty, 2, 2),
+        (params(3, 4), empty, None),
+        (params(3, 2), edge, 1),
     ]
-    for payload in payloads:
-        assert hr.dumps_vertex_json(payload) == _oracle_text(payload)
-    assert "NaN" in hr.dumps_vertex_json(payloads[-1])
-    assert "-Infinity" in hr.dumps_vertex_json(payloads[-1])
+    for case in cases:
+        assert _writer_text(*case) == vertex_json_text(*case)
+    text = _writer_text(params(3, 2), edge, 1)
+    assert "NaN" in text and "-Infinity" in text and "5e-324" in text
+
+
+def test_vertex_json_writer_matches_json_dumps_across_chunks():
+    # 65,536 words at (4,8); 8,064 sphere and 12,585 ball words at (3,10):
+    # every file spans several chunks of entries
+    p = hr.SchemeParams(4, 8)
+    full = hr.reconstruct_full(hr.SphereData.from_function(eigfn(4, 8, 2, seed=3), 2), 2)
+    data = hr.SphereData.from_function(eigfn(3, 10, 5, seed=3), 5)
+    ball = hr.reconstruct_ball(data, 5)
+    cases = [
+        (p, full.values, full.eigenindex),
+        (data.params, data.values, 5, 5),
+        (ball.params, ball.values, 5, 5),
+    ]
+    for case in cases:
+        assert _writer_text(*case) == vertex_json_text(*case)
+
+
+def test_vertex_json_writer_memory_is_bounded(tmp_path):
+    # the writer holds one chunk's text at a time, not one object per word
+    f = hr.reconstruct_full(hr.SphereData.from_function(eigfn(4, 8, 2, seed=3), 2), 2)
+    path = tmp_path / "f.json"
+    tracemalloc.start()
+    try:
+        with open(path, "w") as out:
+            out.writelines(hr.vertex_json_chunks(f.params, f.values, f.eigenindex))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 5_000_000
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
