@@ -19,8 +19,10 @@ the library's, whose ``ValueError`` exits 64 like a parser error: the
 state cap (``SchemeParams``, for every ``sweep`` pair before any row), the
 h and d ranges, distinct positions, and d = h in full mode.  The CLI
 itself refuses, before any work, ``--oracle-eta`` in ball mode, q > 10
-on ``generate`` and ``reconstruct`` (such words have no text form), and
-a sphere file without an eigenvalue index or that it cannot read.
+on ``generate`` and ``reconstruct`` (such words have no text form), a
+``krawtchouk-dump`` table of (N+1)^2 values above the state cap (N <= 255
+by default), and a sphere file without an eigenvalue index or that it
+cannot read.
 
 ``generate`` and ``reconstruct`` stream their JSON from the value array in
 bounded chunks, the same bytes as the stdlib's indented ``json.dumps``; a
@@ -57,7 +59,7 @@ from .recon import (
     reconstruct_full,
 )
 from .localdist import local_distribution
-from .scheme import SchemeParams, parse_word, weight_table, word_text
+from .scheme import MAX_STATES_ENV, SchemeParams, max_states, parse_word, weight_table, word_text
 from .spectral import function_from_dict, random_eigenfunction, vertex_json_chunks
 
 EXIT_OK = 0
@@ -348,6 +350,12 @@ def run_local_dist(args: argparse.Namespace) -> int:
 
 
 def run_krawtchouk_dump(args: argparse.Namespace) -> int:
+    cap = max_states()
+    if (args.n + 1) ** 2 > cap:
+        raise UsageError(
+            f"a table of (N+1)^2 = {(args.n + 1) ** 2} values exceeds the enumeration cap {cap}"
+            f" (set {MAX_STATES_ENV} to raise it)"
+        )
     lines = ["i," + ",".join(str(t) for t in range(args.n + 1))]
     for i, row in enumerate(krawtchouk_table(args.q, args.n)):
         lines.append(f"{i}," + ",".join(str(v) for v in row))

@@ -18,7 +18,8 @@ factor as a power series.  Three closed forms read it:
 * transfer coefficients  r_{ij}  = (-1)^i sum_l C(k-i, l) (q-2)^l K(j-i-l; h-k, n-k-h),
   the y^j coefficient of (-y)^i (1+(q-2)y)^(k-i) (1-y)^(h-k) (1+(q-1)y)^(n-k-h);
 * nondegeneracy sums     sums[l] = K(d-k; h-k, n-k-h+l);
-* Psi multipliers        lam[l]  = K(d-k; h-l, n-k-h+l).
+* Psi multipliers        lam[l]  = K(d-k; h-l, n-k-h+l);
+* lift multipliers       W[j][l] = (1-q)^(k-j) K(d-2k+j; h-k, n-k-h+l),  j < k.
 
 The layer operator for weight-k recovery is M = sum_i r_{i,d-k} D_i taken
 inside the (q-1)-ary k-dimensional sub-scheme carried by the full-support
@@ -33,6 +34,14 @@ Krawtchouk rows:
                                             = (1+(q-1)y)^l (1-y)^(k-l)  (alphabet q)
 
 (MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 5 sec. 7).
+The lift multipliers carry Psi from the recovered values of a smaller
+support J ⊊ I, |J| = j, to the layer on I.  A word of support J lies at
+distance (k - j) + s from a full-support word of I, s its (q-1)-ary
+distance on J, so column entry r_{k-j+s,d-k} weighs the s-th (q-1)-ary
+distance matrix on J; on a J-frequency of weight l that sum is the first
+row above with i = k-j+s, shifted by (-y)^(k-j).  A function on the
+J-block, spread constantly over the other k - j axes of I, has its
+transform multiplied by (q-1)^(k-j), hence W.
 The formulas hold for every face dimension 0 <= k <= h <= n, which is
 all that sphere-to-ball reconstruction needs (k <= d <= h); a face with
 k > h has no transfer formula and raises :class:`RegimeError`.  Every
@@ -128,6 +137,26 @@ def psi_multipliers(q: int, n: int, h: int, d: int, k: int) -> tuple[int, ...]:
     """
     _check_layer(n, h, d, k)
     return tuple(krawtchouk_series(q, d - k, h - l, n - k - h + l) for l in range(k + 1))
+
+
+@lru_cache(maxsize=None)
+def lift_multipliers(q: int, n: int, h: int, d: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """W[j][l] = (q-1)^(k-j) sum_s r_{k-j+s,d-k} P_s(l; j) over alphabet q-1, for j < k.
+
+    The part of Psi on a weight-k support I that comes from the recovered
+    values of support exactly J, |J| = j < k, in the support-spectral basis:
+    a J-block frequency of weight l reaches I multiplied by W[j][l].  By the
+    substitution above, W[j][l] = (1-q)^(k-j) K(d-2k+j; h-k, n-k-h+l), which
+    is 0 when j < 2k - d.  ``table[j][l]`` for l = 0..j.
+    """
+    _check_layer(n, h, d, k)
+    return tuple(
+        tuple(
+            (1 - q) ** (k - j) * krawtchouk_series(q, d - 2 * k + j, h - k, n - k - h + l)
+            for l in range(j + 1)
+        )
+        for j in range(k)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,37 @@ Two algorithms, both linear in the data:
     most ``_CHUNK_WORDS`` complex words, transform buffers and gather axes
     included, so peak memory does not grow with C(n, k).
 
+    When the layers are large the same solve runs as passes over the whole
+    q^n tensor instead, by three identities that need no eigenfunction
+    structure:
+
+    * Phi.  Summing the sphere, per axis, over every digit into digit 0
+      (the superset sums of Yates's algorithm) leaves at each word a the
+      total over the words that agree with a on supp(a); the sphere is
+      zero off W_d, so at weight k that total is Phi(a), for every layer
+      at once.
+    * Psi lift.  A word x of the face on I with support J lies at distance
+      (k - |J|) + dist_J(a, x) from a full-support word a of I, so Psi on
+      I is a sum over J ⊊ I of the (q-1)-ary distance operators of the
+      block J (words of support exactly J, f(0) for J empty), weighed by
+      column entries shifted by k - |J| and spread constantly over the rest
+      of I.
+    * Spectral form.  Transform every block J with the (q-1)-ary transform
+      on its own axes (``spectral.support_transform``: per axis digit 0
+      kept, digits 1..q-1 transformed) and write block J at frequency v as
+      one word: digit 0 off J, v_i + 1 on J.  A block at frequency v then
+      reaches every block I ⊋ J at the same v, which is digit 0 added into
+      digit 1 on each axis, weighed by the exact integer
+      ``coeffs.lift_multipliers`` W[|J|][l], l the count of digits >= 2.
+      Layer k is (Phi^ - Psi^) / sums[l] on the weight-k words, and one
+      inverse transform returns every layer below d.
+
+    The tensor path runs when the supports of layers below d hold at
+    least as many face words as the tensor, sum_{k<d} C(n, k) q^k >= q^n;
+    inside the default state cap that happens only for q <= 6, so its
+    dense q x q kernels stay small.  At small d the per-support path,
+    which reads only the ball, is 10 to 100 times faster.
+
 2.  Sphere to everything, for d = h.  After filling the ball, every
     Fourier coefficient on the weight-h sphere is a character-weighted
     sum of orthogonal-face totals eta(a, b), each of which collapses to a
@@ -65,6 +96,7 @@ from .coeffs import (
     ConditionReport,
     check_conditions,
     eigen_sums,
+    lift_multipliers,
     psi_multipliers,
 )
 from .krawtchouk import krawtchouk_value
@@ -84,6 +116,8 @@ from .spectral import (
     full_support_transform,
     inverse_fourier,
     read_vertex_dict,
+    superset_transform,
+    support_transform,
 )
 
 
@@ -324,18 +358,108 @@ def solve_layer(system: LayerSystem, q: int, n: int, h: int, d: int) -> np.ndarr
 # whole-sphere drivers
 
 
+def _tensor_path(q: int, n: int, d: int) -> bool:
+    """Whether to solve layers 1..d-1 in whole-tensor passes.
+
+    True when the supports of those layers hold, face by face, at least as
+    many words as the q^n tensor: sum_{k<d} C(n, k) q^k >= q^n.
+    """
+    return sum(math.comb(n, k) * q**k for k in range(d)) >= q**n
+
+
+def _layers_by_support(sphere: SphereData, h: int, origin: complex) -> np.ndarray:
+    """Ball values of weight < d, each layer in chunks of its C(n, k) supports."""
+    params = sphere.params
+    q, n, d = params.q, params.n, sphere.d
+    values = np.zeros(params.size, dtype=np.complex128)
+    values[0] = origin
+    for k in range(1, d):
+        supports = _supports(n, k)
+        for chunk in _chunks(len(supports), _layer_words(q, n, h, d, k)):
+            ranks, rhs = _layer_rhs(sphere.values, values, q, n, h, d, supports[chunk])
+            values[ranks] = _solve_layers(rhs, q, n, h, d, k)
+    return values
+
+
+@lru_cache(maxsize=None)
+def _support_codes(q: int, n: int) -> np.ndarray:
+    """j + (n+1) l per word, j its nonzero digits and l its digits >= 2, by broadcasting.
+
+    In the support-spectral basis j is the size of a word's block and l the
+    weight of its (q-1)-ary frequency.
+    """
+    axis = np.array([0, 1] + [n + 2] * (q - 2), dtype=np.int16)
+    codes = np.zeros(1, dtype=np.int16)
+    for _ in range(n):
+        codes = (codes[:, None] + axis).reshape(-1)
+    codes.setflags(write=False)
+    return codes
+
+
+def _add_up_blocks(t: np.ndarray, q: int, n: int) -> None:
+    """In place, per axis digit 1 += digit 0.
+
+    Each word then holds the sum over the words that equal it but for some
+    of its digits 1 turned to 0: in the support-spectral basis, every block
+    inside its own at the same frequency.
+    """
+    for axis in range(n):
+        view = t.reshape(q**axis, q, q ** (n - 1 - axis))
+        view[:, 1] += view[:, 0]
+
+
+def _lift(xhat: np.ndarray, q: int, n: int, h: int, d: int, k: int) -> np.ndarray:
+    """Psi of layer k in the support-spectral basis, read at the weight-k words.
+
+    ``xhat`` holds the recovered blocks of size below k, transformed; each
+    is weighed by :func:`coeffs.lift_multipliers` and added into every block
+    that contains it at the same frequency, which is digit 0 added into
+    digit 1 on each axis.  Blocks of size k or more are not read.
+    """
+    width = n + 1
+    table = np.zeros(width * width)
+    for j, row in enumerate(lift_multipliers(q, n, h, d, k)):
+        table[j + width * np.arange(j + 1)] = [float(w) for w in row]
+    psi = xhat * table[_support_codes(q, n)]
+    _add_up_blocks(psi, q, n)
+    return psi
+
+
+def _layers_by_tensor(sphere: SphereData, h: int, origin: complex) -> np.ndarray:
+    """Ball values of weight < d from whole-tensor passes in the support-spectral basis.
+
+    Phi of every layer is the transform of the sphere's superset sums.
+    Layer k is then (Phi - Psi) / sums[l] on the weight-k words of the
+    transformed tensor, and one inverse transform returns every layer.
+    """
+    params = sphere.params
+    q, n, d = params.q, params.n, sphere.d
+    phi_hat = superset_transform(sphere.values, q, n)
+    codes = _support_codes(q, n)
+    xhat = np.zeros(params.size, dtype=np.complex128)
+    xhat[0] = origin
+    for k in range(1, d):
+        ranks = weight_ranks(q, n, k)
+        sums = np.array([float(s) for s in eigen_sums(q, n, h, d, k)])
+        psi_hat = _lift(xhat, q, n, h, d, k)
+        xhat[ranks] = (phi_hat[ranks] - psi_hat[ranks]) / sums[codes[ranks] // (n + 1)]
+    values = support_transform(xhat, q, n, sign=+1)
+    # each block maps to itself, so the blocks of size >= d are already zero, some -0.0
+    values[weight_table(q, n) >= d] = 0
+    return values
+
+
 def reconstruct_ball(sphere: SphereData, h: int) -> VertexFunction:
     """Recover the radius-d ball from the weight-d sphere values.
 
     Validates the exact nondegeneracy conditions up front, then fills
-    weight layers k = 1..d-1 bottom-up, each in a few whole-array passes
-    over chunks of its C(n, k) supports.  The layer k = d is the input:
-    its operator is the identity (the column is (1,)) and Psi vanishes on
-    its full-support words, so the given sphere values are copied through
-    verbatim.  Sphere data that no index-h eigenfunction restricts to is
-    not detected here.  The ball comes back as an index-h
-    :class:`VertexFunction` that is zero off B_d: only the ranks of B_d are
-    ever written.
+    weight layers k = 1..d-1 bottom-up, in chunks of supports or, when
+    :func:`_tensor_path` holds, in whole-tensor passes.  The layer k = d is
+    the input: its operator is the identity (the column is (1,)) and Psi
+    vanishes on its full-support words, so the given sphere values are
+    copied through verbatim.  Sphere data that no index-h eigenfunction
+    restricts to is not detected here.  The ball comes back as an index-h
+    :class:`VertexFunction` that is zero off B_d.
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
@@ -344,16 +468,11 @@ def reconstruct_ball(sphere: SphereData, h: int) -> VertexFunction:
         raise ConditionError(
             f"reconstruction conditions fail for (q={q}, n={n}, h={h}, d={d})", report=report
         )
-    ball = VertexFunction(params, np.zeros(params.size, dtype=np.complex128), eigenindex=h)
-    ball.values[0] = reconstruct_origin(sphere, h)
-    for k in range(1, d):
-        supports = _supports(n, k)
-        for chunk in _chunks(len(supports), _layer_words(q, n, h, d, k)):
-            ranks, rhs = _layer_rhs(sphere.values, ball.values, q, n, h, d, supports[chunk])
-            ball.values[ranks] = _solve_layers(rhs, q, n, h, d, k)
+    layers = _layers_by_tensor if _tensor_path(q, n, d) else _layers_by_support
+    values = layers(sphere, h, reconstruct_origin(sphere, h))
     top = sphere.domain_ranks()
-    ball.values[top] = sphere.values[top]
-    return ball
+    values[top] = sphere.values[top]
+    return VertexFunction(params, values, eigenindex=h)
 
 
 def _eta_column(q: int, h: int) -> tuple[int, ...]:

@@ -19,6 +19,9 @@ two buffers per call.  Above it numpy's FFT takes over, where a q x q kernel
 would cost O(q^2) memory (32 GiB at q = 65536).  It is batched over leading
 axes, so the solvers transform a whole stack of faces in one call, and
 :func:`full_support_transform` evaluates it at the full-support words alone.
+The same grouped-gemm loop applies any per-axis kernel, which gives
+:func:`support_transform`, the (q-1)-ary transform of every support block
+of the tensor at once.
 
 Combinatorial coefficients are always exact integers and are converted to
 floats only at the point where they multiply complex data.
@@ -29,7 +32,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -108,29 +111,41 @@ def _group_size(q: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _group_kernel(q: int, g: int, sign: int, full_support: bool) -> np.ndarray:
-    """K[b, a] = xi^(sign <a,b>) over g-digit words b and a, read off a table of powers.
+def _group_kernel(q: int, g: int, kind: str, sign: int) -> np.ndarray:
+    """K[b, a] over g-digit words b (in) and a (out), in rank order.
 
-    With ``full_support`` the columns a are only the words whose digits are
-    all nonzero, in rank order.
+    ``"fourier"`` is xi^(sign <a,b>), read off a table of powers, and
+    ``"full_support"`` its columns whose digits are all nonzero.
+    ``"support"`` is the g-th Kronecker power of the axis kernel that keeps
+    digit 0 and applies the (q-1)-ary one to digits 1..q-1 (digit j as
+    j-1), divided by q-1 for ``sign = +1`` so that the two signs are
+    inverse to each other; ``"superset"`` first replaces digit 0 by the
+    line total, which sets column 0 of the axis kernel to ones.
     """
-    words = digits_table(q, g)
-    cols = words[np.all(words != 0, axis=1)] if full_support else words
-    powers = np.exp(sign * 2j * np.pi * np.arange(q) / q)
-    kernel = powers[(words @ cols.T) % q]
+    if kind in ("support", "superset"):
+        axis = np.zeros((q, q), dtype=np.complex128)
+        axis[0, 0] = 1
+        if kind == "superset":
+            axis[1:, 0] = 1
+        axis[1:, 1:] = _group_kernel(q - 1, 1, "fourier", sign) / ((q - 1) if sign > 0 else 1)
+        kernel = reduce(np.kron, [axis] * g)
+    else:
+        words = digits_table(q, g)
+        cols = words[np.all(words != 0, axis=1)] if kind == "full_support" else words
+        kernel = np.exp(sign * 2j * np.pi * np.arange(q) / q)[(words @ cols.T) % q]
     kernel.setflags(write=False)
     return kernel
 
 
-def _dense_transform(values: np.ndarray, q: int, n: int, sign: int, full_support: bool):
-    """The character sums of :func:`axis_transform`, one axis group per gemm.
+def _dense_transform(values: np.ndarray, q: int, n: int, kind: str, sign: int) -> np.ndarray:
+    """Apply the kernel of ``kind`` (:func:`_group_kernel`) to every word axis, a group per gemm.
 
     Each step multiplies the last g word axes by the group kernel and moves
     the contracted group to the front of the word axes, so after the last
     group the axes are back in rank order.  The steps ping-pong between two
     buffers sized for the first, largest step.
     """
-    out_q = q - 1 if full_support else q
+    out_q = q - 1 if kind == "full_support" else q
     group = _group_size(q)
     sizes = [min(group, n - done) for done in range(0, n, group)]
     rows = values.size // q**n
@@ -139,7 +154,7 @@ def _dense_transform(values: np.ndarray, q: int, n: int, sign: int, full_support
     src, left, done = values, n, 0
     for g in sizes:
         left -= g
-        kernel = _group_kernel(q, g, sign, full_support)
+        kernel = _group_kernel(q, g, kind, sign)
         rest = out_q**done * q**left
         wide = rows * rest * out_q**g
         product, rotated = buffers[0][:wide], buffers[1][:wide]
@@ -161,7 +176,7 @@ def axis_transform(values: np.ndarray, q: int, n: int, sign: int) -> np.ndarray:
     q^-n factor.
     """
     if q <= DENSE_MAX_Q:
-        return _dense_transform(values, q, n, sign, full_support=False)
+        return _dense_transform(values, q, n, "fourier", sign)
     t = values.reshape(values.shape[:-1] + (q,) * n)
     axes = tuple(range(t.ndim - n, t.ndim))
     if sign < 0:
@@ -179,8 +194,30 @@ def full_support_transform(values: np.ndarray, q: int, n: int, sign: int) -> np.
     transforms in full and picks the words out.
     """
     if q <= DENSE_MAX_Q:
-        return _dense_transform(values, q, n, sign, full_support=True)
+        return _dense_transform(values, q, n, "full_support", sign)
     return axis_transform(values, q, n, sign)[..., weight_ranks(q, n, n)]
+
+
+def support_transform(values: np.ndarray, q: int, n: int, sign: int) -> np.ndarray:
+    """The support-spectral transform: each support block transformed on its own.
+
+    Per axis, digit 0 is kept and digits 1..q-1 (as 0..q-2) go through the
+    (q-1)-ary transform with ``sign``, so the words of support exactly J
+    are mapped among themselves by the (q-1)-ary transform on the axes of
+    J.  ``sign = +1`` carries the (q-1)^-|J| factor and inverts ``-1``.
+    Dense kernels only: the recovery selects it only for q <= DENSE_MAX_Q.
+    """
+    return _dense_transform(values, q, n, "support", sign)
+
+
+def superset_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Forward :func:`support_transform` of the superset sums of ``values``.
+
+    The superset sums at a word total the values over the words that agree
+    with it on its support (per axis, digit 0 becomes the line total).  That
+    step folds into the transform's axis kernel, so it costs nothing extra.
+    """
+    return _dense_transform(values, q, n, "superset", -1)
 
 
 def fourier_transform(f: VertexFunction) -> VertexFunction:

@@ -44,3 +44,11 @@ def load_spans(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
     return spans
+
+
+def load_cells():
+    """The benchmark's workload cells (``bench/cells.py``), loaded from its file."""
+    spec = importlib.util.spec_from_file_location("bench_cells", ROOT / "bench" / "cells.py")
+    cells = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cells)
+    return cells

@@ -81,6 +81,15 @@ def test_krawtchouk_dump(capsys):
     assert code == 0
 
 
+def test_krawtchouk_dump_is_bounded_by_the_state_cap(monkeypatch, capsys):
+    # (N+1)^2 table values against the cap: N = 9 fills a cap of 100 exactly
+    monkeypatch.setenv("HAMRECON_MAX_STATES", "100")
+    code, out, _ = run(capsys, "krawtchouk-dump", "--q", "3", "--n", "9")
+    assert code == 0 and len(out.strip().splitlines()) == 11
+    code, out, err = run(capsys, "krawtchouk-dump", "--q", "3", "--n", "10")
+    assert code == 64 and out == "" and "enumeration cap 100" in err
+
+
 def test_generate_reconstruct_round_trip(tmp_path, capsys):
     sphere_path = tmp_path / "sphere.json"
     out_path = tmp_path / "recovered.json"
@@ -392,6 +401,10 @@ PARAMETER_ERRORS = [
     ),
     pytest.param(
         ("krawtchouk-dump", "--q", "1", "--n", "4", "--output", "{out}"), "at least 2", id="dump-q-1"
+    ),
+    pytest.param(
+        ("krawtchouk-dump", "--q", "3", "--n", "256", "--output", "{out}"), "enumeration cap",
+        id="dump-over-cap",
     ),
     pytest.param(("sweep", "--q", "2,3", "--n", "3", "--output", "{out}"), "at least 3", id="sweep-q-2"),
     pytest.param(

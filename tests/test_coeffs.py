@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hamrecon as hr
-from hamrecon.coeffs import layer_column, psi_multipliers
+from hamrecon.coeffs import layer_column, lift_multipliers, psi_multipliers
 from hamrecon.krawtchouk import polymul
 from hamrecon.scheme import digits_table, weight_table
 from hamrecon.spectral import distance_tensor_stack
@@ -161,6 +161,30 @@ def test_layer_eigenvalues_are_column_sums_against_krawtchouk_rows():
                         for l in range(k + 1)
                     )
                     assert got == expect, (alphabet, q, n, h, d, k)
+
+
+def test_lift_multipliers_are_shifted_column_sums():
+    # W[j][l] from the series in closed form; the reference weighs the column
+    # shifted by k - j against P_s(l; j) over alphabet q-1, with column entries
+    # past its end read as 0
+    desk = [(q, n, h) for q in range(3, 8) for n in range(1, 9) for h in range(n + 1)]
+    entries = 0
+    for q, n, h in [*desk, *CAP_CELLS]:
+        for d in range(1, h + 1):
+            for k in range(1, d + 1):
+                column = layer_column(q, n, h, d, k)
+                table = lift_multipliers(q, n, h, d, k)
+                assert [len(row) for row in table] == list(range(1, k + 1))
+                for j, row in enumerate(table):
+                    for l, got in enumerate(row):
+                        expect = (q - 1) ** (k - j) * sum(
+                            column[k - j + s] * hr.krawtchouk_value(q - 1, s, l, j)
+                            for s in range(j + 1)
+                            if k - j + s < len(column)
+                        )
+                        assert type(got) is int and got == expect, (q, n, h, d, k, j, l)
+                        entries += 1
+    assert entries > 10000
 
 
 def test_psi_multipliers_are_face_operator_eigenvalues():

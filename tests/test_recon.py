@@ -7,10 +7,16 @@ import pytest
 import hamrecon as hr
 from hamrecon import recon
 from hamrecon.recon import _sub_assignments
-from hamrecon.scheme import digits_table, position_weights, weight_ranks, weight_table
-from hamrecon.spectral import axis_transform
+from hamrecon.scheme import (
+    DEFAULT_MAX_STATES,
+    digits_table,
+    position_weights,
+    weight_ranks,
+    weight_table,
+)
+from hamrecon.spectral import DENSE_MAX_Q, axis_transform, support_transform
 
-from helpers import desk_cells, eigfn, params, tol_for
+from helpers import desk_cells, eigfn, load_cells, params, tol_for
 from oracles import (
     apply_layer_operator,
     face,
@@ -195,8 +201,11 @@ def test_reconstruct_ball_non_eigen_data_is_reproduced():
 
 @pytest.mark.parametrize("budget", [1, 2000])
 def test_batched_drivers_match_per_support_reference(monkeypatch, budget):
-    # a small chunk budget splits layers into several chunks: of one support
-    # each at budget 1, of several supports at 2000
+    # the chunked per-support path on every passing desk cell, the cells
+    # the size rule sends to the tensor path included; a small chunk budget
+    # splits layers into several chunks: of one support each at budget 1, of
+    # several supports at 2000
+    monkeypatch.setattr(recon, "_tensor_path", lambda q, n, d: False)
     monkeypatch.setattr(recon, "_CHUNK_WORDS", budget)
     chunks = []
     batched_rhs = recon._layer_rhs
@@ -226,6 +235,84 @@ def test_batched_drivers_match_per_support_reference(monkeypatch, budget):
         assert max(size for _, size in chunks) == 1
     else:
         assert any(len(sizes) > 1 and min(sizes) > 1 for sizes in per_layer.values())
+
+
+def _tensor_ball_matches(q, n, h, d, bound):
+    sphere = hr.SphereData.from_function(eigfn(q, n, h), d)
+    got = hr.reconstruct_ball(sphere, h).values
+    gap = np.max(np.abs(got - per_support_ball(sphere, h)))
+    assert gap <= bound, (q, n, h, d, gap)
+    assert not np.any(got[~_ball_mask(q, n, d)]), (q, n, h, d)
+    if 0 < d == h:
+        gap = np.max(np.abs(hr.reconstruct_full(sphere, h).values - per_support_full(sphere, h)))
+        assert gap <= bound, (q, n, h, gap)
+
+
+def test_tensor_path_matches_per_support_reference(monkeypatch):
+    # the whole-tensor path on every passing desk cell, forced where the
+    # size rule picks the per-support path; no support is solved on its own
+    monkeypatch.setattr(recon, "_tensor_path", lambda q, n, d: True)
+    monkeypatch.setattr(recon, "_layer_rhs", None)
+    compared = 0
+    for q, n, h, d in desk_cells():
+        if hr.check_conditions(q, n, h, d).passed:
+            _tensor_ball_matches(q, n, h, d, 1e-12)
+            compared += 1
+    assert compared >= 100
+
+
+def test_tensor_path_matches_per_support_reference_at_cap_scale(monkeypatch):
+    # the size rule's own choice on the four cap cells; the bound is relative
+    # to the largest value, 1
+    monkeypatch.setattr(recon, "_layer_rhs", None)
+    for q, n, h in ((4, 8, 6), (3, 10, 8), (3, 10, 10), (4, 8, 8)):
+        assert recon._tensor_path(q, n, h)
+        _tensor_ball_matches(q, n, h, h, 1e-11)
+
+
+def test_tensor_lift_matches_distance_stack_psi():
+    # values that are no eigenfunction on the weights below k: the tensor
+    # route's Psi at every weight-k word against one distance stack per face
+    layers = 0
+    for q, n, h, d in desk_cells():
+        p = params(q, n)
+        wt = weight_table(q, n)
+        rng = np.random.default_rng(q * 1000 + n * 100 + h * 10 + d)
+        zero_sphere = hr.SphereData(p, d, np.zeros(p.size, dtype=complex))
+        for k in range(1, d):
+            raw = rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
+            lower = np.where(wt < k, raw, 0)
+            psi_hat = recon._lift(support_transform(lower, q, n, -1), q, n, h, d, k)
+            psi = support_transform(np.where(wt == k, psi_hat, 0), q, n, +1)
+            for positions in itertools.combinations(range(1, n + 1), k):
+                ranks, rhs = support_rhs(zero_sphere, lower, positions, h)
+                gap = np.max(np.abs(psi[ranks] + rhs))
+                assert gap <= 1e-12 * np.max(np.abs(rhs)), (q, n, h, d, k, positions, gap)
+            layers += 1
+    assert layers >= 150
+
+
+def test_tensor_path_selection():
+    cells = load_cells()
+    # every ball-wide and cli-roundtrip cell stays on the per-support path
+    for q, n in cells.BALL_QN:
+        assert not any(recon._tensor_path(q, n, d) for d in cells.BALL_RADII), (q, n)
+    for q, n, h in cells.CLI_CELLS:
+        assert not recon._tensor_path(q, n, h)
+    # every full-cap cell takes the tensor path
+    for q, n, h in cells.FULL_CAP_CELLS:
+        assert recon._tensor_path(q, n, h)
+    # inside the default state cap only q <= 6 ever selects it, so no dense
+    # q x q kernel is built above DENSE_MAX_Q
+    cap = DEFAULT_MAX_STATES
+    chosen = set()
+    for q in range(3, cap + 1):
+        n = 1
+        while q**n <= cap:
+            if any(recon._tensor_path(q, n, d) for d in range(n + 1)):
+                chosen.add(q)
+            n += 1
+    assert chosen == {3, 4, 5, 6} and max(chosen) <= DENSE_MAX_Q
 
 
 def test_layer_rhs_matches_per_support_reference_at_cap_scale():

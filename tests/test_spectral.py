@@ -6,7 +6,13 @@ import pytest
 
 import hamrecon as hr
 from hamrecon.scheme import digits_table, weight_ranks, weight_table
-from hamrecon.spectral import DENSE_MAX_Q, axis_transform, full_support_transform
+from hamrecon.spectral import (
+    DENSE_MAX_Q,
+    axis_transform,
+    full_support_transform,
+    superset_transform,
+    support_transform,
+)
 
 from helpers import eigfn, params, tol_for
 from oracles import project_by_distance, sphere, vertex_json_text
@@ -76,6 +82,30 @@ def test_axis_transform_matches_character_sums():
             got = full_support_transform(rows, q, n, sign)
             assert got.shape == (2, 3, (q - 1) ** n)
             assert np.max(np.abs(got - expect[..., full_rows])) <= 1e-9 * q**n, (q, n, sign)
+
+
+def test_support_transform_matches_block_character_sums():
+    # words of one support only, each pair weighed by the (q-1)-ary character
+    # of their digits less one; the superset variant against brute-force
+    # sums over the words that agree on the support
+    for q, n in ((3, 3), (4, 3), (5, 2), (7, 2), (3, 5)):
+        words = digits_table(q, n)
+        nonzero = words != 0
+        same_block = np.all(nonzero[:, None, :] == nonzero[None, :, :], axis=2)
+        phase = (((words - 1) * nonzero) @ ((words - 1) * nonzero).T) % (q - 1)
+        chars = np.where(same_block, np.exp(2j * np.pi * phase / (q - 1)), 0)
+        agree = np.all(~nonzero[:, None, :] | (words[:, None, :] == words[None, :, :]), axis=2)
+        rng = np.random.default_rng(q * 10 + n)
+        rows = rng.normal(size=(2, q**n)) + 1j * rng.normal(size=(2, q**n))
+        block_size = (q - 1.0) ** nonzero.sum(axis=1)
+        forward = support_transform(rows, q, n, -1)
+        assert np.max(np.abs(forward - rows @ chars.conj().T)) <= 1e-9 * q**n, (q, n)
+        inverse = support_transform(rows, q, n, +1)
+        assert np.max(np.abs(inverse - (rows @ chars.T) / block_size)) <= 1e-9 * q**n, (q, n)
+        assert np.max(np.abs(support_transform(forward, q, n, +1) - rows)) <= 1e-12 * q**n
+        supersets = rows @ agree.T
+        got = superset_transform(rows, q, n)
+        assert np.max(np.abs(got - supersets @ chars.conj().T)) <= 1e-9 * q**n, (q, n)
 
 
 def test_fourier_inversion_and_delta():
