@@ -26,7 +26,8 @@ cannot read.
 
 ``generate`` and ``reconstruct`` stream their JSON from the value array in
 bounded chunks, the same bytes as the stdlib's indented ``json.dumps``; a
-write that fails part way removes the output file.
+write that fails part way removes the output file.  An ``--output`` that
+cannot be opened for writing exits 64.
 
 Exit codes: 0 success (conditions pass), 1 ``verify`` round-trip error
 above ``--tolerance``, 2 conditions fail, 3 input data inconsistent, 64
@@ -188,8 +189,11 @@ def _emit(pieces: Iterable[str], path: str | None) -> None:
     if path is None:
         sys.stdout.writelines(pieces)
         return
-    # opened outside the try: a file that cannot be opened is not ours to remove
-    out = open(path, "w")
+    # opened outside the removal: a file that cannot be opened is not ours to remove
+    try:
+        out = open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot open {path} for writing: {exc.strerror}") from None
     try:
         with out:
             out.writelines(pieces)

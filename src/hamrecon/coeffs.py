@@ -18,27 +18,24 @@ factor as a power series.  Three closed forms read it:
 * transfer coefficients  r_{ij}  = (-1)^i sum_l C(k-i, l) (q-2)^l K(j-i-l; h-k, n-k-h),
   the y^j coefficient of (-y)^i (1+(q-2)y)^(k-i) (1-y)^(h-k) (1+(q-1)y)^(n-k-h);
 * nondegeneracy sums     sums[l] = K(d-k; h-k, n-k-h+l);
-* Psi multipliers        lam[l]  = K(d-k; h-l, n-k-h+l);
 * lift multipliers       W[j][l] = (1-q)^(k-j) K(d-2k+j; h-k, n-k-h+l),  j < k.
 
 The layer operator for weight-k recovery is M = sum_i r_{i,d-k} D_i taken
 inside the (q-1)-ary k-dimensional sub-scheme carried by the full-support
 set S^I.  Its eigenvalue on the l-th sub-scheme eigenspace is sums[l] =
 sum_i r_{i,d-k} P_i(l; k) over alphabet q-1, and M is invertible iff
-every sums[l] is nonzero.  The same column over the whole q-ary k-face
-gives lam[l].  Both sums over i fold into the series by one substitution,
-x = 1 + (q-2)y and y -> -y, in the generating functions of the two
-Krawtchouk rows:
+every sums[l] is nonzero.  The sum over i folds into the series by one
+substitution, x = 1 + (q-2)y and y -> -y, in the generating function of
+the Krawtchouk row over alphabet q-1:
 
-    sum_i P_i(l; k) (-y)^i (1+(q-2)y)^(k-i) = (1+(q-1)y)^l             (alphabet q-1)
-                                            = (1+(q-1)y)^l (1-y)^(k-l)  (alphabet q)
+    sum_i P_i(l; k) (-y)^i (1+(q-2)y)^(k-i) = (1+(q-1)y)^l
 
 (MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 5 sec. 7).
 The lift multipliers carry Psi from the recovered values of a smaller
 support J ⊊ I, |J| = j, to the layer on I.  A word of support J lies at
 distance (k - j) + s from a full-support word of I, s its (q-1)-ary
 distance on J, so column entry r_{k-j+s,d-k} weighs the s-th (q-1)-ary
-distance matrix on J; on a J-frequency of weight l that sum is the first
+distance matrix on J; on a J-frequency of weight l that sum is the
 row above with i = k-j+s, shifted by (-y)^(k-j).  A function on the
 J-block, spread constantly over the other k - j axes of I, has its
 transform multiplied by (q-1)^(k-j), hence W.
@@ -128,18 +125,6 @@ def eigen_sums(q: int, n: int, h: int, d: int, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def psi_multipliers(q: int, n: int, h: int, d: int, k: int) -> tuple[int, ...]:
-    """lam[l] = sum_i r_{i,d-k} P_i(l; k) over alphabet q = K(d-k; h-l, n-k-h+l).
-
-    The eigenvalues of sum_i r_{i,d-k} D_i on the whole q-ary k-face, the
-    operator Psi applies: it multiplies a weight-l frequency of the face by
-    lam[l].  Unlike :func:`eigen_sums` these are never tested for zero.
-    """
-    _check_layer(n, h, d, k)
-    return tuple(krawtchouk_series(q, d - k, h - l, n - k - h + l) for l in range(k + 1))
-
-
-@lru_cache(maxsize=None)
 def lift_multipliers(q: int, n: int, h: int, d: int, k: int) -> tuple[tuple[int, ...], ...]:
     """W[j][l] = (q-1)^(k-j) sum_s r_{k-j+s,d-k} P_s(l; j) over alphabet q-1, for j < k.
 
@@ -225,7 +210,7 @@ def layer_column(q: int, n: int, h: int, d: int, k: int) -> tuple[int, ...]:
 
     The k-face has components i = 0..k, and r_{ij} = 0 for i > j.  Only
     the oracles build M from its column; recovery reads M's eigenvalues
-    from :func:`eigen_sums` and :func:`psi_multipliers`.
+    from :func:`eigen_sums`.
     """
     return tuple(coefficient(q, n, h, k, i, d - k) for i in range(min(k, d - k) + 1))
 

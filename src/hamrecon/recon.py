@@ -14,52 +14,42 @@ Two algorithms, both linear in the data:
     the given sphere, Psi applies the same coefficients r_{i,d-k} to the
     already-known values of weight < k on the q-ary k-face, read at S^I,
     and M = sum_i r_{i,d-k} D_i lives in the (q-1)-ary k-dimensional
-    sub-scheme algebra.  Both operators are combinations of distance
-    matrices, so both are diagonal in a Fourier basis: Psi is a forward
-    transform of the face, a multiply by the exact face eigenvalues
-    (``coeffs.psi_multipliers``) and an inverse read only at S^I; M is
-    inverted by a transform, a division by the nondegeneracy sums and a
-    transform back.  The solver refuses layers whose nondegeneracy sum
-    vanishes.  The top layer k = d needs none of this: its column is (1,),
-    so M is the identity, Psi vanishes on S^I, and the sphere values are
-    the layer.
+    sub-scheme algebra.  The top layer k = d needs no solve: its column is
+    (1,), so M is the identity, Psi vanishes on S^I, and the sphere values
+    are the layer.
 
-    M is the same for all C(n, k) supports of a layer; only the right-hand
-    side changes.  So a layer is one batched problem: the supports are
-    stacked on a leading axis and Phi (one gather), Psi and the solve are
-    whole-array passes over the stack.  The stack is cut into chunks of at
-    most ``_CHUNK_WORDS`` complex words, transform buffers and gather axes
-    included, so peak memory does not grow with C(n, k).
+    Both drivers hold the ball in the support-spectral basis while they
+    solve: block J, the words of support exactly J (f(0) for J empty), is
+    transformed with the (q-1)-ary transform on its own axes, and block J
+    at frequency v is written as one word, digit 0 off J and v_i + 1 on J.
+    There M is diagonal, with the exact nondegeneracy sums[l] on the
+    frequencies of weight l (the count of digits >= 2); the solver divides
+    by them and refuses a layer whose sum vanishes.  And Psi is a lift: a
+    word x of the face on I with support J lies at distance
+    (k - |J|) + dist_J(a, x) from a full-support word a of I, so Psi on I
+    sums, over J ⊊ I, the (q-1)-ary distance operators of block J weighed
+    by column entries shifted by k - |J| and spread over the rest of I.  A
+    block at frequency v thus reaches every block I ⊋ J at the same v times
+    the exact integer ``coeffs.lift_multipliers`` W[|J|][l]: per axis,
+    digit 0 added into digit 1, as in Yates's algorithm.  The lift needs no
+    eigenfunction structure, so it runs on the q^n tensor or on a stack of
+    k-faces alike.
 
-    When the layers are large the same solve runs as passes over the whole
-    q^n tensor instead, by three identities that need no eigenfunction
-    structure:
+    The per-support driver solves a layer as one batched problem, since M
+    is the same for all C(n, k) supports: Phi is one gather and one
+    (q-1)-ary transform, Psi the lift of the gathered faces.  The stack is
+    cut into chunks of at most ``_CHUNK_WORDS`` complex words, buffers and
+    gather axes included, so peak memory does not grow with C(n, k).  After
+    the last layer one inverse transform per chunk returns blocks to values.
 
-    * Phi.  Summing the sphere, per axis, over every digit into digit 0
-      (the superset sums of Yates's algorithm) leaves at each word a the
-      total over the words that agree with a on supp(a); the sphere is
-      zero off W_d, so at weight k that total is Phi(a), for every layer
-      at once.
-    * Psi lift.  A word x of the face on I with support J lies at distance
-      (k - |J|) + dist_J(a, x) from a full-support word a of I, so Psi on
-      I is a sum over J ⊊ I of the (q-1)-ary distance operators of the
-      block J (words of support exactly J, f(0) for J empty), weighed by
-      column entries shifted by k - |J| and spread constantly over the rest
-      of I.
-    * Spectral form.  Transform every block J with the (q-1)-ary transform
-      on its own axes (``spectral.support_transform``: per axis digit 0
-      kept, digits 1..q-1 transformed) and write block J at frequency v as
-      one word: digit 0 off J, v_i + 1 on J.  A block at frequency v then
-      reaches every block I ⊋ J at the same v, which is digit 0 added into
-      digit 1 on each axis, weighed by the exact integer
-      ``coeffs.lift_multipliers`` W[|J|][l], l the count of digits >= 2.
-      Layer k is (Phi^ - Psi^) / sums[l] on the weight-k words, and one
-      inverse transform returns every layer below d.
-
-    The tensor path runs when the supports of layers below d hold at
-    least as many face words as the tensor, sum_{k<d} C(n, k) q^k >= q^n;
-    inside the default state cap that happens only for q <= 6, so its
-    dense q x q kernels stay small.  At small d the per-support path,
+    The tensor driver runs every step over the whole tensor.  Summing the
+    sphere, per axis, over every digit into digit 0 (the superset sums)
+    leaves at each word a the total over the words that agree with a on
+    supp(a); the sphere is zero off W_d, so at weight k that is Phi(a),
+    for every layer at once.  It runs when the supports of layers below d
+    hold at least as many face words as the tensor, sum_{k<d} C(n, k) q^k
+    >= q^n; inside the default state cap that happens only for q <= 6, so
+    its dense q x q kernels stay small.  At small d the per-support driver,
     which reads only the ball, is 10 to 100 times faster.
 
 2.  Sphere to everything, for d = h.  After filling the ball, every
@@ -97,7 +87,6 @@ from .coeffs import (
     check_conditions,
     eigen_sums,
     lift_multipliers,
-    psi_multipliers,
 )
 from .krawtchouk import krawtchouk_value
 from .scheme import (
@@ -248,23 +237,37 @@ def _chunks(count: int, words_each: int) -> list[slice]:
 def _layer_words(q: int, n: int, h: int, d: int, k: int) -> int:
     """Complex words one support of layer k keeps live: the larger of Psi and Phi.
 
-    Psi holds the q^k face, its spectrum and the transform's two buffers;
-    Phi holds a value and an index for each of the C(n-k, d-k) (q-1)^d
-    words it sums.
+    Psi holds the q^k face, its weights and its lift; Phi holds a value and
+    an index for each of the C(n-k, d-k) (q-1)^d words it sums.
     """
     psi = 4 * q**k
     phi = 2 * math.comb(n - k, d - k) * (q - 1) ** d
     return max(psi, phi)
 
 
-def _layer_rhs(
-    sphere: np.ndarray, ball: np.ndarray, q: int, n: int, h: int, d: int, supports: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full-support ranks and Phi - Psi of layer k for a stack of supports.
+def _block_transform(
+    values: np.ndarray, q: int, n: int, supports: np.ndarray, sign: int
+) -> None:
+    """In place, the (q-1)-ary transform of each support's block with ``sign``.
 
-    ``sphere`` and ``ball`` are dense value vectors; only the weights
-    below k of ``ball`` are read.  Both results have shape (m, (q-1)^k),
-    with columns ordered like ``_sub_assignments(q, k)``.
+    The block of a support is its words with every digit on the support
+    nonzero; ``sign = +1`` carries the (q-1)^-k factor and inverts ``-1``.
+    """
+    k = supports.shape[1]
+    ranks = (q ** (n - supports)) @ _sub_assignments(q, k).T
+    out = axis_transform(values[ranks], q - 1, k, sign)
+    values[ranks] = out if sign < 0 else out / (q - 1) ** k
+
+
+def _layer_rhs(
+    sphere: np.ndarray, xhat: np.ndarray, q: int, n: int, h: int, d: int, supports: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full-support ranks and Phi - Psi of layer k for a stack of supports, spectrally.
+
+    ``sphere`` holds dense values; ``xhat`` holds the recovered blocks of
+    size below k in the support-spectral basis (larger blocks are not read).
+    The right-hand side comes in each support's (q-1)-ary basis, shape
+    (m, (q-1)^k), columns ordered like ``_sub_assignments(q, k)``.
     """
     m, k = supports.shape
     weights = q ** (n - supports)
@@ -278,26 +281,17 @@ def _layer_rhs(
     tau = comp_weights[:, _supports(n - k, d - k) - 1] @ _sub_assignments(q, d - k).T
     phi = sphere[ranks_full[:, :, None] + tau.reshape(m, 1, -1)].sum(axis=2)
 
-    # Psi: sum_i r_{i,d-k} D_i of the face stack, full-support words zeroed, is
-    # diagonal in the face's Fourier basis; the q^-k of the inverse rides on
-    # the exact multipliers
-    face = ball[weights @ digits_table(q, k).T]
-    face[:, weight_ranks(q, k, k)] = 0
-    lam = psi_multipliers(q, n, h, d, k)
-    multiplier = np.array([x / q**k for x in lam])[weight_table(q, k)]
-    spectrum = axis_transform(face, q, k, sign=-1)
-    spectrum *= multiplier
-    psi = full_support_transform(spectrum, q, k, sign=+1)
-    return ranks_full, phi - psi
+    psi = _lift(xhat[weights @ digits_table(q, k).T], q, n, h, d, k, k)
+    return ranks_full, axis_transform(phi, q - 1, k, sign=-1) - psi[:, weight_ranks(q, k, k)]
 
 
 def _solve_layers(rhs: np.ndarray, q: int, n: int, h: int, d: int, k: int) -> np.ndarray:
-    """Solve M x = rhs for each row of ``rhs``, shape (m, (q-1)^k), spectrally.
+    """Solve M x = rhs for each row of ``rhs``, both in the (q-1)-ary basis.
 
     The operator is a combination of sub-scheme distance matrices, hence
-    diagonal in the sub-scheme Fourier basis with eigenvalue sums[l] on
-    the weight-l component; division by those exact sums inverts it.
-    Refuses (rather than pseudo-inverts) when a sum vanishes.
+    diagonal in that basis with eigenvalue sums[l] on the weight-l
+    component; division by those exact sums inverts it.  Refuses (rather
+    than pseudo-inverts) when a sum vanishes.
     """
     sums = eigen_sums(q, n, h, d, k)
     zeros = [l for l, s in enumerate(sums) if s == 0]
@@ -306,10 +300,7 @@ def _solve_layers(rhs: np.ndarray, q: int, n: int, h: int, d: int, k: int) -> np
             f"layer k={k} is singular: nondegeneracy sum vanishes at levels {zeros}",
             report=check_conditions(q, n, h, d),
         )
-    sub_q = q - 1
-    divisors = np.array([float(s) for s in sums])[weight_table(sub_q, k)]
-    spectrum = axis_transform(rhs, sub_q, k, sign=-1) / divisors
-    return axis_transform(spectrum, sub_q, k, sign=+1) / sub_q**k
+    return rhs / np.array([float(s) for s in sums])[weight_table(q - 1, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +314,11 @@ def layer_rhs(sphere: SphereData, partial: VertexFunction, positions, h: int) ->
     d-k from a; every word it touches has total weight exactly d (the k
     nonzero digits of a plus d-k fresh nonzero digits off its support),
     so Phi is readable from the sphere alone.  Psi(a) combines the
-    already-reconstructed values of weight < k inside the face through
-    the same coefficient column: the partial ball is gathered on the
-    q-ary k-face, its full-support words (weight k, not yet known) are
-    zeroed, and sum_i r_{i,d-k} D_i of that face is read at the
-    full-support words.  That operator is applied in the face's Fourier
-    basis, as one forward transform, one multiply by the exact
-    eigenvalues of :func:`coeffs.psi_multipliers` and one inverse
-    transform evaluated at the full-support words only.  Values of
-    weight >= k in ``partial`` are therefore ignored.
+    already-reconstructed values of weight < k inside the q-ary k-face
+    through the same coefficient column, applied as the lift of the
+    module docstring: the blocks of the face below k are transformed, and
+    the right-hand side is transformed back, so both sides of the call are
+    values.  Values of weight >= k in ``partial`` are ignored.
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
@@ -339,9 +326,12 @@ def layer_rhs(sphere: SphereData, partial: VertexFunction, positions, h: int) ->
     k = len(pos)
     if not 1 <= k <= d:
         raise ValueError(f"support size {k} outside [1, d={d}]")
-    supports = np.array([pos], dtype=np.int64)
-    _, rhs = _layer_rhs(sphere.values, partial.values, q, n, h, d, supports)
-    return LayerSystem(positions=pos, rhs=rhs[0])
+    xhat = np.where(weight_table(q, n) < k, partial.values, 0)
+    for j in range(1, k):
+        _block_transform(xhat, q, n, np.array(pos)[_supports(k, j) - 1], sign=-1)
+    _, rhs = _layer_rhs(sphere.values, xhat, q, n, h, d, np.array([pos], dtype=np.int64))
+    rhs = axis_transform(rhs[0], q - 1, k, sign=+1) / (q - 1) ** k
+    return LayerSystem(positions=pos, rhs=rhs)
 
 
 def solve_layer(system: LayerSystem, q: int, n: int, h: int, d: int) -> np.ndarray:
@@ -349,7 +339,9 @@ def solve_layer(system: LayerSystem, q: int, n: int, h: int, d: int) -> np.ndarr
 
     Refuses with :class:`ConditionError` when a nondegeneracy sum vanishes.
     """
-    solution = _solve_layers(system.rhs[None, :], q, n, h, d, len(system.positions))[0]
+    k = len(system.positions)
+    spectrum = _solve_layers(axis_transform(system.rhs, q - 1, k, sign=-1), q, n, h, d, k)
+    solution = axis_transform(spectrum, q - 1, k, sign=+1) / (q - 1) ** k
     system.solution = solution
     return solution
 
@@ -378,50 +370,65 @@ def _layers_by_support(sphere: SphereData, h: int, origin: complex) -> np.ndarra
         for chunk in _chunks(len(supports), _layer_words(q, n, h, d, k)):
             ranks, rhs = _layer_rhs(sphere.values, values, q, n, h, d, supports[chunk])
             values[ranks] = _solve_layers(rhs, q, n, h, d, k)
+    # every layer lifts the blocks below it, so they leave the spectral basis
+    # last; a support holds its ranks, its values and two transform buffers
+    for k in range(1, d):
+        supports = _supports(n, k)
+        for chunk in _chunks(len(supports), 5 * (q - 1) ** k):
+            _block_transform(values, q, n, supports[chunk], sign=+1)
     return values
 
 
 @lru_cache(maxsize=None)
-def _support_codes(q: int, n: int) -> np.ndarray:
-    """j + (n+1) l per word, j its nonzero digits and l its digits >= 2, by broadcasting.
+def _support_codes(q: int, axes: int) -> np.ndarray:
+    """j + (axes+1) l per word, j its nonzero digits and l its digits >= 2, by broadcasting.
 
     In the support-spectral basis j is the size of a word's block and l the
     weight of its (q-1)-ary frequency.
     """
-    axis = np.array([0, 1] + [n + 2] * (q - 2), dtype=np.int16)
+    axis = np.array([0, 1] + [axes + 2] * (q - 2), dtype=np.int16)
     codes = np.zeros(1, dtype=np.int16)
-    for _ in range(n):
+    for _ in range(axes):
         codes = (codes[:, None] + axis).reshape(-1)
     codes.setflags(write=False)
     return codes
 
 
-def _add_up_blocks(t: np.ndarray, q: int, n: int) -> None:
-    """In place, per axis digit 1 += digit 0.
+def _add_up_blocks(t: np.ndarray, q: int, axes: int) -> None:
+    """In place, per word axis digit 1 += digit 0, batched over leading axes.
 
     Each word then holds the sum over the words that equal it but for some
     of its digits 1 turned to 0: in the support-spectral basis, every block
     inside its own at the same frequency.
     """
-    for axis in range(n):
-        view = t.reshape(q**axis, q, q ** (n - 1 - axis))
-        view[:, 1] += view[:, 0]
+    for axis in range(axes):
+        view = t.reshape(-1, q**axis, q, q ** (axes - 1 - axis))
+        view[:, :, 1] += view[:, :, 0]
 
 
-def _lift(xhat: np.ndarray, q: int, n: int, h: int, d: int, k: int) -> np.ndarray:
-    """Psi of layer k in the support-spectral basis, read at the weight-k words.
-
-    ``xhat`` holds the recovered blocks of size below k, transformed; each
-    is weighed by :func:`coeffs.lift_multipliers` and added into every block
-    that contains it at the same frequency, which is digit 0 added into
-    digit 1 on each axis.  Blocks of size k or more are not read.
-    """
-    width = n + 1
-    table = np.zeros(width * width)
+@lru_cache(maxsize=None)
+def _lift_table(q: int, n: int, h: int, d: int, k: int) -> np.ndarray:
+    """:func:`coeffs.lift_multipliers` W[j][l] as floats at [l, j], zero for j >= k."""
+    table = np.zeros((n + 1, n + 1))
     for j, row in enumerate(lift_multipliers(q, n, h, d, k)):
-        table[j + width * np.arange(j + 1)] = [float(w) for w in row]
-    psi = xhat * table[_support_codes(q, n)]
-    _add_up_blocks(psi, q, n)
+        table[: j + 1, j] = [float(w) for w in row]
+    table.setflags(write=False)
+    return table
+
+
+def _lift(xhat: np.ndarray, q: int, n: int, h: int, d: int, k: int, axes: int) -> np.ndarray:
+    """Psi of layer k in the support-spectral basis over the last ``axes`` word axes.
+
+    ``xhat`` holds the recovered blocks of size below k, transformed: the
+    whole q^n tensor (``axes = n``) or a stack of k-faces (``axes = k``).
+    Each block is weighed by :func:`coeffs.lift_multipliers` and added into
+    every block that contains it at the same frequency, which is digit 0
+    added into digit 1 on each axis.  Blocks of size k or more are not read;
+    Psi is read at the weight-k words.
+    """
+    table = _lift_table(q, n, h, d, k)[: axes + 1, : axes + 1].reshape(-1)
+    psi = xhat * table[_support_codes(q, axes)]
+    _add_up_blocks(psi, q, axes)
     return psi
 
 
@@ -441,7 +448,7 @@ def _layers_by_tensor(sphere: SphereData, h: int, origin: complex) -> np.ndarray
     for k in range(1, d):
         ranks = weight_ranks(q, n, k)
         sums = np.array([float(s) for s in eigen_sums(q, n, h, d, k)])
-        psi_hat = _lift(xhat, q, n, h, d, k)
+        psi_hat = _lift(xhat, q, n, h, d, k, n)
         xhat[ranks] = (phi_hat[ranks] - psi_hat[ranks]) / sums[codes[ranks] // (n + 1)]
     values = support_transform(xhat, q, n, sign=+1)
     # each block maps to itself, so the blocks of size >= d are already zero, some -0.0

@@ -440,3 +440,25 @@ def test_parameter_errors_exit_64_without_output(argv, cause, tmp_path, capsys):
     code, stdout, err = run(capsys, *(paths.get(arg, arg) for arg in argv))
     assert code == 64 and stdout == "" and cause in err, (code, stdout, err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        GEN,
+        ("sweep", "--q", "3", "--n", "3"),
+        ("reconstruct", "--mode", "ball", "--input", "{sphere}"),
+        ("krawtchouk-dump", "--q", "3", "--n", "4"),
+    ],
+    ids=["generate", "sweep", "reconstruct", "krawtchouk-dump"],
+)
+def test_unwritable_output_exits_64_naming_the_path(argv, tmp_path, capsys):
+    # a missing directory and a directory in place of the file: one error line, no traceback
+    sphere = tmp_path / "sphere.json"
+    assert run(capsys, *GEN, "--d", "2", "--output", str(sphere))[0] == 0
+    argv = [str(sphere) if arg == "{sphere}" else arg for arg in argv]
+    for out in (tmp_path / "missing" / "out.json", tmp_path):
+        code, stdout, err = run(capsys, *argv, "--output", str(out))
+        assert code == 64 and stdout == "", (code, stdout, err)
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err, err
+    assert not (tmp_path / "missing").exists()

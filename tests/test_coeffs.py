@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import hamrecon as hr
-from hamrecon.coeffs import layer_column, lift_multipliers, psi_multipliers
+from hamrecon.coeffs import layer_column, lift_multipliers
 from hamrecon.krawtchouk import polymul
 from hamrecon.scheme import digits_table, weight_table
-from hamrecon.spectral import distance_tensor_stack
 
 from helpers import DESK_QN, desk_cells
 
@@ -145,22 +144,18 @@ def test_eigen_sums_are_dense_operator_eigenvalues():
 
 
 def test_layer_eigenvalues_are_column_sums_against_krawtchouk_rows():
-    # sums and multipliers come from the series in closed form; the reference
-    # sums the layer column against P_i(l; k) over alphabets q-1 and q
+    # the sums come from the series in closed form; the reference sums the
+    # layer column against P_i(l; k) over alphabet q-1
     desk = [(q, n, h) for q in range(3, 8) for n in range(1, 11) for h in range(n + 1)]
     for q, n, h in [*desk, *CAP_CELLS]:
         for d in range(1, h + 1):
             for k in range(1, d + 1):
                 column = layer_column(q, n, h, d, k)
-                for alphabet, got in (
-                    (q - 1, hr.eigen_sums(q, n, h, d, k)),
-                    (q, psi_multipliers(q, n, h, d, k)),
-                ):
-                    expect = tuple(
-                        sum(c * hr.krawtchouk_value(alphabet, i, l, k) for i, c in enumerate(column))
-                        for l in range(k + 1)
-                    )
-                    assert got == expect, (alphabet, q, n, h, d, k)
+                expect = tuple(
+                    sum(c * hr.krawtchouk_value(q - 1, i, l, k) for i, c in enumerate(column))
+                    for l in range(k + 1)
+                )
+                assert hr.eigen_sums(q, n, h, d, k) == expect, (q, n, h, d, k)
 
 
 def test_lift_multipliers_are_shifted_column_sums():
@@ -185,32 +180,6 @@ def test_lift_multipliers_are_shifted_column_sums():
                         assert type(got) is int and got == expect, (q, n, h, d, k, j, l)
                         entries += 1
     assert entries > 10000
-
-
-def test_psi_multipliers_are_face_operator_eigenvalues():
-    # lam[l] is the eigenvalue of sum_i column[i] D_i on a weight-l character of
-    # the q-ary k-face, for every layer of every passing desk and cap-scale cell
-    cap = [(q, n, h, h) for q, n, h in CAP_CELLS]
-    layers = {
-        (q, n, h, d, k)
-        for q, n, h, d in [*desk_cells(), *cap]
-        if d and hr.check_conditions(q, n, h, d).passed
-        for k in range(1, d + 1)
-    }
-    for q, n, h, d, k in sorted(layers):
-        lam = psi_multipliers(q, n, h, d, k)
-        assert len(lam) == k + 1 and all(type(x) is int for x in lam)
-        column = layer_column(q, n, h, d, k)
-        # one weight-l character per row: beta = (1, .., 1, 0, .., 0)
-        betas = np.tril(np.ones((k + 1, k), dtype=np.int64), -1)
-        chars = np.exp(2j * np.pi * ((betas @ digits_table(q, k).T) % q) / q)
-        tensors = distance_tensor_stack(chars, q, k, len(column) - 1)
-        applied = sum(float(c) * t for c, t in zip(column, tensors)).reshape(chars.shape)
-        expect = np.array([float(x) for x in lam])[:, None] * chars
-        # |D_i| <= C(k, i) (q-1)^i, the size of a distance-i sphere in the face
-        scale = 1 + sum(abs(c) * math.comb(k, i) * (q - 1) ** i for i, c in enumerate(column))
-        assert np.max(np.abs(applied - expect)) <= 1e-12 * float(scale), (q, n, h, d, k)
-    assert len(layers) > 300
 
 
 def test_check_conditions():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hamrecon as hr
-from hamrecon import recon
+from hamrecon import recon, spectral
 from hamrecon.recon import _sub_assignments
 from hamrecon.scheme import (
     DEFAULT_MAX_STATES,
@@ -271,8 +271,9 @@ def test_tensor_path_matches_per_support_reference_at_cap_scale(monkeypatch):
 
 
 def test_tensor_lift_matches_distance_stack_psi():
-    # values that are no eigenfunction on the weights below k: the tensor
-    # route's Psi at every weight-k word against one distance stack per face
+    # values that are no eigenfunction on the weights below k: Psi at every
+    # weight-k word, from the lift over the whole tensor and from the lift over
+    # each layer's stack of faces, against one distance stack per face
     layers = 0
     for q, n, h, d in desk_cells():
         p = params(q, n)
@@ -282,12 +283,21 @@ def test_tensor_lift_matches_distance_stack_psi():
         for k in range(1, d):
             raw = rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
             lower = np.where(wt < k, raw, 0)
-            psi_hat = recon._lift(support_transform(lower, q, n, -1), q, n, h, d, k)
+            xhat = support_transform(lower, q, n, -1)
+            psi_hat = recon._lift(xhat, q, n, h, d, k, n)
             psi = support_transform(np.where(wt == k, psi_hat, 0), q, n, +1)
-            for positions in itertools.combinations(range(1, n + 1), k):
-                ranks, rhs = support_rhs(zero_sphere, lower, positions, h)
+            supports = recon._supports(n, k)
+            stack_ranks, stack_rhs = recon._layer_rhs(
+                zero_sphere.values, xhat, q, n, h, d, supports
+            )
+            for index, positions in enumerate(supports):
+                ranks, rhs = support_rhs(zero_sphere, lower, tuple(positions), h)
                 gap = np.max(np.abs(psi[ranks] + rhs))
                 assert gap <= 1e-12 * np.max(np.abs(rhs)), (q, n, h, d, k, positions, gap)
+                rhs_hat = axis_transform(rhs, q - 1, k, -1)
+                assert np.array_equal(stack_ranks[index], ranks)
+                gap = np.max(np.abs(stack_rhs[index] - rhs_hat))
+                assert gap <= 1e-12 * np.max(np.abs(rhs_hat)), (q, n, h, d, k, positions, gap)
             layers += 1
     assert layers >= 150
 
@@ -316,22 +326,49 @@ def test_tensor_path_selection():
 
 
 def test_layer_rhs_matches_per_support_reference_at_cap_scale():
-    # the spectral Psi against one distance stack per face, on the first, a
-    # middle and the last support of every layer of two cap-scale cells
+    # the lifted Psi on a face stack against one distance stack per face, on
+    # the first, a middle and the last support of every layer of two
+    # cap-scale cells, in each support's (q-1)-ary basis
     for q, n, h in ((3, 10, 8), (4, 8, 8)):
         f = eigfn(q, n, h)
         sphere = hr.SphereData.from_function(f, h)
+        xhat = support_transform(f.values, q, n, -1)
         for k in range(1, h + 1):
             supports = recon._supports(n, k)
             for index in sorted({0, len(supports) // 2, len(supports) - 1}):
                 positions = tuple(int(p) for p in supports[index])
                 ranks, rhs = recon._layer_rhs(
-                    sphere.values, f.values, q, n, h, h, supports[index : index + 1]
+                    sphere.values, xhat, q, n, h, h, supports[index : index + 1]
                 )
                 ref_ranks, ref_rhs = support_rhs(sphere, f.values, positions, h)
+                ref_hat = axis_transform(ref_rhs, q - 1, k, -1)
                 assert np.array_equal(ranks[0], ref_ranks)
-                gap = np.max(np.abs(rhs[0] - ref_rhs))
-                assert gap <= 1e-10 * np.max(np.abs(ref_rhs)), (q, n, h, k, positions, gap)
+                gap = np.max(np.abs(rhs[0] - ref_hat))
+                assert gap <= 1e-10 * np.max(np.abs(ref_hat)), (q, n, h, k, positions, gap)
+
+
+def test_large_alphabet_layers_round_trip_without_dense_kernels(monkeypatch):
+    # per-support layers above DENSE_MAX_Q: every transform of the recovery,
+    # the (q-1)-ary ones included, takes the FFT branch
+    built = []
+    group_kernel = spectral._group_kernel
+
+    def recorded(q, g, kind, sign):
+        built.append(q)
+        return group_kernel(q, g, kind, sign)
+
+    monkeypatch.setattr(spectral, "_group_kernel", recorded)
+    for q, n, h, d in ((23, 3, 3, 3), (37, 3, 3, 2), (256, 2, 2, 2)):
+        assert not recon._tensor_path(q, n, d)
+        f = eigfn(q, n, h)
+        sphere = hr.SphereData.from_function(f, d)
+        if d == h:
+            err = np.max(np.abs(hr.reconstruct_full(sphere, h).values - f.values))
+        else:
+            mask = _ball_mask(q, n, d)
+            err = np.max(np.abs(hr.reconstruct_ball(sphere, h).values[mask] - f.values[mask]))
+        assert err <= 1e-8 * f.max_abs(), (q, n, h, d, err)
+    assert all(q <= DENSE_MAX_Q for q in built), sorted(set(built))
 
 
 def test_eta_spectrum_is_diagonal_on_full_support_rows():
