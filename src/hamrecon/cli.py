@@ -27,7 +27,9 @@ cannot read.
 ``generate`` and ``reconstruct`` stream their JSON from the value array in
 bounded chunks, the same bytes as the stdlib's indented ``json.dumps``; a
 write that fails part way removes the output file.  An ``--output`` that
-cannot be opened for writing exits 64.
+cannot be opened for writing exits 64 before any work.  The file is
+truncated only once the output is ready, so a run that fails before then
+(exit 2, 3 or 64) leaves no new file and a file that was there untouched.
 
 Exit codes: 0 success (conditions pass), 1 ``verify`` round-trip error
 above ``--tolerance``, 2 conditions fail, 3 input data inconsistent, 64
@@ -44,7 +46,7 @@ import math
 import os
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 import numpy as np
@@ -184,21 +186,36 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(pieces: Iterable[str], path: str | None) -> None:
-    """Write the pieces to stdout, or to the file at ``path``, which a failed write removes."""
+def _emit(make_pieces: Callable[[], Iterable[str]], path: str | None) -> None:
+    """Write the pieces ``make_pieces`` returns to stdout, or to the file at ``path``.
+
+    The file is opened before ``make_pieces`` runs, so a path that cannot be
+    opened exits 64 before any work.  It is truncated only once the pieces
+    are ready: a run that fails before then removes a file it created and
+    leaves a file that was there as it was, and a write that fails part way
+    removes the file.
+    """
     if path is None:
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines(make_pieces())
         return
     # opened outside the removal: a file that cannot be opened is not ours to remove
     try:
-        out = open(path, "w")
+        try:
+            out, created = open(path, "x"), True
+        except FileExistsError:
+            out, created = open(path, "r+"), False
     except OSError as exc:
         raise UsageError(f"cannot open {path} for writing: {exc.strerror}") from None
+    writing = False
     try:
         with out:
+            pieces = make_pieces()
+            writing = True
+            out.truncate()
             out.writelines(pieces)
     except BaseException:
-        os.remove(path)
+        if created or writing:
+            os.remove(path)
         raise
 
 
@@ -238,19 +255,21 @@ def run_sweep(args: argparse.Namespace) -> int:
                     f"{q},{n},{h},{d},{str(report.passed).lower()},{kind},"
                     f"{first_k},{first_l},{report.origin_value}"
                 )
-    _emit(["\n".join(lines) + "\n"], args.output)
+    _emit(lambda: ["\n".join(lines) + "\n"], args.output)
     return EXIT_OK
 
 
 def run_generate(args: argparse.Namespace) -> int:
     if args.q > 10:
         raise UsageError(f"text form of words needs q <= 10, got q={args.q}")
-    f = random_eigenfunction(SchemeParams(args.q, args.n), args.h, args.seed)
-    if args.d is None:
-        pieces = vertex_json_chunks(f.params, f.values, f.eigenindex)
-    else:
+
+    def pieces() -> Iterable[str]:
+        f = random_eigenfunction(SchemeParams(args.q, args.n), args.h, args.seed)
+        if args.d is None:
+            return vertex_json_chunks(f.params, f.values, f.eigenindex)
         sphere = SphereData.from_function(f, args.d)
-        pieces = vertex_json_chunks(sphere.params, sphere.values, sphere.eigenindex, sphere.d)
+        return vertex_json_chunks(sphere.params, sphere.values, sphere.eigenindex, sphere.d)
+
     _emit(pieces, args.output)
     return EXIT_OK
 
@@ -258,31 +277,24 @@ def run_generate(args: argparse.Namespace) -> int:
 def run_reconstruct(args: argparse.Namespace) -> int:
     if args.oracle_eta and args.mode == "ball":
         raise UsageError("--oracle-eta acts in full mode only")
-    try:
-        sphere = SphereData.from_dict(json.loads(Path(args.input).read_text()))
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"cannot read sphere data from {args.input}: {exc}") from None
-    if sphere.params.q > 10:
-        # the result could not be written, so refuse before the solve
-        raise UsageError(f"text form of words needs q <= 10, got q={sphere.params.q}")
-    h = sphere.eigenindex
-    if h is None:
-        raise UsageError("input data does not carry an eigenvalue index")
-    summary: dict = {
-        "command": "reconstruct",
-        "mode": args.mode,
-        "q": sphere.params.q,
-        "n": sphere.params.n,
-        "h": h,
-        "d": sphere.d,
-        "output": args.output,
-    }
-    if args.mode == "ball":
-        ball = reconstruct_ball(sphere, h)
-        pieces = vertex_json_chunks(ball.params, ball.values, h, sphere.d)
-    else:
+    summary: dict = {"command": "reconstruct", "mode": args.mode, "output": args.output}
+
+    def pieces() -> Iterable[str]:
+        try:
+            sphere = SphereData.from_dict(json.loads(Path(args.input).read_text()))
+        except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"cannot read sphere data from {args.input}: {exc}") from None
+        if sphere.params.q > 10:
+            # the result could not be written, so refuse before the solve
+            raise UsageError(f"text form of words needs q <= 10, got q={sphere.params.q}")
+        h = sphere.eigenindex
+        if h is None:
+            raise UsageError("input data does not carry an eigenvalue index")
+        summary.update(q=sphere.params.q, n=sphere.params.n, h=h, d=sphere.d)
+        if args.mode == "ball":
+            ball = reconstruct_ball(sphere, h)
+            return vertex_json_chunks(ball.params, ball.values, h, sphere.d)
         out = reconstruct_full(sphere, h)
-        pieces = vertex_json_chunks(out.params, out.values, out.eigenindex)
         if args.oracle_eta:
             gap = eta_discrepancy(out, h)
             summary["eta_oracle_max_discrepancy"] = gap
@@ -290,6 +302,8 @@ def run_reconstruct(args: argparse.Namespace) -> int:
                 raise DataInconsistencyError(
                     f"eta oracle disagrees with the closed form by {gap:.3e}"
                 )
+        return vertex_json_chunks(out.params, out.values, out.eigenindex)
+
     _emit(pieces, args.output)
     _print_json(summary)
     return EXIT_OK
@@ -363,7 +377,7 @@ def run_krawtchouk_dump(args: argparse.Namespace) -> int:
     lines = ["i," + ",".join(str(t) for t in range(args.n + 1))]
     for i, row in enumerate(krawtchouk_table(args.q, args.n)):
         lines.append(f"{i}," + ",".join(str(v) for v in row))
-    _emit(["\n".join(lines) + "\n"], args.output)
+    _emit(lambda: ["\n".join(lines) + "\n"], args.output)
     return EXIT_OK
 
 

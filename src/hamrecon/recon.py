@@ -42,15 +42,22 @@ Two algorithms, both linear in the data:
     gather axes included, so peak memory does not grow with C(n, k).  After
     the last layer one inverse transform per chunk returns blocks to values.
 
-    The tensor driver runs every step over the whole tensor.  Summing the
+    The tensor driver holds the whole ball as one q^n tensor.  Summing the
     sphere, per axis, over every digit into digit 0 (the superset sums)
     leaves at each word a the total over the words that agree with a on
-    supp(a); the sphere is zero off W_d, so at weight k that is Phi(a),
-    for every layer at once.  It runs when the supports of layers below d
-    hold at least as many face words as the tensor, sum_{k<d} C(n, k) q^k
-    >= q^n; inside the default state cap that happens only for q <= 6, so
-    its dense q x q kernels stay small.  At small d the per-support driver,
-    which reads only the ball, is 10 to 100 times faster.
+    supp(a); the sphere is zero off W_d, so at weight k < d that is Phi(a),
+    for every layer at once, and at weight d it is the sphere itself, so the
+    same pass also gives the top layer.  Each layer k takes Psi from
+    whichever is smaller: the lift of its C(n, k) gathered k-faces, as the
+    per-support driver does, when C(n, k) q^k < q^n, and the lift of the
+    whole tensor otherwise.  At (3, 10) that is the faces for k <= 4, whose
+    lift costs 4 to 70 times less than the tensor's (warm, one BLAS
+    thread: 11 to 200 us against 0.8 ms).  The driver runs when the
+    supports of layers below d hold at least as many face words as the
+    tensor, sum_{k<d} C(n, k) q^k >= q^n; inside the default state cap that
+    happens only for q <= 6, so its dense q x q kernels stay small.  At
+    small d the per-support driver, which reads only the ball, is 10 to 100
+    times faster.
 
 2.  Sphere to everything, for d = h.  After filling the ball, every
     Fourier coefficient on the weight-h sphere is a character-weighted
@@ -60,10 +67,14 @@ Two algorithms, both linear in the data:
         eta = q^(n-2h) * sum_j (-1)^j (q-1)^(h-j) v_j .
 
     On the full-support frequencies of a face this combination is the
-    integer q^(n-h) times the face's own transform, so the coefficients
-    come from one batched transform of the ball values on all C(n, h)
-    faces (in the same chunks).  The transform vanishes off the weight-h
-    sphere, so one inverse Fourier transform finishes the job.
+    integer q^(n-h) times the face's own transform.  On the per-support
+    driver the coefficients come from one batched transform of the ball
+    values on all C(n, h) faces (in the same chunks).  The tensor driver
+    never turns its ball back into values: one pass of
+    ``spectral.face_transform`` over the support-spectral ball gives every
+    face transform at once, each read at the words of its own support
+    (Yates's algorithm).  The transform vanishes off the weight-h sphere,
+    so one inverse Fourier transform finishes the job.
 
 All data vectors are dense complex arrays indexed by word rank; every
 combinatorial coefficient stays exact until the moment it multiplies
@@ -102,6 +113,7 @@ from .spectral import (
     VertexFunction,
     axis_transform,
     distance_tensor_stack,
+    face_transform,
     full_support_transform,
     inverse_fourier,
     read_vertex_dict,
@@ -281,8 +293,8 @@ def _layer_rhs(
     tau = comp_weights[:, _supports(n - k, d - k) - 1] @ _sub_assignments(q, d - k).T
     phi = sphere[ranks_full[:, :, None] + tau.reshape(m, 1, -1)].sum(axis=2)
 
-    psi = _lift(xhat[weights @ digits_table(q, k).T], q, n, h, d, k, k)
-    return ranks_full, axis_transform(phi, q - 1, k, sign=-1) - psi[:, weight_ranks(q, k, k)]
+    psi = _face_psi(xhat, q, n, h, d, supports)
+    return ranks_full, axis_transform(phi, q - 1, k, sign=-1) - psi
 
 
 def _solve_layers(rhs: np.ndarray, q: int, n: int, h: int, d: int, k: int) -> np.ndarray:
@@ -432,28 +444,58 @@ def _lift(xhat: np.ndarray, q: int, n: int, h: int, d: int, k: int, axes: int) -
     return psi
 
 
-def _layers_by_tensor(sphere: SphereData, h: int, origin: complex) -> np.ndarray:
-    """Ball values of weight < d from whole-tensor passes in the support-spectral basis.
+def _face_psi(
+    xhat: np.ndarray, q: int, n: int, h: int, d: int, supports: np.ndarray
+) -> np.ndarray:
+    """Psi of layer k for a stack of supports, from the lift of their k-faces.
 
-    Phi of every layer is the transform of the sphere's superset sums.
-    Layer k is then (Phi - Psi) / sums[l] on the weight-k words of the
-    transformed tensor, and one inverse transform returns every layer.
+    Gathers each support's q-ary k-face out of ``xhat`` (the blocks below k
+    in the support-spectral basis), lifts the stack and reads it at the
+    full-support words: shape (m, (q-1)^k), columns ordered like
+    ``_sub_assignments(q, k)``.
+    """
+    k = supports.shape[1]
+    faces = xhat[(q ** (n - supports)) @ digits_table(q, k).T]
+    return _lift(faces, q, n, h, d, k, k)[:, weight_ranks(q, k, k)]
+
+
+def _layers_by_tensor(sphere: SphereData, h: int, origin: complex) -> np.ndarray:
+    """The ball through weight d in the support-spectral basis, from whole-tensor passes.
+
+    Phi of every layer is the transform of the sphere's superset sums; at
+    weight d those sums are the sphere itself, so the top layer is read off
+    them too.  Layer k is (Phi - Psi) / sums[l] at its weight-k words, with
+    Psi lifted on the C(n, k) k-faces when they hold fewer words than the
+    tensor and on the whole tensor otherwise.
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
     phi_hat = superset_transform(sphere.values, q, n)
-    codes = _support_codes(q, n)
     xhat = np.zeros(params.size, dtype=np.complex128)
     xhat[0] = origin
     for k in range(1, d):
-        ranks = weight_ranks(q, n, k)
-        sums = np.array([float(s) for s in eigen_sums(q, n, h, d, k)])
-        psi_hat = _lift(xhat, q, n, h, d, k, n)
-        xhat[ranks] = (phi_hat[ranks] - psi_hat[ranks]) / sums[codes[ranks] // (n + 1)]
-    values = support_transform(xhat, q, n, sign=+1)
-    # each block maps to itself, so the blocks of size >= d are already zero, some -0.0
-    values[weight_table(q, n) >= d] = 0
-    return values
+        supports = _supports(n, k)
+        ranks = (q ** (n - supports)) @ _sub_assignments(q, k).T
+        if len(supports) * q**k < q**n:
+            psi = _face_psi(xhat, q, n, h, d, supports)
+        else:
+            psi = _lift(xhat, q, n, h, d, k, n)[ranks]
+        xhat[ranks] = _solve_layers(phi_hat[ranks] - psi, q, n, h, d, k)
+    top = sphere.domain_ranks()
+    xhat[top] = phi_hat[top]
+    return xhat
+
+
+def _checked_origin(sphere: SphereData, h: int) -> complex:
+    """f(0), once the exact nondegeneracy conditions of the cell are known to hold."""
+    params = sphere.params
+    q, n, d = params.q, params.n, sphere.d
+    report = check_conditions(q, n, h, d)
+    if not report.passed:
+        raise ConditionError(
+            f"reconstruction conditions fail for (q={q}, n={n}, h={h}, d={d})", report=report
+        )
+    return reconstruct_origin(sphere, h)
 
 
 def reconstruct_ball(sphere: SphereData, h: int) -> VertexFunction:
@@ -470,13 +512,14 @@ def reconstruct_ball(sphere: SphereData, h: int) -> VertexFunction:
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
-    report = check_conditions(q, n, h, d)
-    if not report.passed:
-        raise ConditionError(
-            f"reconstruction conditions fail for (q={q}, n={n}, h={h}, d={d})", report=report
-        )
-    layers = _layers_by_tensor if _tensor_path(q, n, d) else _layers_by_support
-    values = layers(sphere, h, reconstruct_origin(sphere, h))
+    origin = _checked_origin(sphere, h)
+    if _tensor_path(q, n, d):
+        values = support_transform(_layers_by_tensor(sphere, h, origin), q, n, sign=+1)
+        # layer d is the sphere, copied below; each block maps to itself, so the
+        # blocks of size > d are already zero, but some are -0.0
+        values[weight_table(q, n) >= d] = 0
+    else:
+        values = _layers_by_support(sphere, h, origin)
     top = sphere.domain_ranks()
     values[top] = sphere.values[top]
     return VertexFunction(params, values, eigenindex=h)
@@ -548,6 +591,12 @@ def reconstruct_full(sphere: SphereData, h: int) -> VertexFunction:
     q^(n-2h) sum_j (-1)^j (q-1)^(h-j) P_j(h; h) = q^(n-h), because
     P_j(h; h) = (-1)^j C(h, j).  The rest of the spectrum is zero; one
     inverse transform finishes.
+
+    When :func:`_tensor_path` holds, the ball stays in the support-spectral
+    basis and one :func:`spectral.face_transform` pass gives the face
+    transforms of all supports at once, read at W_h; :func:`reconstruct_ball`
+    is not called.  Otherwise the faces of the recovered ball are gathered
+    and transformed in chunks.
     """
     params = sphere.params
     if sphere.d != h:
@@ -559,17 +608,22 @@ def reconstruct_full(sphere: SphereData, h: int) -> VertexFunction:
         return VertexFunction(
             params, np.full(params.size, complex(sphere.values[0])), eigenindex=0
         )
-    ball = reconstruct_ball(sphere, h)
     q, n = params.q, params.n
     fhat = np.zeros(params.size, dtype=np.complex128)
-    full_rows = weight_ranks(q, h, h)
     scale = float(q ** (n - h))
-    faces = _supports(n, h)
-    # per face: ranks (half a word each), values and two transform buffers
-    for chunk in _chunks(len(faces), 4 * q**h):
-        ranks = (q ** (n - faces[chunk])) @ digits_table(q, h).T
-        spectrum = full_support_transform(ball.values[ranks], q, h, sign=-1)
-        fhat[ranks[:, full_rows]] = scale * spectrum
+    if _tensor_path(q, n, h):
+        spectrum = face_transform(_layers_by_tensor(sphere, h, _checked_origin(sphere, h)), q, n)
+        top = sphere.domain_ranks()
+        fhat[top] = scale * spectrum[top]
+    else:
+        ball = reconstruct_ball(sphere, h).values
+        full_rows = weight_ranks(q, h, h)
+        faces = _supports(n, h)
+        # per face: ranks (half a word each), values and two transform buffers
+        for chunk in _chunks(len(faces), 4 * q**h):
+            ranks = (q ** (n - faces[chunk])) @ digits_table(q, h).T
+            spectrum = full_support_transform(ball[ranks], q, h, sign=-1)
+            fhat[ranks[:, full_rows]] = scale * spectrum
     out = inverse_fourier(VertexFunction(params, fhat))
     out.eigenindex = h
     return out

@@ -21,7 +21,11 @@ axes, so the solvers transform a whole stack of faces in one call, and
 :func:`full_support_transform` evaluates it at the full-support words alone.
 The same grouped-gemm loop applies any per-axis kernel, which gives
 :func:`support_transform`, the (q-1)-ary transform of every support block
-of the tensor at once.
+of the tensor at once, and :func:`face_transform`, which takes a function
+in that basis to the transforms of all its faces through the origin at
+once.  Its axis kernel is the inverse support kernel followed by Y, the
+DFT whose output digit 0 reads input digit 0 alone (Yates 1937), so word
+a of the result is the transform of the face of supp(a), read at a.
 
 Combinatorial coefficients are always exact integers and are converted to
 floats only at the point where they multiply complex data.
@@ -120,19 +124,28 @@ def _group_kernel(q: int, g: int, kind: str, sign: int) -> np.ndarray:
     digit 0 and applies the (q-1)-ary one to digits 1..q-1 (digit j as
     j-1), divided by q-1 for ``sign = +1`` so that the two signs are
     inverse to each other; ``"superset"`` first replaces digit 0 by the
-    line total, which sets column 0 of the axis kernel to ones.
+    line total, which sets column 0 of the axis kernel to ones.  ``"face"``
+    is the inverse ``"support"`` axis kernel followed by Y, the
+    ``"fourier"`` axis kernel with column 0 set to e_0, so that output
+    digit 0 reads input digit 0 alone (Yates's algorithm); it is a
+    Kronecker power as well.
     """
-    if kind in ("support", "superset"):
-        axis = np.zeros((q, q), dtype=np.complex128)
-        axis[0, 0] = 1
-        if kind == "superset":
-            axis[1:, 0] = 1
-        axis[1:, 1:] = _group_kernel(q - 1, 1, "fourier", sign) / ((q - 1) if sign > 0 else 1)
-        kernel = reduce(np.kron, [axis] * g)
-    else:
+    if kind in ("fourier", "full_support"):
         words = digits_table(q, g)
         cols = words[np.all(words != 0, axis=1)] if kind == "full_support" else words
         kernel = np.exp(sign * 2j * np.pi * np.arange(q) / q)[(words @ cols.T) % q]
+    else:
+        if kind == "face":
+            y = _group_kernel(q, 1, "fourier", sign).copy()
+            y[1:, 0] = 0
+            axis = _group_kernel(q, 1, "support", +1) @ y
+        else:
+            axis = np.zeros((q, q), dtype=np.complex128)
+            axis[0, 0] = 1
+            if kind == "superset":
+                axis[1:, 0] = 1
+            axis[1:, 1:] = _group_kernel(q - 1, 1, "fourier", sign) / ((q - 1) if sign > 0 else 1)
+        kernel = reduce(np.kron, [axis] * g)
     kernel.setflags(write=False)
     return kernel
 
@@ -218,6 +231,20 @@ def superset_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
     step folds into the transform's axis kernel, so it costs nothing extra.
     """
     return _dense_transform(values, q, n, "superset", -1)
+
+
+def face_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Every face transform at once, from the support-spectral basis.
+
+    ``values`` holds a function f as :func:`support_transform` with
+    ``sign = -1`` leaves it.  Word a of the result holds the forward
+    transform of f on the face of supp(a), read at a:
+    sum over x with supp(x) inside supp(a) of f(x) conj chi_a(x).  One
+    pass: per axis the inverse support kernel, then the Fourier kernel
+    whose output digit 0 reads input digit 0 alone.  Dense kernels only,
+    as for :func:`support_transform`.
+    """
+    return _dense_transform(values, q, n, "face", -1)
 
 
 def fourier_transform(f: VertexFunction) -> VertexFunction:

@@ -462,3 +462,56 @@ def test_unwritable_output_exits_64_naming_the_path(argv, tmp_path, capsys):
         assert code == 64 and stdout == "", (code, stdout, err)
         assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err, err
     assert not (tmp_path / "missing").exists()
+
+
+def test_unwritable_output_is_refused_before_the_work(tmp_path, capsys, monkeypatch):
+    # generate and reconstruct exit 64 on an --output that cannot be opened
+    # before they generate or solve anything
+    sphere = tmp_path / "sphere.json"
+    assert run(capsys, *GEN, "--d", "2", "--output", str(sphere))[0] == 0
+    called = []
+    for name in ("random_eigenfunction", "reconstruct_ball", "reconstruct_full"):
+
+        def recorded(*args, name=name):
+            called.append(name)
+            raise AssertionError(f"{name} ran before the output was opened")
+
+        monkeypatch.setattr(f"hamrecon.cli.{name}", recorded)
+    commands = (
+        GEN,
+        (*GEN, "--d", "2"),
+        ("reconstruct", "--mode", "ball", "--input", str(sphere)),
+        ("reconstruct", "--mode", "full", "--input", str(sphere), "--oracle-eta"),
+    )
+    for argv in commands:
+        for out in (tmp_path / "missing" / "out.json", tmp_path):
+            code, stdout, err = run(capsys, *argv, "--output", str(out))
+            assert code == 64 and stdout == "" and str(out) in err, (argv, code, err)
+    assert not called and not (tmp_path / "missing").exists()
+
+
+def test_failed_run_leaves_the_output_path_as_it_was(tmp_path, capsys, monkeypatch):
+    # exit 2 (conditions fail) and exit 3 (eta oracle) create no file and
+    # leave a file that was there untouched; a run that succeeds replaces a
+    # longer file's whole text
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    assert run(capsys, *GEN, "--seed", "7", "--d", "2", "--output", str(good))[0] == 0
+    bad_gen = ("generate", "--q", "3", "--n", "4", "--h", "3", "--seed", "1", "--d", "2")
+    assert run(capsys, *bad_gen, "--output", str(bad))[0] == 0
+    refused = (
+        (2, ("reconstruct", "--mode", "ball", "--input", str(bad))),
+        (3, ("reconstruct", "--mode", "full", "--input", str(good), "--oracle-eta")),
+    )
+    monkeypatch.setattr("hamrecon.cli.eta_discrepancy", lambda f, h: 1.0)
+    old_text = "old text\n" * 10_000
+    for code, argv in refused:
+        absent, present = tmp_path / "absent.json", tmp_path / "present.json"
+        present.write_text(old_text)
+        assert run(capsys, *argv, "--output", str(absent))[:2] == (code, "")
+        assert run(capsys, *argv, "--output", str(present))[:2] == (code, "")
+        assert not absent.exists() and present.read_text() == old_text
+    monkeypatch.undo()
+    argv = ("reconstruct", "--mode", "full", "--input", str(good), "--output", str(present))
+    assert run(capsys, *argv)[0] == 0
+    out = hr.reconstruct_full(hr.SphereData.from_dict(json.loads(good.read_text())), 2)
+    assert present.read_text() == vertex_json_text(out.params, out.values, 2)

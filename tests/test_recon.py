@@ -250,15 +250,53 @@ def _tensor_ball_matches(q, n, h, d, bound):
 
 def test_tensor_path_matches_per_support_reference(monkeypatch):
     # the whole-tensor path on every passing desk cell, forced where the
-    # size rule picks the per-support path; no support is solved on its own
+    # size rule picks the per-support path; no support is solved on its own.
+    # Each layer lifts Psi on the smaller of its stack of k-faces and the
+    # tensor (the tensor on a tie), and both routes run.
     monkeypatch.setattr(recon, "_tensor_path", lambda q, n, d: True)
     monkeypatch.setattr(recon, "_layer_rhs", None)
+    lifted = []
+    lift = recon._lift
+
+    def recorded(xhat, q, n, h, d, k, axes):
+        lifted.append((q, n, k, axes, xhat.size))
+        return lift(xhat, q, n, h, d, k, axes)
+
+    monkeypatch.setattr(recon, "_lift", recorded)
     compared = 0
     for q, n, h, d in desk_cells():
         if hr.check_conditions(q, n, h, d).passed:
             _tensor_ball_matches(q, n, h, d, 1e-12)
             compared += 1
     assert compared >= 100
+    assert {axes == n for q, n, k, axes, size in lifted} == {True, False}
+    for q, n, k, axes, size in lifted:
+        faces = len(recon._supports(n, k)) * q**k
+        assert axes in (k, n) and size == (q**n if axes == n else faces), (q, n, k, axes)
+        assert size <= min(faces, q**n), (q, n, k, axes)
+
+
+def test_tensor_path_full_recovery_stays_spectral(monkeypatch):
+    # on the cells the size rule sends to the tensor path, the closing step
+    # is one face pass on the spectral ball: the ball never turns back into
+    # values, and no face is gathered and transformed on its own
+    called = []
+    for name in ("reconstruct_ball", "support_transform", "full_support_transform"):
+
+        def recorded(*args, name=name, original=getattr(recon, name)):
+            called.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(recon, name, recorded)
+    compared = 0
+    for q, n, h, d in desk_cells():
+        if 0 < d == h and recon._tensor_path(q, n, h) and hr.check_conditions(q, n, h, h).passed:
+            sphere = hr.SphereData.from_function(eigfn(q, n, h), h)
+            got = hr.reconstruct_full(sphere, h).values
+            gap = np.max(np.abs(got - per_support_full(sphere, h)))
+            assert gap <= 1e-12, (q, n, h, gap)
+            compared += 1
+    assert compared >= 10 and not called, called
 
 
 def test_tensor_path_matches_per_support_reference_at_cap_scale(monkeypatch):

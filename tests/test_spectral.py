@@ -9,6 +9,7 @@ from hamrecon.scheme import digits_table, weight_ranks, weight_table
 from hamrecon.spectral import (
     DENSE_MAX_Q,
     axis_transform,
+    face_transform,
     full_support_transform,
     superset_transform,
     support_transform,
@@ -106,6 +107,21 @@ def test_support_transform_matches_block_character_sums():
         supersets = rows @ agree.T
         got = superset_transform(rows, q, n)
         assert np.max(np.abs(got - supersets @ chars.conj().T)) <= 1e-9 * q**n, (q, n)
+
+
+def test_face_transform_matches_face_character_sums():
+    # from the support-spectral basis, word a gets the character sum of the
+    # values over the face of supp(a), the words whose support lies inside
+    # it: axis pairs (3,3), (4,3), (3,5) and single axes (5,2), (6,2), (5,3)
+    for q, n in ((3, 3), (4, 3), (5, 2), (6, 2), (3, 5), (5, 3)):
+        words = digits_table(q, n)
+        inside = np.all((words[:, None, :] == 0) | (words[None, :, :] != 0), axis=2)
+        chars = np.exp(2j * np.pi * ((words @ words.T) % q) / q)
+        rng = np.random.default_rng(q * 100 + n)
+        rows = rng.normal(size=(2, q**n)) + 1j * rng.normal(size=(2, q**n))
+        got = face_transform(support_transform(rows, q, n, -1), q, n)
+        expect = rows @ np.where(inside, chars.conj(), 0)
+        assert np.max(np.abs(got - expect)) <= 1e-9 * q**n, (q, n)
 
 
 def test_fourier_inversion_and_delta():
