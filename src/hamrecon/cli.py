@@ -26,10 +26,12 @@ cannot read.
 
 ``generate`` and ``reconstruct`` stream their JSON from the value array in
 bounded chunks, the same bytes as the stdlib's indented ``json.dumps``; a
-write that fails part way removes the output file.  An ``--output`` that
-cannot be opened for writing exits 64 before any work.  The file is
-truncated only once the output is ready, so a run that fails before then
-(exit 2, 3 or 64) leaves no new file and a file that was there untouched.
+write that fails part way removes the output file.  On every command
+that takes it, an ``--output`` that cannot be opened for writing exits 64
+before any work.  A regular file is truncated only once the output is
+ready, so a run that fails before then (exit 2, 3 or 64) leaves no new
+file and a file that was there untouched; a device, pipe or FIFO is
+written as it is and never removed.
 
 Exit codes: 0 success (conditions pass), 1 ``verify`` round-trip error
 above ``--tolerance``, 2 conditions fail, 3 input data inconsistent, 64
@@ -44,6 +46,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import time
 from collections.abc import Callable, Iterable
@@ -190,10 +193,11 @@ def _emit(make_pieces: Callable[[], Iterable[str]], path: str | None) -> None:
     """Write the pieces ``make_pieces`` returns to stdout, or to the file at ``path``.
 
     The file is opened before ``make_pieces`` runs, so a path that cannot be
-    opened exits 64 before any work.  It is truncated only once the pieces
-    are ready: a run that fails before then removes a file it created and
-    leaves a file that was there as it was, and a write that fails part way
-    removes the file.
+    opened exits 64 before any work.  A regular file is truncated only once
+    the pieces are ready: a run that fails before then removes a file it
+    created and leaves a file that was there as it was, and a write that
+    fails part way removes the file.  Devices, pipes and FIFOs are written
+    as they are and never removed.
     """
     if path is None:
         sys.stdout.writelines(make_pieces())
@@ -201,21 +205,26 @@ def _emit(make_pieces: Callable[[], Iterable[str]], path: str | None) -> None:
     # opened outside the removal: a file that cannot be opened is not ours to remove
     try:
         try:
-            out, created = open(path, "x"), True
+            out, existed = open(path, "x"), False
         except FileExistsError:
-            out, created = open(path, "r+"), False
+            # "a" neither truncates nor reads, and through a dangling symlink
+            # it creates the target
+            existed = os.path.exists(path)
+            out = open(path, "a")
     except OSError as exc:
         raise UsageError(f"cannot open {path} for writing: {exc.strerror}") from None
+    regular = stat.S_ISREG(os.fstat(out.fileno()).st_mode)
     writing = False
     try:
         with out:
             pieces = make_pieces()
             writing = True
-            out.truncate()
+            if regular:
+                out.truncate(0)
             out.writelines(pieces)
     except BaseException:
-        if created or writing:
-            os.remove(path)
+        if regular and (writing or not existed):
+            os.remove(path if existed else os.path.realpath(path))
         raise
 
 
@@ -238,24 +247,28 @@ def run_sweep(args: argparse.Namespace) -> int:
     grid = [SchemeParams(q, n) for q in sorted(set(args.q)) for n in sorted(set(args.n))]
     if not grid:
         raise UsageError("sweep needs nonempty --q and --n lists")
-    lines = ["q,n,h,d,pass,fail_kind,first_fail_k,first_fail_l,origin_value"]
-    for q, n in ((p.q, p.n) for p in grid):
-        for h in range(n + 1):
-            for d in range(h + 1):
-                report = check_conditions(q, n, h, d)
-                if not report.origin_ok:
-                    kind = "origin"
-                elif report.failures:
-                    kind = "layer"
-                else:
-                    kind = ""
-                first_k = str(report.failures[0][0]) if report.failures else ""
-                first_l = str(report.failures[0][1]) if report.failures else ""
-                lines.append(
-                    f"{q},{n},{h},{d},{str(report.passed).lower()},{kind},"
-                    f"{first_k},{first_l},{report.origin_value}"
-                )
-    _emit(lambda: ["\n".join(lines) + "\n"], args.output)
+
+    def pieces() -> Iterable[str]:
+        lines = ["q,n,h,d,pass,fail_kind,first_fail_k,first_fail_l,origin_value"]
+        for q, n in ((p.q, p.n) for p in grid):
+            for h in range(n + 1):
+                for d in range(h + 1):
+                    report = check_conditions(q, n, h, d)
+                    if not report.origin_ok:
+                        kind = "origin"
+                    elif report.failures:
+                        kind = "layer"
+                    else:
+                        kind = ""
+                    first_k = str(report.failures[0][0]) if report.failures else ""
+                    first_l = str(report.failures[0][1]) if report.failures else ""
+                    lines.append(
+                        f"{q},{n},{h},{d},{str(report.passed).lower()},{kind},"
+                        f"{first_k},{first_l},{report.origin_value}"
+                    )
+        return ["\n".join(lines) + "\n"]
+
+    _emit(pieces, args.output)
     return EXIT_OK
 
 
@@ -374,10 +387,14 @@ def run_krawtchouk_dump(args: argparse.Namespace) -> int:
             f"a table of (N+1)^2 = {(args.n + 1) ** 2} values exceeds the enumeration cap {cap}"
             f" (set {MAX_STATES_ENV} to raise it)"
         )
-    lines = ["i," + ",".join(str(t) for t in range(args.n + 1))]
-    for i, row in enumerate(krawtchouk_table(args.q, args.n)):
-        lines.append(f"{i}," + ",".join(str(v) for v in row))
-    _emit(lambda: ["\n".join(lines) + "\n"], args.output)
+
+    def pieces() -> Iterable[str]:
+        lines = ["i," + ",".join(str(t) for t in range(args.n + 1))]
+        for i, row in enumerate(krawtchouk_table(args.q, args.n)):
+            lines.append(f"{i}," + ",".join(str(v) for v in row))
+        return ["\n".join(lines) + "\n"]
+
+    _emit(pieces, args.output)
     return EXIT_OK
 
 

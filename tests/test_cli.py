@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -465,12 +468,13 @@ def test_unwritable_output_exits_64_naming_the_path(argv, tmp_path, capsys):
 
 
 def test_unwritable_output_is_refused_before_the_work(tmp_path, capsys, monkeypatch):
-    # generate and reconstruct exit 64 on an --output that cannot be opened
-    # before they generate or solve anything
+    # every command with --output exits 64 on one that cannot be opened
+    # before it generates, solves, checks or tabulates anything
     sphere = tmp_path / "sphere.json"
     assert run(capsys, *GEN, "--d", "2", "--output", str(sphere))[0] == 0
     called = []
-    for name in ("random_eigenfunction", "reconstruct_ball", "reconstruct_full"):
+    work = ("random_eigenfunction", "reconstruct_ball", "reconstruct_full", "check_conditions")
+    for name in (*work, "krawtchouk_table"):
 
         def recorded(*args, name=name):
             called.append(name)
@@ -482,6 +486,8 @@ def test_unwritable_output_is_refused_before_the_work(tmp_path, capsys, monkeypa
         (*GEN, "--d", "2"),
         ("reconstruct", "--mode", "ball", "--input", str(sphere)),
         ("reconstruct", "--mode", "full", "--input", str(sphere), "--oracle-eta"),
+        ("sweep", "--q", "3", "--n", "3"),
+        ("krawtchouk-dump", "--q", "3", "--n", "4"),
     )
     for argv in commands:
         for out in (tmp_path / "missing" / "out.json", tmp_path):
@@ -515,3 +521,45 @@ def test_failed_run_leaves_the_output_path_as_it_was(tmp_path, capsys, monkeypat
     assert run(capsys, *argv)[0] == 0
     out = hr.reconstruct_full(hr.SphereData.from_dict(json.loads(good.read_text())), 2)
     assert present.read_text() == vertex_json_text(out.params, out.values, 2)
+
+
+def test_output_to_devices_fifos_and_dangling_symlinks(tmp_path, capsys, monkeypatch):
+    # a device or FIFO is written as it is and never truncated or removed,
+    # even when the write fails part way, which removes a regular file; a
+    # dangling symlink gets its target created, and only by a run that succeeds
+    expected = vertex_json_text(*_generated(capsys, tmp_path))
+    assert run(capsys, *GEN, "--output", os.devnull)[0] == 0
+    assert os.path.exists(os.devnull)
+    fifo, regular = tmp_path / "fifo", tmp_path / "regular.json"
+    os.mkfifo(fifo)
+    for code, text in ((0, expected), (64, "{")):
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()))
+        reader.start()
+        assert run(capsys, *GEN, "--output", str(fifo))[0] == code
+        reader.join()
+        assert received == [text] and stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        regular.write_text("old text\n")
+        assert run(capsys, *GEN, "--output", str(regular))[0] == code
+        assert regular.exists() == (code == 0)
+
+        def fails_part_way(*args, **kwargs):
+            yield "{"
+            raise ValueError("write failed part way")
+
+        monkeypatch.setattr("hamrecon.cli.vertex_json_chunks", fails_part_way)
+    monkeypatch.undo()
+    link, target = tmp_path / "link.json", tmp_path / "target.json"
+    link.symlink_to(target)
+    absent = ("reconstruct", "--mode", "ball", "--input", str(tmp_path / "absent.json"))
+    assert run(capsys, *absent, "--output", str(link))[0] == 64
+    assert link.is_symlink() and not target.exists()
+    assert run(capsys, *GEN, "--output", str(link))[0] == 0
+    assert link.is_symlink() and target.read_text() == expected
+
+
+def _generated(capsys, tmp_path):
+    path = tmp_path / "generated.json"
+    assert run(capsys, *GEN, "--output", str(path))[0] == 0
+    f = spectral.function_from_dict(json.loads(path.read_text()))
+    return f.params, f.values, f.eigenindex
