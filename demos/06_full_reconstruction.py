@@ -1,10 +1,13 @@
 """Recovering the entire eigenfunction from the sphere whose radius
 equals the eigenvalue index.
 
-After the ball is filled, each Fourier coefficient on the weight-h
-sphere is a character-weighted sum of orthogonal-face totals, and each
-total collapses to a closed form in the local distribution inside a face
-the ball already covers.  One inverse transform then yields every vertex.
+In the paper, once the ball is filled, each Fourier coefficient on the
+weight-h sphere is a character-weighted sum of orthogonal-face totals,
+and each total collapses to a closed form in the local distribution
+inside a face the ball already covers.  reconstruct_full reaches the same
+function without the ball: it divides the sphere's Fourier transform by
+the exact spectrum of the sphere's Gram matrix, whose eigenvalues are
+q^(t+2j) times the squared nondegeneracy sums.
 
 Run:  python demos/06_full_reconstruction.py
 """
@@ -25,7 +28,7 @@ recovered = hr.reconstruct_full(sphere, h)
 print(f"max error everywhere      : {np.max(np.abs(recovered.values - truth.values)):.2e}")
 print(f"output neighbor-sum check : {hr.eigen_residual(recovered, h):.2e}")
 
-print("\nthe orthogonal-face totals behind the Fourier step, spot-checked")
+print("\nthe orthogonal-face totals behind the paper's Fourier step, spot-checked")
 print("against direct summation over the orthogonal faces:")
 print(f"  max closed-form vs direct discrepancy: {hr.eta_discrepancy(truth, h):.2e}")
 

@@ -41,15 +41,27 @@ J-block, spread constantly over the other k - j axes of I, has its
 transform multiplied by (q-1)^(k-j), hence W.
 The formulas hold for every face dimension 0 <= k <= h <= n, which is
 all that sphere-to-ball reconstruction needs (k <= d <= h); a face with
-k > h has no transfer formula and raises :class:`RegimeError`.  Every
-quantity is a Python int, and a table is a plain tuple of them; the zero
-tests are exact, and nothing here touches floating point.
+k > h has no transfer formula and raises :class:`RegimeError`.
+
+Full recovery (d = h) reads the same sums once more.  The Gram matrix
+G = [P_h(rho(a, b); n)] of the sphere restriction, over a, b in W_h, has
+eigenvalues theta(t, j) = q^(t+2j) sums[t]^2 with k = t + j, and splits
+by the pattern of t nonzero (q-1)-ary frequencies into elements of the
+binary Johnson scheme J(n-t, h-t) (Delsarte, Philips Res. Rep. Suppl. 10,
+1973; Tarnanen, Aaltonen and Goethals, Europ. J. Combin. 6, 1985).
+:func:`gram_inverse_coefficients` writes G^-1 there as a sum of inclusion
+products, with Fraction coefficients from one small exact solve.
+
+Every quantity is a Python int or Fraction, and a table is a plain tuple
+of them; the zero tests are exact, and nothing here touches floating
+point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -142,6 +154,76 @@ def lift_multipliers(q: int, n: int, h: int, d: int, k: int) -> tuple[tuple[int,
         )
         for j in range(k)
     )
+
+
+# ---------------------------------------------------------------------------
+# full recovery: the inverse of the sphere-restriction Gram matrix
+
+
+def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """x with rows x = rhs, by Gauss-Jordan elimination in Fractions (rows nonsingular)."""
+    m = [row + [b] for row, b in zip(rows, rhs)]
+    size = len(m)
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if m[r][col] != 0)
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(size):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col] / m[col][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return [m[r][size] / m[r][r] for r in range(size)]
+
+
+def _gram_eigenvalue(q: int, n: int, h: int, t: int, j: int) -> int:
+    """theta(t, j) = q^(t+2j) s^2 with s = K(h-k; h-k, n-k-h+t), k = t + j.
+
+    s is the nondegeneracy sum ``eigen_sums(q, n, h, h, k)[t]``, and
+    P_h(h; n) at k = 0.
+    """
+    k = t + j
+    s = krawtchouk_series(q, h - k, h - k, n - k - h + t)
+    return q ** (t + 2 * j) * s * s
+
+
+@lru_cache(maxsize=None)
+def gram_inverse_coefficients(q: int, n: int, h: int) -> tuple[tuple[Fraction, ...], ...]:
+    """c[t][i], i = 0..h-t: G^-1 = sum_i c[t][i] W_i on each pattern of t nonzero frequencies.
+
+    G = [P_h(rho(a, b); n)] over a, b in W_h is the Gram matrix of the
+    restriction of V_h to the weight-h sphere.  In the support-spectral
+    basis it keeps the t positions and values of a word's nonzero
+    (q-1)-ary frequencies, and on the supports that contain them it lies in
+    the Bose-Mesner algebra of the binary Johnson scheme J(N, m), N = n - t,
+    m = h - t, with eigenvalue theta(t, j) on its eigenspace V_j,
+    j = 0..J = min(m, n - h).  The inclusion product
+    W_i[B, B'] = C(|B & B'|, i) has eigenvalue C(m-j, i-j) C(N-i-j, m-i)
+    on V_j (0 when i < j).  The top ranks i = m-J..m span that algebra,
+    because C(x, i) is triangular over the J+1 intersection sizes
+    x = m-J..m, so their c[t][i] solve
+
+        sum_i c[t][i] C(m-j, i-j) C(N-i-j, m-i) = 1 / theta(t, j),   j = 0..J;
+
+    the lower ranks get 0.  Raises ValueError when some theta is 0, which
+    at d = h happens exactly when :func:`check_conditions` fails.
+    """
+    if not 0 <= h <= n:
+        raise ValueError(f"eigenindex {h} outside [0, {n}]")
+    table = []
+    for t in range(h + 1):
+        N, m = n - t, h - t
+        top = min(m, n - h)
+        thetas = [_gram_eigenvalue(q, n, h, t, j) for j in range(top + 1)]
+        if 0 in thetas:
+            raise ValueError(f"the Gram matrix of (q={q}, n={n}, h={h}) is singular")
+        ranks = range(m - top, m + 1)
+        rows = [
+            [Fraction(math.comb(m - j, i - j) * math.comb(N - i - j, m - i) if i >= j else 0)
+             for i in ranks]
+            for j in range(top + 1)
+        ]
+        c = _solve_exact(rows, [Fraction(1, theta) for theta in thetas])
+        table.append((Fraction(0),) * (m - top) + tuple(c))
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------

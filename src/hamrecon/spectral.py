@@ -17,15 +17,20 @@ Up to ``DENSE_MAX_Q`` each pass is one gemm with a dense kernel on a group of
 g axes, g the largest with q^g <= 16 words, and the passes ping-pong between
 two buffers per call.  Above it numpy's FFT takes over, where a q x q kernel
 would cost O(q^2) memory (32 GiB at q = 65536).  It is batched over leading
-axes, so the solvers transform a whole stack of faces in one call, and
-:func:`full_support_transform` evaluates it at the full-support words alone.
-The same grouped-gemm loop applies any per-axis kernel, which gives
+axes, so the solvers transform a whole stack of faces in one call.  The
+same grouped-gemm loop applies any per-axis kernel, which gives
 :func:`support_transform`, the (q-1)-ary transform of every support block
-of the tensor at once, and :func:`face_transform`, which takes a function
-in that basis to the transforms of all its faces through the origin at
-once.  Its axis kernel is the inverse support kernel followed by Y, the
-DFT whose output digit 0 reads input digit 0 alone (Yates 1937), so word
-a of the result is the transform of the face of supp(a), read at a.
+of the tensor at once, :func:`superset_transform`, that transform after
+the superset sums, and :func:`fourier_support_transform`, the Fourier
+transform and the support transform as one pass each way.  Full recovery
+runs that pair: forward, it takes the sphere to the support-spectral basis
+of its Fourier transform, where the Gram matrix of the sphere splits into
+Johnson-scheme blocks; inverse, it takes the solved coefficients back to
+values.  Fused in one axis kernel, the pass never holds the large Fourier
+coefficients that the small eigenvalues' components cancel out of, which
+keeps it accurate where two passes lose digits.  Above ``DENSE_MAX_Q`` the
+pair is numpy's FFT, axis by axis, over all digits and over digits 1..q-1,
+so no q x q kernel is built at any q.
 
 Combinatorial coefficients are always exact integers and are converted to
 floats only at the point where they multiply complex data.
@@ -48,7 +53,6 @@ from .scheme import (
     rank_texts,
     text_ranks,
     weight,
-    weight_ranks,
     weight_table,
     word_rank,
 )
@@ -118,27 +122,24 @@ def _group_size(q: int) -> int:
 def _group_kernel(q: int, g: int, kind: str, sign: int) -> np.ndarray:
     """K[b, a] over g-digit words b (in) and a (out), in rank order.
 
-    ``"fourier"`` is xi^(sign <a,b>), read off a table of powers, and
-    ``"full_support"`` its columns whose digits are all nonzero.
+    ``"fourier"`` is xi^(sign <a,b>), read off a table of powers.
     ``"support"`` is the g-th Kronecker power of the axis kernel that keeps
     digit 0 and applies the (q-1)-ary one to digits 1..q-1 (digit j as
     j-1), divided by q-1 for ``sign = +1`` so that the two signs are
     inverse to each other; ``"superset"`` first replaces digit 0 by the
-    line total, which sets column 0 of the axis kernel to ones.  ``"face"``
-    is the inverse ``"support"`` axis kernel followed by Y, the
-    ``"fourier"`` axis kernel with column 0 set to e_0, so that output
-    digit 0 reads input digit 0 alone (Yates's algorithm); it is a
-    Kronecker power as well.
+    line total, which sets column 0 of the axis kernel to ones.
+    ``"fourier_support"`` is the Kronecker power of the ``"fourier"`` axis
+    kernel followed by the ``"support"`` one for ``sign = -1``, and of the
+    reverse product for ``sign = +1``, so the two signs are inverse up to
+    the q^n the inverse Fourier kernel leaves out.
     """
-    if kind in ("fourier", "full_support"):
+    if kind == "fourier":
         words = digits_table(q, g)
-        cols = words[np.all(words != 0, axis=1)] if kind == "full_support" else words
-        kernel = np.exp(sign * 2j * np.pi * np.arange(q) / q)[(words @ cols.T) % q]
+        kernel = np.exp(sign * 2j * np.pi * np.arange(q) / q)[(words @ words.T) % q]
     else:
-        if kind == "face":
-            y = _group_kernel(q, 1, "fourier", sign).copy()
-            y[1:, 0] = 0
-            axis = _group_kernel(q, 1, "support", +1) @ y
+        if kind == "fourier_support":
+            fourier, support = (_group_kernel(q, 1, k, sign) for k in ("fourier", "support"))
+            axis = fourier @ support if sign < 0 else support @ fourier
         else:
             axis = np.zeros((q, q), dtype=np.complex128)
             axis[0, 0] = 1
@@ -156,28 +157,23 @@ def _dense_transform(values: np.ndarray, q: int, n: int, kind: str, sign: int) -
     Each step multiplies the last g word axes by the group kernel and moves
     the contracted group to the front of the word axes, so after the last
     group the axes are back in rank order.  The steps ping-pong between two
-    buffers sized for the first, largest step.
+    buffers the size of ``values``.
     """
-    out_q = q - 1 if kind == "full_support" else q
     group = _group_size(q)
     sizes = [min(group, n - done) for done in range(0, n, group)]
+    product, rotated = (np.empty(values.size, dtype=np.complex128) for _ in range(2))
     rows = values.size // q**n
-    first = rows * q ** (n - sizes[0]) * out_q ** sizes[0]
-    buffers = np.empty(first, dtype=np.complex128), np.empty(first, dtype=np.complex128)
-    src, left, done = values, n, 0
+    src = values
     for g in sizes:
-        left -= g
         kernel = _group_kernel(q, g, kind, sign)
-        rest = out_q**done * q**left
-        wide = rows * rest * out_q**g
-        product, rotated = buffers[0][:wide], buffers[1][:wide]
-        np.matmul(src.reshape(-1, q**g), kernel, out=product.reshape(-1, out_q**g))
+        rest = q ** (n - g)
+        np.matmul(src.reshape(-1, q**g), kernel, out=product.reshape(-1, q**g))
         np.copyto(
-            rotated.reshape(rows, out_q**g, rest),
-            product.reshape(rows, rest, out_q**g).transpose(0, 2, 1),
+            rotated.reshape(rows, q**g, rest),
+            product.reshape(rows, rest, q**g).transpose(0, 2, 1),
         )
-        src, done = rotated, done + g
-    return src.reshape(values.shape[:-1] + (out_q**n,))
+        src = rotated
+    return src.reshape(values.shape)
 
 
 def axis_transform(values: np.ndarray, q: int, n: int, sign: int) -> np.ndarray:
@@ -197,18 +193,6 @@ def axis_transform(values: np.ndarray, q: int, n: int, sign: int) -> np.ndarray:
     else:
         t = np.fft.ifftn(t, axes=axes, norm="forward")
     return t.reshape(values.shape)
-
-
-def full_support_transform(values: np.ndarray, q: int, n: int, sign: int) -> np.ndarray:
-    """:func:`axis_transform` read only at the (q-1)^n full-support words, in rank order.
-
-    The dense path contracts each axis group with the kernel's nonzero-digit
-    columns alone, so the tensor shrinks at every step; the FFT path
-    transforms in full and picks the words out.
-    """
-    if q <= DENSE_MAX_Q:
-        return _dense_transform(values, q, n, "full_support", sign)
-    return axis_transform(values, q, n, sign)[..., weight_ranks(q, n, n)]
 
 
 def support_transform(values: np.ndarray, q: int, n: int, sign: int) -> np.ndarray:
@@ -233,18 +217,36 @@ def superset_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
     return _dense_transform(values, q, n, "superset", -1)
 
 
-def face_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Every face transform at once, from the support-spectral basis.
+def fourier_support_transform(values: np.ndarray, q: int, n: int, sign: int) -> np.ndarray:
+    """The Fourier transform and the support transform, as one pass.
 
-    ``values`` holds a function f as :func:`support_transform` with
-    ``sign = -1`` leaves it.  Word a of the result holds the forward
-    transform of f on the face of supp(a), read at a:
-    sum over x with supp(x) inside supp(a) of f(x) conj chi_a(x).  One
-    pass: per axis the inverse support kernel, then the Fourier kernel
-    whose output digit 0 reads input digit 0 alone.  Dense kernels only,
-    as for :func:`support_transform`.
+    ``sign = -1`` is ``support_transform(axis_transform(values, q, n, -1), q, n, -1)``;
+    ``sign = +1`` is ``axis_transform(support_transform(values, q, n, +1), q, n, +1)``,
+    which undoes it up to the factor q^n that the inverse Fourier transform
+    leaves out.  Up to ``DENSE_MAX_Q`` one grouped-gemm pass with the fused
+    axis kernel.  Above it, axis by axis, numpy's FFT over all q digits and
+    over digits 1..q-1, in the order of the fused kernel.  Forward, digit 1
+    of an axis is then set to its exact column, q x_0 - sum_b x_b (the sum
+    of the digit's q-1 nonzero frequencies): adding up those coefficients
+    would cancel most of their digits, and that error would be divided by
+    the smallest Gram eigenvalue.
     """
-    return _dense_transform(values, q, n, "face", -1)
+    if q <= DENSE_MAX_Q:
+        return _dense_transform(values, q, n, "fourier_support", sign)
+    out = values.astype(np.complex128)
+    words = out.reshape(out.shape[:-1] + (q,) * n)
+    for axis in range(words.ndim - n, words.ndim):
+        head = (slice(None),) * axis
+        nonzero = head + (slice(1, None),)
+        if sign < 0:
+            digit1 = q * words[head + (0,)] - words.sum(axis=axis)
+            words[...] = np.fft.fft(words, axis=axis)
+            words[nonzero] = np.fft.fft(words[nonzero], axis=axis)
+            words[head + (1,)] = digit1
+        else:
+            words[nonzero] = np.fft.ifft(words[nonzero], axis=axis)
+            words[...] = np.fft.ifft(words, axis=axis, norm="forward")
+    return out
 
 
 def fourier_transform(f: VertexFunction) -> VertexFunction:

@@ -15,7 +15,11 @@ code shares no batching, chunking or transform routine with
 ``hamrecon.recon``: Phi is gathered subset by subset, Psi is one
 distance-stack pass per face, the layer solve builds its own dense
 q x q kernel, and the Fourier coefficients come from the eta sums
-themselves (``eta_face_values``), not from their diagonal form.
+themselves (``eta_face_values``), not from their diagonal form.  The
+paper's closing route (``per_support_full``) stays here as a reference for
+the package's full recovery, which divides by the spectrum of the sphere's
+Gram matrix instead.  A second reference builds that Gram matrix densely
+and solves it with ``np.linalg.solve`` (``dense_gram_full``).
 
 The JSON payload of a vertex function is built one word at a time as a
 dict, and its file text comes from the stdlib's ``json.dumps``: the
@@ -199,6 +203,34 @@ def per_support_full(sphere, h):
         spectrum = _dense_transform(hr.eta_face_values(ball, positions), q, h, -1)
         fhat[ranks_face[full_rows]] = spectrum[full_rows]
     return _dense_transform(fhat, q, n, +1) / params.size
+
+
+# ---------------------------------------------------------------------------
+# full recovery as one dense least-squares problem
+
+
+def dense_gram(q, n, h):
+    """G = [P_h(rho(a, b); n)] over a, b in W_h, in rank order, from the pairwise distances."""
+    words = digits_table(q, n)[weight_ranks(q, n, h)]
+    dist = (words[:, None, :] != words[None, :, :]).sum(axis=2)
+    column = np.array([hr.krawtchouk_value(q, h, i, n) for i in range(n + 1)], dtype=float)
+    return column[dist]
+
+
+def dense_gram_full(sphere, h):
+    """f = sum_{a in W_h} g(a) chi_a with g = np.linalg.solve(G, T*s) (d = h).
+
+    T[x, a] = chi_a(x) over x, a in W_h maps coefficients to the sphere, so
+    T*s is the sphere's forward transform read at W_h.  Both transforms are
+    this module's own per-axis tensordot.
+    """
+    params = sphere.params
+    q, n = params.q, params.n
+    ranks = weight_ranks(q, n, h)
+    g = np.zeros(params.size, dtype=np.complex128)
+    sphere_hat = _dense_transform(sphere.values, q, n, -1)
+    g[ranks] = np.linalg.solve(dense_gram(q, n, h), sphere_hat[ranks])
+    return _dense_transform(g, q, n, +1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import hamrecon as hr
-from hamrecon.coeffs import layer_column, lift_multipliers
+from hamrecon.coeffs import gram_inverse_coefficients, layer_column, lift_multipliers
 from hamrecon.krawtchouk import polymul
 from hamrecon.scheme import digits_table, weight_table
 
-from helpers import DESK_QN, desk_cells
+from helpers import DESK_QN, desk_cells, eigfn
+from oracles import dense_gram, dense_gram_full
 
 # the cap-scale cells (q, n, h) of the full-recovery benchmark
 CAP_CELLS = ((4, 8, 6), (3, 10, 8), (3, 10, 10), (4, 8, 8))
@@ -229,3 +230,69 @@ def test_dense_layer_matrix_shape_and_symmetry():
             assert m[a][b] == m[b][a]  # distance matrices are symmetric
     with pytest.raises(ValueError):
         hr.dense_layer_matrix(3, 4, 2, 2, 3)
+
+
+def _gram_spectrum(q, n, h):
+    """(t, j, theta, multiplicity) at d = h, theta from the nondegeneracy sums.
+
+    theta(t, j) = q^(t+2j) s^2, s = eigen_sums(q, n, h, h, t + j)[t], or
+    P_h(h; n) at t = j = 0; the multiplicity is C(n, t) (q-2)^t times the
+    dimension C(n-t, j) - C(n-t, j-1) of the Johnson eigenspace V_j.
+    """
+    for t in range(h + 1):
+        for j in range(min(h - t, n - h) + 1):
+            k = t + j
+            s = hr.krawtchouk_value(q, h, h, n) if k == 0 else hr.eigen_sums(q, n, h, h, k)[t]
+            dim = math.comb(n - t, j) - (math.comb(n - t, j - 1) if j else 0)
+            yield t, j, q ** (t + 2 * j) * s * s, math.comb(n, t) * (q - 2) ** t * dim
+
+
+# every d = h cell with q = 3..11 and n <= 15
+GRAM_CELLS = [(q, n, h) for q in range(3, 12) for n in range(1, 16) for h in range(1, n + 1)]
+
+
+def test_gram_inverse_coefficients_invert_the_spectrum():
+    # exactly, on every eigenspace: sum_i c[t][i] (eigenvalue of W_i on V_j) = 1 / theta(t, j),
+    # and the spectrum passes item 5's two trace identities
+    for q, n, h in GRAM_CELLS:
+        assert hr.check_conditions(q, n, h, h).passed, (q, n, h)
+        table = gram_inverse_coefficients(q, n, h)
+        assert len(table) == h + 1
+        size = math.comb(n, h) * (q - 1) ** h
+        spectrum = list(_gram_spectrum(q, n, h))
+        assert sum(mult for *_, mult in spectrum) == size, (q, n, h)
+        assert sum(theta * mult for *_, theta, mult in spectrum) == size**2, (q, n, h)
+        for t, j, theta, _ in spectrum:
+            big, m = n - t, h - t
+            row = table[t]
+            assert len(row) == m + 1 and all(isinstance(c, Fraction) for c in row)
+            # only the top ranks i = m-J..m carry coefficients
+            assert not any(row[: m - min(m, n - h)]), (q, n, h, t)
+            eigenvalue = sum(
+                c * math.comb(m - j, i - j) * math.comb(big - i - j, m - i)
+                for i, c in enumerate(row)
+                if i >= j
+            )
+            assert eigenvalue * theta == 1, (q, n, h, t, j)
+
+
+def test_gram_spectrum_and_dense_solve_match_full_recovery():
+    # on the desk (q, n): the dense Gram matrix has the closed-form spectrum,
+    # and f from np.linalg.solve(G, T*s) is what reconstruct_full returns
+    cells = 0
+    for q, n in DESK_QN:
+        for h in range(1, n + 1):
+            if not hr.check_conditions(q, n, h, h).passed:
+                continue
+            gram = dense_gram(q, n, h)
+            found = np.sort(np.linalg.eigvalsh(gram))
+            expect = np.sort(
+                [float(theta) for _, _, theta, mult in _gram_spectrum(q, n, h) for _ in range(mult)]
+            )
+            assert np.max(np.abs(found - expect)) <= 1e-9 * expect[-1], (q, n, h)
+            sphere = hr.SphereData.from_function(eigfn(q, n, h), h)
+            got = hr.reconstruct_full(sphere, h).values
+            gap = np.max(np.abs(got - dense_gram_full(sphere, h)))
+            assert gap <= 1e-12, (q, n, h, gap)
+            cells += 1
+    assert cells >= 40

@@ -9,8 +9,7 @@ from hamrecon.scheme import digits_table, weight_ranks, weight_table
 from hamrecon.spectral import (
     DENSE_MAX_Q,
     axis_transform,
-    face_transform,
-    full_support_transform,
+    fourier_support_transform,
     superset_transform,
     support_transform,
 )
@@ -65,8 +64,7 @@ def test_fourier_of_character_is_scaled_delta():
 def test_axis_transform_matches_character_sums():
     # every kernel against the character definition, on a batch with two
     # leading axes: axis groups of 4 plus 1 (2,5), a pair plus 1 (3,3) and
-    # (4,3), single axes (5,2) and (DENSE_MAX_Q,1), the FFT above; the
-    # full-support read at the full-support rows
+    # (4,3), single axes (5,2) and (DENSE_MAX_Q,1), the FFT above
     cases = ((2, 5), (3, 3), (4, 3), (5, 2), (DENSE_MAX_Q, 1), (DENSE_MAX_Q + 1, 2), (64, 1))
     for q, n in cases:
         # chars[a, b] = chi_a(b); q = 2 is a sub-scheme alphabet, below SchemeParams' range
@@ -74,15 +72,11 @@ def test_axis_transform_matches_character_sums():
         chars = np.exp(2j * np.pi * ((words @ words.T) % q) / q)
         rng = np.random.default_rng(q + n)
         rows = rng.normal(size=(2, 3, q**n)) + 1j * rng.normal(size=(2, 3, q**n))
-        full_rows = weight_ranks(q, n, n)
         for sign, matrix in ((-1, chars.conj()), (+1, chars)):
             expect = rows @ matrix.T
             got = axis_transform(rows, q, n, sign)
             assert got.shape == rows.shape
             assert np.max(np.abs(got - expect)) <= 1e-9 * q**n, (q, n, sign)
-            got = full_support_transform(rows, q, n, sign)
-            assert got.shape == (2, 3, (q - 1) ** n)
-            assert np.max(np.abs(got - expect[..., full_rows])) <= 1e-9 * q**n, (q, n, sign)
 
 
 def test_support_transform_matches_block_character_sums():
@@ -109,19 +103,21 @@ def test_support_transform_matches_block_character_sums():
         assert np.max(np.abs(got - supersets @ chars.conj().T)) <= 1e-9 * q**n, (q, n)
 
 
-def test_face_transform_matches_face_character_sums():
-    # from the support-spectral basis, word a gets the character sum of the
-    # values over the face of supp(a), the words whose support lies inside
-    # it: axis pairs (3,3), (4,3), (3,5) and single axes (5,2), (6,2), (5,3)
-    for q, n in ((3, 3), (4, 3), (5, 2), (6, 2), (3, 5), (5, 3)):
-        words = digits_table(q, n)
-        inside = np.all((words[:, None, :] == 0) | (words[None, :, :] != 0), axis=2)
-        chars = np.exp(2j * np.pi * ((words @ words.T) % q) / q)
+def test_fourier_support_transform_matches_two_passes():
+    # the fused pass against the Fourier transform followed by the support
+    # transform, and its inverse back, on a batch: axis pairs (3,3), (4,3),
+    # (3,5) and single axes (5,2), (6,2), (5,3) with dense kernels, the FFT
+    # branch at q = 23 and 256
+    for q, n in ((3, 3), (4, 3), (5, 2), (6, 2), (3, 5), (5, 3), (23, 2), (256, 2)):
         rng = np.random.default_rng(q * 100 + n)
         rows = rng.normal(size=(2, q**n)) + 1j * rng.normal(size=(2, q**n))
-        got = face_transform(support_transform(rows, q, n, -1), q, n)
-        expect = rows @ np.where(inside, chars.conj(), 0)
-        assert np.max(np.abs(got - expect)) <= 1e-9 * q**n, (q, n)
+        forward = fourier_support_transform(rows, q, n, -1)
+        # support_transform has dense kernels at every q, 256 x 256 at most here
+        expect = support_transform(axis_transform(rows, q, n, -1), q, n, -1)
+        assert forward.shape == rows.shape
+        assert np.max(np.abs(forward - expect)) <= 1e-9 * q**n, (q, n)
+        back = fourier_support_transform(forward, q, n, +1)
+        assert np.max(np.abs(back - q**n * rows)) <= 1e-9 * q**n, (q, n)
 
 
 def test_fourier_inversion_and_delta():
