@@ -5,9 +5,9 @@ In the paper, once the ball is filled, each Fourier coefficient on the
 weight-h sphere is a character-weighted sum of orthogonal-face totals,
 and each total collapses to a closed form in the local distribution
 inside a face the ball already covers.  reconstruct_full reaches the same
-function without the ball: it divides the sphere's Fourier transform by
-the exact spectrum of the sphere's Gram matrix, whose eigenvalues are
-q^(t+2j) times the squared nondegeneracy sums.
+function without the ball: it divides the sphere values by the exact
+spectrum of the square sphere restriction T = [chi_a(x)], whose
+eigenvalues are (-1)^j q^j times the nondegeneracy sums.
 
 Run:  python demos/06_full_reconstruction.py
 """

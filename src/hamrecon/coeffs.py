@@ -43,14 +43,16 @@ The formulas hold for every face dimension 0 <= k <= h <= n, which is
 all that sphere-to-ball reconstruction needs (k <= d <= h); a face with
 k > h has no transfer formula and raises :class:`RegimeError`.
 
-Full recovery (d = h) reads the same sums once more.  The Gram matrix
-G = [P_h(rho(a, b); n)] of the sphere restriction, over a, b in W_h, has
-eigenvalues theta(t, j) = q^(t+2j) sums[t]^2 with k = t + j, and splits
-by the pattern of t nonzero (q-1)-ary frequencies into elements of the
-binary Johnson scheme J(n-t, h-t) (Delsarte, Philips Res. Rep. Suppl. 10,
-1973; Tarnanen, Aaltonen and Goethals, Europ. J. Combin. 6, 1985).
-:func:`gram_inverse_coefficients` writes G^-1 there as a sum of inclusion
-products, with Fraction coefficients from one small exact solve.
+Full recovery (d = h) reads the same sums once more.  The restriction
+T = [chi_a(x)] of V_h to the sphere, over x, a in W_h, is square; in the
+support-spectral basis it splits by the pattern of t digits >= 2 into
+elements of the binary Johnson scheme J(n-t, h-t) (Delsarte, Philips Res.
+Rep. Suppl. 10, 1973; Tarnanen, Aaltonen and Goethals, Europ. J. Combin.
+6, 1985), with eigenvalues epsilon(t, j) = (-1)^j q^j sums[t], k = t + j;
+the Gram matrix T*T has theta(t, j) = q^t epsilon(t, j)^2.
+:func:`restriction_inverse_coefficients` writes the inverse blocks as sums
+of inclusion products, with Fraction coefficients from one small exact
+solve.
 
 Every quantity is a Python int or Fraction, and a table is a plain tuple
 of them; the zero tests are exact, and nothing here touches floating
@@ -157,54 +159,63 @@ def lift_multipliers(q: int, n: int, h: int, d: int, k: int) -> tuple[tuple[int,
 
 
 # ---------------------------------------------------------------------------
-# full recovery: the inverse of the sphere-restriction Gram matrix
+# full recovery: the inverse of the square sphere restriction
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """x with rows x = rhs, by Gauss-Jordan elimination in Fractions (rows nonsingular)."""
+def _solve_exact(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
+    """x with rows x = rhs for int ``rows`` (nonsingular) and ``rhs``, in Fractions.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every entry stays an
+    integer minor of the augmented matrix, so each division is exact and no
+    Fraction is formed before the answer.
+    """
     m = [row + [b] for row, b in zip(rows, rhs)]
     size = len(m)
+    previous = 1
     for col in range(size):
-        pivot = next(r for r in range(col, size) if m[r][col] != 0)
+        pivot = next(r for r in range(col, size) if m[r][col])
         m[col], m[pivot] = m[pivot], m[col]
+        top = m[col]
         for r in range(size):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col] / m[col][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[r][size] / m[r][r] for r in range(size)]
+            if r != col:
+                factor = m[r][col]
+                m[r] = [(top[col] * x - factor * y) // previous for x, y in zip(m[r], top)]
+        previous = top[col]
+    return [Fraction(m[r][size], m[r][r]) for r in range(size)]
 
 
-def _gram_eigenvalue(q: int, n: int, h: int, t: int, j: int) -> int:
-    """theta(t, j) = q^(t+2j) s^2 with s = K(h-k; h-k, n-k-h+t), k = t + j.
+def _restriction_eigenvalue(q: int, n: int, h: int, t: int, j: int) -> int:
+    """epsilon(t, j) = (-1)^j q^j s with s = K(h-k; h-k, n-k-h+t), k = t + j.
 
     s is the nondegeneracy sum ``eigen_sums(q, n, h, h, k)[t]``, and
-    P_h(h; n) at k = 0.
+    P_h(h; n) at k = 0.  The Gram matrix T*T has eigenvalue
+    theta(t, j) = q^t epsilon(t, j)^2 on the same eigenspace.
     """
     k = t + j
-    s = krawtchouk_series(q, h - k, h - k, n - k - h + t)
-    return q ** (t + 2 * j) * s * s
+    return (-1) ** j * q**j * krawtchouk_series(q, h - k, h - k, n - k - h + t)
 
 
 @lru_cache(maxsize=None)
-def gram_inverse_coefficients(q: int, n: int, h: int) -> tuple[tuple[Fraction, ...], ...]:
-    """c[t][i], i = 0..h-t: G^-1 = sum_i c[t][i] W_i on each pattern of t nonzero frequencies.
+def restriction_inverse_coefficients(q: int, n: int, h: int) -> tuple[tuple[Fraction, ...], ...]:
+    """c[t][i], i = 0..h-t: E_t^-1 = sum_i c[t][i] W_i on each pattern of t digits >= 2.
 
-    G = [P_h(rho(a, b); n)] over a, b in W_h is the Gram matrix of the
-    restriction of V_h to the weight-h sphere.  In the support-spectral
-    basis it keeps the t positions and values of a word's nonzero
-    (q-1)-ary frequencies, and on the supports that contain them it lies in
-    the Bose-Mesner algebra of the binary Johnson scheme J(N, m), N = n - t,
-    m = h - t, with eigenvalue theta(t, j) on its eigenspace V_j,
-    j = 0..J = min(m, n - h).  The inclusion product
-    W_i[B, B'] = C(|B & B'|, i) has eigenvalue C(m-j, i-j) C(N-i-j, m-i)
-    on V_j (0 when i < j).  The top ranks i = m-J..m span that algebra,
+    T = [chi_a(x)] over x, a in W_h is the square restriction of V_h to the
+    weight-h sphere.  In the support-spectral basis a word's digits >= 2
+    (its nonzero (q-1)-ary frequencies) are kept, and on each pattern of t
+    of them T is C^(x)t (x) E_t: C is unitary up to q^(1/2) per axis, and
+    E_t, over the sets of digits 1 among the other N = n - t axes, has
+    entry (q-1)^(m-i) (-1)^i at intersection size i, m = h - t.  E_t lies
+    in the Bose-Mesner algebra of the binary Johnson scheme J(N, m), with
+    eigenvalue epsilon(t, j) on its eigenspace V_j, j = 0..J = min(m, n - h).
+    The inclusion product W_i[B, B'] = C(|B & B'|, i) has eigenvalue
+    C(m-j, i-j) C(N-i-j, m-i) on V_j (0 when i < j).  The top ranks i = m-J..m span that algebra,
     because C(x, i) is triangular over the J+1 intersection sizes
     x = m-J..m, so their c[t][i] solve
 
-        sum_i c[t][i] C(m-j, i-j) C(N-i-j, m-i) = 1 / theta(t, j),   j = 0..J;
+        sum_i c[t][i] C(m-j, i-j) C(N-i-j, m-i) = 1 / epsilon(t, j),   j = 0..J;
 
-    the lower ranks get 0.  Raises ValueError when some theta is 0, which
-    at d = h happens exactly when :func:`check_conditions` fails.
+    the lower ranks get 0.  Raises ValueError when some epsilon is 0, which
+    happens exactly when :func:`check_conditions` fails at d = h.
     """
     if not 0 <= h <= n:
         raise ValueError(f"eigenindex {h} outside [0, {n}]")
@@ -212,17 +223,18 @@ def gram_inverse_coefficients(q: int, n: int, h: int) -> tuple[tuple[Fraction, .
     for t in range(h + 1):
         N, m = n - t, h - t
         top = min(m, n - h)
-        thetas = [_gram_eigenvalue(q, n, h, t, j) for j in range(top + 1)]
-        if 0 in thetas:
-            raise ValueError(f"the Gram matrix of (q={q}, n={n}, h={h}) is singular")
+        eps = [_restriction_eigenvalue(q, n, h, t, j) for j in range(top + 1)]
+        if 0 in eps:
+            raise ValueError(f"the sphere restriction of (q={q}, n={n}, h={h}) is singular")
         ranks = range(m - top, m + 1)
         rows = [
-            [Fraction(math.comb(m - j, i - j) * math.comb(N - i - j, m - i) if i >= j else 0)
-             for i in ranks]
+            [math.comb(m - j, i - j) * math.comb(N - i - j, m - i) if i >= j else 0 for i in ranks]
             for j in range(top + 1)
         ]
-        c = _solve_exact(rows, [Fraction(1, theta) for theta in thetas])
-        table.append((Fraction(0),) * (m - top) + tuple(c))
+        # the right-hand side 1/epsilon, scaled to integers by their lcm
+        scale = math.lcm(*eps)
+        c = _solve_exact(rows, [scale // e for e in eps])
+        table.append((Fraction(0),) * (m - top) + tuple(x / scale for x in c))
     return tuple(table)
 
 

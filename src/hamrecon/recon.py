@@ -59,23 +59,26 @@ Two algorithms, both linear in the data:
     times faster.
 
 2.  Sphere to everything, for d = h.  Write f = sum_{a in W_h} g(a) chi_a.
-    On the sphere that is s = T g, T[x, a] = chi_a(x) over x, a in W_h, so
-    g = G^-1 T*s, where T*s is the sphere's Fourier transform read at W_h
-    and G = T*T = [P_h(rho(a, b); n)].  G has the eigenvalues
-    theta(t, j) = q^(t+2j) s^2, s the nondegeneracy sum
-    ``eigen_sums(q, n, h, h, t + j)[t]`` (P_h(h; n) at t = j = 0), so it is
-    invertible exactly when the layer conditions hold.  In the
-    support-spectral basis G keeps each pattern of t nonzero (q-1)-ary
-    frequencies, and on the supports that contain it G lies in the algebra
-    of the binary Johnson scheme J(n - t, h - t), eigenvalue theta(t, j) on
-    its eigenspace V_j.  So G^-1 is a short sum of inclusion products
-    sum_i c[t][i] W_i with exact coefficients
-    (``coeffs.gram_inverse_coefficients``), applied as per-axis digit 0 +=
-    digit 1, a multiply, and the lift's digit 1 += digit 0.  Two dense
-    passes (``spectral.fourier_support_transform``, each way once) and
-    those two add passes are the whole recovery: no ball, no layer.  The
-    paper's own closing step, the ball filled layer by layer and the
-    Fourier coefficients read off its h-faces through the closed form
+    On the sphere that is s = T g, T[x, a] = chi_a(x) over x, a in W_h, a
+    square matrix, so g = T^-1 s.  In the support-spectral basis T keeps
+    each pattern of t digits >= 2 (nonzero (q-1)-ary frequencies) and is
+    C^(x)t (x) E_t there: C, on the digits >= 2 of one axis, is unitary up
+    to q^(1/2), and E_t lies in the algebra of the binary Johnson scheme
+    J(n - t, h - t), with eigenvalue epsilon(t, j) = (-1)^j q^j s on its
+    eigenspace V_j, s the nondegeneracy sum
+    ``eigen_sums(q, n, h, h, t + j)[t]`` (P_h(h; n) at t = j = 0).  So T
+    is invertible exactly when the layer conditions hold, and E_t^-1 is a
+    short sum of inclusion products sum_i c[t][i] W_i with exact
+    coefficients (``coeffs.restriction_inverse_coefficients``), applied as
+    per-axis digit 0 += digit 1, a multiply, and the lift's digit 1 +=
+    digit 0.  C^-1 is never built: the inverse Fourier kernel of an axis is
+    C on digits >= 2 and a 2 x 2 block on digits 0 and 1, so the closing
+    pass (``spectral.closing_transform``) applies that block and the
+    inverse support transform.  The (q-1)-ary transform of the sphere's
+    own blocks, those two add passes and that one dense pass are the whole
+    recovery: no ball, no layer, no forward q^n pass.  The paper's own
+    closing step, the ball filled layer by layer and the Fourier
+    coefficients read off its h-faces through the closed form
 
         eta = q^(n-2h) * sum_j (-1)^j (q-1)^(h-j) v_j ,
 
@@ -103,8 +106,8 @@ from .coeffs import (
     ConditionReport,
     check_conditions,
     eigen_sums,
-    gram_inverse_coefficients,
     lift_multipliers,
+    restriction_inverse_coefficients,
 )
 from .krawtchouk import krawtchouk_value
 from .scheme import (
@@ -119,8 +122,8 @@ from .scheme import (
 from .spectral import (
     VertexFunction,
     axis_transform,
+    closing_transform,
     distance_tensor_stack,
-    fourier_support_transform,
     read_vertex_dict,
     superset_transform,
     support_transform,
@@ -584,58 +587,37 @@ def eta_discrepancy(f: VertexFunction, h: int) -> float:
     return worst
 
 
-@lru_cache(maxsize=None)
-def _gram_inverse_table(q: int, n: int, h: int) -> np.ndarray:
-    """:func:`coeffs.gram_inverse_coefficients` c[t][i] as floats at code (i + t) + (n+1) t.
-
-    The codes are those of :func:`_support_codes` over n axes: a word with
-    t digits >= 2 and i digits 1 reads c[t][i]; every other code reads 0.
-    """
-    table = np.zeros((n + 1, n + 1))
-    for t, row in enumerate(gram_inverse_coefficients(q, n, h)):
-        table[t, t : h + 1] = [float(c) for c in row]
-    table = table.reshape(-1)
-    table.setflags(write=False)
-    return table
-
-
 def reconstruct_full(sphere: SphereData, h: int) -> VertexFunction:
     """Recover the whole eigenfunction from its values on the weight-h sphere.
 
-    Requires the sphere radius to equal the eigenvalue index.  Write
-    f = sum_{a in W_h} g(a) chi_a; on the sphere that is s = T g with
-    T[x, a] = chi_a(x), x, a in W_h, so g = G^-1 T*s with T*s the forward
-    transform of the sphere read at W_h and G = T*T = [P_h(rho(a, b); n)].
-    G has eigenvalues theta(t, j) = q^(t+2j) s_(t,j)^2, s_(t,j) the
-    nondegeneracy sum ``eigen_sums(q, n, h, h, t + j)[t]`` (P_h(h; n) at
-    t = j = 0), so it is invertible exactly when :func:`check_conditions`
-    passes.  In the support-spectral basis G keeps each pattern of t
-    nonzero (q-1)-ary frequencies and lies there in the Bose-Mesner algebra
-    of the Johnson scheme J(n - t, h - t); G^-1 is a short sum of inclusion
-    products sum_i c[t][i] W_i (:func:`coeffs.gram_inverse_coefficients`).
-    So after the gate the recovery is:
+    Requires the sphere radius to equal the eigenvalue index.  Solves
+    s = T g for f = sum_{a in W_h} g(a) chi_a, T[x, a] = chi_a(x) over
+    x, a in W_h (the module docstring's second algorithm): T is invertible
+    exactly when :func:`check_conditions` passes, and on each pattern of t
+    digits >= 2 it is C^(x)t (x) E_t, E_t^-1 = sum_i c[t][i] W_i
+    (:func:`coeffs.restriction_inverse_coefficients`).  After the gate:
 
-    1. one :func:`spectral.fourier_support_transform` pass over the sphere,
-       zeroed off W_h;
+    1. the (q-1)-ary transform of each h-support block of the sphere, its
+       |W_h| words only;
     2. per axis digit 0 += digit 1 (each support block summed into the
        blocks inside it), a multiply by c[t][i], t the digits >= 2 and
        i + t the nonzero digits, and per axis digit 1 += digit 0 (each
        block summed back into the blocks that contain it), zeroed off W_h:
-       that is G^-1;
-    3. one inverse :func:`spectral.fourier_support_transform` pass, which
-       sums g against the characters.
+       that is E_t^-1 on every pattern;
+    3. one :func:`spectral.closing_transform` pass, which sums g against
+       the characters; C^-t cancels against the C in the characters, so
+       no C is built.
 
-    The ball is never built and no weight layer is solved.  The cost of the
-    normal equations is that rounding can grow by up to
-    kappa(T)^2 = theta_max / theta_min, at most 65536 inside the default
-    state cap, where the paper's layer-by-layer route stays nearer machine
-    precision.  Worst error relative to max |f| over seeds 0..12, this
-    route against the layered one it replaced: the four cap cells (4,8,6),
-    (3,10,8), (3,10,10), (4,8,8) 1.2e-14 against 1.1e-12 (at (3,10,8)); the
-    desk grid 5.3e-14 against 2.0e-14; (23,3,3), (256,2,2) and
-    (65536,1,1), on the FFT branch of the passes, 1.2e-14, 8.9e-14 and
-    6.9e-14 against 1.3e-14, 4.6e-14 and 8.6e-14.  The largest seen is
-    2.4e-13, at (3,10,5).
+    The ball is never built, no weight layer is solved, and the condition
+    number is kappa(T), not the kappa(T)^2 of the normal equations
+    G = T*T that this route replaced.  Worst error relative to max |f|
+    over seeds 0..12, this route against the normal equations: the four
+    cap cells (4,8,6), (3,10,8), (3,10,10), (4,8,8) 5.4e-15 against
+    1.2e-14; the desk grid 4.4e-15 against 5.3e-14; (3,8,4), (3,9,5),
+    (3,10,5) and (3,10,6), where kappa(T) = 81 and h lies near n/2,
+    2.0e-14 against 5.6e-13; (23,3,3), (256,2,2) and (65536,1,1), on the
+    FFT branch, 1.2e-14, 5.4e-14 and 1.4e-13 against 1.2e-14, 8.9e-14 and
+    6.9e-14.
     """
     params = sphere.params
     if sphere.d != h:
@@ -649,11 +631,13 @@ def reconstruct_full(sphere: SphereData, h: int) -> VertexFunction:
         )
     q, n = params.q, params.n
     _check_cell(q, n, h, h)
-    off_sphere = weight_table(q, n) != h
-    g = fourier_support_transform(sphere.values, q, n, sign=-1)
-    g[off_sphere] = 0
+    g = sphere.values.copy()
+    _block_transform(g, q, n, _supports(n, h), sign=-1)
     _add_down_blocks(g, q, n)
-    g *= _gram_inverse_table(q, n, h)[_support_codes(q, n)]
+    table = np.zeros((n + 1, n + 1))
+    for t, row in enumerate(restriction_inverse_coefficients(q, n, h)):
+        table[t, t : h + 1] = [float(c) for c in row]
+    g *= table.reshape(-1)[_support_codes(q, n)]
     _add_up_blocks(g, q, n)
-    g[off_sphere] = 0
-    return VertexFunction(params, fourier_support_transform(g, q, n, sign=+1), eigenindex=h)
+    g[weight_table(q, n) != h] = 0
+    return VertexFunction(params, closing_transform(g, q, n), eigenindex=h)

@@ -21,16 +21,16 @@ axes, so the solvers transform a whole stack of faces in one call.  The
 same grouped-gemm loop applies any per-axis kernel, which gives
 :func:`support_transform`, the (q-1)-ary transform of every support block
 of the tensor at once, :func:`superset_transform`, that transform after
-the superset sums, and :func:`fourier_support_transform`, the Fourier
-transform and the support transform as one pass each way.  Full recovery
-runs that pair: forward, it takes the sphere to the support-spectral basis
-of its Fourier transform, where the Gram matrix of the sphere splits into
-Johnson-scheme blocks; inverse, it takes the solved coefficients back to
-values.  Fused in one axis kernel, the pass never holds the large Fourier
-coefficients that the small eigenvalues' components cancel out of, which
-keeps it accurate where two passes lose digits.  Above ``DENSE_MAX_Q`` the
-pair is numpy's FFT, axis by axis, over all digits and over digits 1..q-1,
-so no q x q kernel is built at any q.
+the superset sums, and :func:`closing_transform`, the last pass of full
+recovery.  In the support-spectral basis the inverse Fourier kernel of one
+axis splits into the map (x_0, x_1) -> (x_0 + x_1, (q-1) x_0 - x_1) on
+digits 0 and 1 and a block C on digits 2..q-1 with C C* = q I, so the
+square sphere restriction splits into Johnson-scheme blocks times
+Kronecker powers of C.  C cancels against its own inverse, and the
+closing pass applies only the 2 x 2 block and the inverse support
+transform.  Above ``DENSE_MAX_Q`` that pass is two strided lines and
+numpy's inverse FFT over digits 1..q-1, axis by axis, so no q x q kernel
+is built at any q.
 
 Combinatorial coefficients are always exact integers and are converted to
 floats only at the point where they multiply complex data.
@@ -128,24 +128,23 @@ def _group_kernel(q: int, g: int, kind: str, sign: int) -> np.ndarray:
     j-1), divided by q-1 for ``sign = +1`` so that the two signs are
     inverse to each other; ``"superset"`` first replaces digit 0 by the
     line total, which sets column 0 of the axis kernel to ones.
-    ``"fourier_support"`` is the Kronecker power of the ``"fourier"`` axis
-    kernel followed by the ``"support"`` one for ``sign = -1``, and of the
-    reverse product for ``sign = +1``, so the two signs are inverse up to
-    the q^n the inverse Fourier kernel leaves out.
+    ``"closing"`` (``sign = +1``) is the Kronecker power of the axis map
+    (x_0, x_1) -> (x_0 + x_1, (q-1) x_0 - x_1), digits 2..q-1 kept,
+    followed by the ``"support"`` axis kernel.
     """
     if kind == "fourier":
         words = digits_table(q, g)
         kernel = np.exp(sign * 2j * np.pi * np.arange(q) / q)[(words @ words.T) % q]
     else:
-        if kind == "fourier_support":
-            fourier, support = (_group_kernel(q, 1, k, sign) for k in ("fourier", "support"))
-            axis = fourier @ support if sign < 0 else support @ fourier
-        else:
-            axis = np.zeros((q, q), dtype=np.complex128)
-            axis[0, 0] = 1
-            if kind == "superset":
-                axis[1:, 0] = 1
-            axis[1:, 1:] = _group_kernel(q - 1, 1, "fourier", sign) / ((q - 1) if sign > 0 else 1)
+        axis = np.zeros((q, q), dtype=np.complex128)
+        axis[0, 0] = 1
+        if kind == "superset":
+            axis[1:, 0] = 1
+        axis[1:, 1:] = _group_kernel(q - 1, 1, "fourier", sign) / ((q - 1) if sign > 0 else 1)
+        if kind == "closing":
+            pair = np.eye(q, dtype=np.complex128)
+            pair[:2, :2] = [[1, q - 1], [1, -1]]
+            axis = pair @ axis
         kernel = reduce(np.kron, [axis] * g)
     kernel.setflags(write=False)
     return kernel
@@ -217,35 +216,30 @@ def superset_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
     return _dense_transform(values, q, n, "superset", -1)
 
 
-def fourier_support_transform(values: np.ndarray, q: int, n: int, sign: int) -> np.ndarray:
-    """The Fourier transform and the support transform, as one pass.
+def closing_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Values from the solved coefficients of full recovery, in one pass.
 
-    ``sign = -1`` is ``support_transform(axis_transform(values, q, n, -1), q, n, -1)``;
-    ``sign = +1`` is ``axis_transform(support_transform(values, q, n, +1), q, n, +1)``,
-    which undoes it up to the factor q^n that the inverse Fourier transform
-    leaves out.  Up to ``DENSE_MAX_Q`` one grouped-gemm pass with the fused
-    axis kernel.  Above it, axis by axis, numpy's FFT over all q digits and
-    over digits 1..q-1, in the order of the fused kernel.  Forward, digit 1
-    of an axis is then set to its exact column, q x_0 - sum_b x_b (the sum
-    of the digit's q-1 nonzero frequencies): adding up those coefficients
-    would cancel most of their digits, and that error would be divided by
-    the smallest Gram eigenvalue.
+    Per axis (x_0, x_1) -> (x_0 + x_1, (q-1) x_0 - x_1), digits 2..q-1
+    kept, then the inverse support transform (``sign = +1``).  In the
+    support-spectral basis the inverse Fourier kernel of one axis is that
+    2 x 2 block plus a block C on digits 2..q-1: given y with C applied to
+    digits 2..q-1 of every axis, this pass returns
+    ``axis_transform(support_transform(y, q, n, +1), q, n, +1)``.  Up to
+    ``DENSE_MAX_Q`` one grouped-gemm pass with the fused axis kernel;
+    above it, axis by axis, the two strided lines and numpy's inverse FFT
+    over digits 1..q-1, so no q x q kernel is built.
     """
     if q <= DENSE_MAX_Q:
-        return _dense_transform(values, q, n, "fourier_support", sign)
+        return _dense_transform(values, q, n, "closing", +1)
     out = values.astype(np.complex128)
     words = out.reshape(out.shape[:-1] + (q,) * n)
     for axis in range(words.ndim - n, words.ndim):
         head = (slice(None),) * axis
         nonzero = head + (slice(1, None),)
-        if sign < 0:
-            digit1 = q * words[head + (0,)] - words.sum(axis=axis)
-            words[...] = np.fft.fft(words, axis=axis)
-            words[nonzero] = np.fft.fft(words[nonzero], axis=axis)
-            words[head + (1,)] = digit1
-        else:
-            words[nonzero] = np.fft.ifft(words[nonzero], axis=axis)
-            words[...] = np.fft.ifft(words, axis=axis, norm="forward")
+        x0, x1 = words[head + (0,)].copy(), words[head + (1,)].copy()
+        words[head + (0,)] = x0 + x1
+        words[head + (1,)] = (q - 1) * x0 - x1
+        words[nonzero] = np.fft.ifft(words[nonzero], axis=axis)
     return out
 
 

@@ -17,9 +17,10 @@ distance-stack pass per face, the layer solve builds its own dense
 q x q kernel, and the Fourier coefficients come from the eta sums
 themselves (``eta_face_values``), not from their diagonal form.  The
 paper's closing route (``per_support_full``) stays here as a reference for
-the package's full recovery, which divides by the spectrum of the sphere's
-Gram matrix instead.  A second reference builds that Gram matrix densely
-and solves it with ``np.linalg.solve`` (``dense_gram_full``).
+the package's full recovery, which divides by the spectrum of the square
+sphere restriction T = [chi_a(x)] instead.  Two more references build T
+and its Gram matrix T*T densely and solve them with ``np.linalg.solve``
+(``dense_restriction_full``, ``dense_gram_full``).
 
 The JSON payload of a vertex function is built one word at a time as a
 dict, and its file text comes from the stdlib's ``json.dumps``: the
@@ -206,7 +207,7 @@ def per_support_full(sphere, h):
 
 
 # ---------------------------------------------------------------------------
-# full recovery as one dense least-squares problem
+# full recovery as one dense linear system
 
 
 def dense_gram(q, n, h):
@@ -230,6 +231,22 @@ def dense_gram_full(sphere, h):
     g = np.zeros(params.size, dtype=np.complex128)
     sphere_hat = _dense_transform(sphere.values, q, n, -1)
     g[ranks] = np.linalg.solve(dense_gram(q, n, h), sphere_hat[ranks])
+    return _dense_transform(g, q, n, +1)
+
+
+def dense_restriction(q, n, h):
+    """T = [chi_a(x)] over x (rows) and a (columns) in W_h, in rank order."""
+    words = digits_table(q, n)[weight_ranks(q, n, h)]
+    return np.exp(2j * np.pi * ((words @ words.T) % q) / q)
+
+
+def dense_restriction_full(sphere, h):
+    """f = sum_{a in W_h} g(a) chi_a with g = np.linalg.solve(T, s) (d = h)."""
+    params = sphere.params
+    q, n = params.q, params.n
+    ranks = weight_ranks(q, n, h)
+    g = np.zeros(params.size, dtype=np.complex128)
+    g[ranks] = np.linalg.solve(dense_restriction(q, n, h), sphere.values[ranks])
     return _dense_transform(g, q, n, +1)
 
 

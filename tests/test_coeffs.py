@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 
 import hamrecon as hr
-from hamrecon.coeffs import gram_inverse_coefficients, layer_column, lift_multipliers
+from hamrecon.coeffs import (
+    _restriction_eigenvalue,
+    layer_column,
+    lift_multipliers,
+    restriction_inverse_coefficients,
+)
 from hamrecon.krawtchouk import polymul
 from hamrecon.scheme import digits_table, weight_table
 
 from helpers import DESK_QN, desk_cells, eigfn
-from oracles import dense_gram, dense_gram_full
+from oracles import dense_gram, dense_gram_full, dense_restriction_full
 
 # the cap-scale cells (q, n, h) of the full-recovery benchmark
 CAP_CELLS = ((4, 8, 6), (3, 10, 8), (3, 10, 10), (4, 8, 8))
@@ -251,18 +256,24 @@ def _gram_spectrum(q, n, h):
 GRAM_CELLS = [(q, n, h) for q in range(3, 12) for n in range(1, 16) for h in range(1, n + 1)]
 
 
-def test_gram_inverse_coefficients_invert_the_spectrum():
-    # exactly, on every eigenspace: sum_i c[t][i] (eigenvalue of W_i on V_j) = 1 / theta(t, j),
-    # and the spectrum passes item 5's two trace identities
+def test_restriction_inverse_coefficients_invert_the_spectrum():
+    # exactly, on every eigenspace of the square restriction T:
+    # epsilon(t, j) = (-1)^j q^j s with q^t epsilon^2 = theta(t, j), and
+    # sum_i c[t][i] (eigenvalue of W_i on V_j) = 1 / epsilon(t, j); the Gram
+    # spectrum passes item 5's two trace identities
     for q, n, h in GRAM_CELLS:
         assert hr.check_conditions(q, n, h, h).passed, (q, n, h)
-        table = gram_inverse_coefficients(q, n, h)
+        table = restriction_inverse_coefficients(q, n, h)
         assert len(table) == h + 1
         size = math.comb(n, h) * (q - 1) ** h
         spectrum = list(_gram_spectrum(q, n, h))
         assert sum(mult for *_, mult in spectrum) == size, (q, n, h)
         assert sum(theta * mult for *_, theta, mult in spectrum) == size**2, (q, n, h)
         for t, j, theta, _ in spectrum:
+            k = t + j
+            s = hr.krawtchouk_value(q, h, h, n) if k == 0 else hr.eigen_sums(q, n, h, h, k)[t]
+            eps = _restriction_eigenvalue(q, n, h, t, j)
+            assert eps == (-1) ** j * q**j * s and q**t * eps * eps == theta, (q, n, h, t, j)
             big, m = n - t, h - t
             row = table[t]
             assert len(row) == m + 1 and all(isinstance(c, Fraction) for c in row)
@@ -273,7 +284,7 @@ def test_gram_inverse_coefficients_invert_the_spectrum():
                 for i, c in enumerate(row)
                 if i >= j
             )
-            assert eigenvalue * theta == 1, (q, n, h, t, j)
+            assert eigenvalue * eps == 1, (q, n, h, t, j)
 
 
 def test_gram_spectrum_and_dense_solve_match_full_recovery():
@@ -293,6 +304,22 @@ def test_gram_spectrum_and_dense_solve_match_full_recovery():
             sphere = hr.SphereData.from_function(eigfn(q, n, h), h)
             got = hr.reconstruct_full(sphere, h).values
             gap = np.max(np.abs(got - dense_gram_full(sphere, h)))
+            assert gap <= 1e-12, (q, n, h, gap)
+            cells += 1
+    assert cells >= 40
+
+
+def test_dense_restriction_solve_matches_full_recovery():
+    # on the desk (q, n): f from np.linalg.solve(T, s), T = [chi_a(x)] over
+    # x, a in W_h, is what reconstruct_full returns
+    cells = 0
+    for q, n in DESK_QN:
+        for h in range(1, n + 1):
+            if not hr.check_conditions(q, n, h, h).passed:
+                continue
+            sphere = hr.SphereData.from_function(eigfn(q, n, h), h)
+            got = hr.reconstruct_full(sphere, h).values
+            gap = np.max(np.abs(got - dense_restriction_full(sphere, h)))
             assert gap <= 1e-12, (q, n, h, gap)
             cells += 1
     assert cells >= 40

@@ -278,7 +278,7 @@ def test_tensor_path_matches_per_support_reference(monkeypatch):
 
 def test_full_recovery_never_builds_the_ball(monkeypatch):
     # on every passing desk d = h cell, both sides of the size rule, full
-    # recovery divides by the spectrum of the sphere's Gram matrix: it
+    # recovery divides by the spectrum of the square sphere restriction: it
     # recovers no origin, solves no layer and lifts nothing
     called = []
     names = (
@@ -320,11 +320,13 @@ def test_tensor_path_matches_per_support_reference_at_cap_scale(monkeypatch):
 def test_full_recovery_is_accurate_at_cap_scale_and_on_large_alphabets():
     # relative to max |f|: 1e-13 on the four full-cap cells, where the
     # layer-by-layer route lost about 50x of that at (3,10,8) in the step
-    # that read the Fourier coefficients off the recovered ball (1.1e-12);
-    # 1e-12 above DENSE_MAX_Q, where the passes are per-axis FFTs and digit
-    # 1 of each forward axis takes its exact column (summing its Fourier
-    # coefficients instead read 1e-11 at (65536,1,1))
+    # that read the Fourier coefficients off the recovered ball (1.1e-12),
+    # and on the four h near n/2 cells where T spans the widest range of
+    # eigenvalues, which the normal equations G = T*T squared (up to 2.1e-13
+    # at (3,10,5)); 1e-12 above DENSE_MAX_Q, where the sphere's block
+    # transform and the closing pass are FFTs
     cases = [((4, 8, 6), 1e-13), ((3, 10, 8), 1e-13), ((3, 10, 10), 1e-13), ((4, 8, 8), 1e-13)]
+    cases += [((3, 8, 4), 1e-13), ((3, 9, 5), 1e-13), ((3, 10, 5), 1e-13), ((3, 10, 6), 1e-13)]
     cases += [((23, 3, 3), 1e-12), ((256, 2, 2), 1e-12), ((65536, 1, 1), 1e-12)]
     for (q, n, h), bound in cases:
         f = eigfn(q, n, h)

@@ -8,8 +8,9 @@ import hamrecon as hr
 from hamrecon.scheme import digits_table, weight_ranks, weight_table
 from hamrecon.spectral import (
     DENSE_MAX_Q,
+    _group_kernel,
     axis_transform,
-    fourier_support_transform,
+    closing_transform,
     superset_transform,
     support_transform,
 )
@@ -103,21 +104,60 @@ def test_support_transform_matches_block_character_sums():
         assert np.max(np.abs(got - supersets @ chars.conj().T)) <= 1e-9 * q**n, (q, n)
 
 
-def test_fourier_support_transform_matches_two_passes():
-    # the fused pass against the Fourier transform followed by the support
-    # transform, and its inverse back, on a batch: axis pairs (3,3), (4,3),
-    # (3,5) and single axes (5,2), (6,2), (5,3) with dense kernels, the FFT
-    # branch at q = 23 and 256
+def _pair_map(rows, q, n):
+    """Per axis (x_0, x_1) -> (x_0 + x_1, (q-1) x_0 - x_1), digits 2..q-1 kept."""
+    out = rows.copy()
+    words = out.reshape(rows.shape[:-1] + (q,) * n)
+    for axis in range(words.ndim - n, words.ndim):
+        x0 = np.take(words, 0, axis=axis).copy()
+        x1 = np.take(words, 1, axis=axis).copy()
+        head = (slice(None),) * axis
+        words[head + (0,)] = x0 + x1
+        words[head + (1,)] = (q - 1) * x0 - x1
+    return out
+
+
+def test_support_basis_splits_the_inverse_fourier_kernel():
+    # per axis, S F^-1 S^-1 = [[1, 1], [q-1, -1]] on digits 0 and 1 (as an
+    # operator on columns) plus a block C on digits 2..q-1 with C C* = q I
+    for q in range(3, 12):
+        # the kernels act on rows: out = x @ K, so the operator is K^T
+        fourier = _group_kernel(q, 1, "fourier", +1).T
+        forward = _group_kernel(q, 1, "support", -1).T
+        inverse = _group_kernel(q, 1, "support", +1).T
+        m = forward @ fourier @ inverse
+        assert np.max(np.abs(m[:2, :2] - [[1, 1], [q - 1, -1]])) <= 1e-12, q
+        assert np.max(np.abs(m[:2, 2:])) <= 1e-12 and np.max(np.abs(m[2:, :2])) <= 1e-12, q
+        c = m[2:, 2:]
+        assert np.max(np.abs(c @ c.conj().T - q * np.eye(q - 2))) <= 1e-12, q
+
+
+def test_closing_transform_matches_two_passes():
+    # the fused pass against the (x_0, x_1) map followed by the inverse
+    # support transform, on a batch; and, with digits >= 2 first taken to
+    # the inverse Fourier frame by C, it is the inverse Fourier transform of
+    # the inverse support transform: axis pairs (3,3), (4,3), (3,5) and single
+    # axes (5,2), (6,2), (5,3) with dense kernels, the FFT branch at q = 23
+    # and 256
     for q, n in ((3, 3), (4, 3), (5, 2), (6, 2), (3, 5), (5, 3), (23, 2), (256, 2)):
         rng = np.random.default_rng(q * 100 + n)
         rows = rng.normal(size=(2, q**n)) + 1j * rng.normal(size=(2, q**n))
-        forward = fourier_support_transform(rows, q, n, -1)
+        got = closing_transform(rows, q, n)
+        assert got.shape == rows.shape
         # support_transform has dense kernels at every q, 256 x 256 at most here
-        expect = support_transform(axis_transform(rows, q, n, -1), q, n, -1)
-        assert forward.shape == rows.shape
-        assert np.max(np.abs(forward - expect)) <= 1e-9 * q**n, (q, n)
-        back = fourier_support_transform(forward, q, n, +1)
-        assert np.max(np.abs(back - q**n * rows)) <= 1e-9 * q**n, (q, n)
+        expect = support_transform(_pair_map(rows, q, n), q, n, +1)
+        assert np.max(np.abs(got - expect)) <= 1e-9 * q**n, (q, n)
+        # C on digits 2..q-1 of each axis, as a row kernel
+        frame = _group_kernel(q, 1, "support", +1) @ _group_kernel(q, 1, "fourier", +1)
+        frame = frame @ _group_kernel(q, 1, "support", -1)
+        frame[:2, :] = np.eye(q)[:2]
+        frame[:, :2] = np.eye(q)[:, :2]
+        framed = rows.reshape((2,) + (q,) * n)
+        for axis in range(1, n + 1):
+            framed = np.moveaxis(np.moveaxis(framed, axis, -1) @ frame, -1, axis)
+        expect = axis_transform(support_transform(rows, q, n, +1), q, n, +1)
+        got = closing_transform(framed.reshape(rows.shape), q, n)
+        assert np.max(np.abs(got - expect)) <= 1e-9 * q**n, (q, n)
 
 
 def test_fourier_inversion_and_delta():
