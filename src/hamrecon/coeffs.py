@@ -43,16 +43,19 @@ The formulas hold for every face dimension 0 <= k <= h <= n, which is
 all that sphere-to-ball reconstruction needs (k <= d <= h); a face with
 k > h has no transfer formula and raises :class:`RegimeError`.
 
-Full recovery (d = h) reads the same sums once more.  The restriction
-T = [chi_a(x)] of V_h to the sphere, over x, a in W_h, is square; in the
-support-spectral basis it splits by the pattern of t digits >= 2 into
-elements of the binary Johnson scheme J(n-t, h-t) (Delsarte, Philips Res.
-Rep. Suppl. 10, 1973; Tarnanen, Aaltonen and Goethals, Europ. J. Combin.
-6, 1985), with eigenvalues epsilon(t, j) = (-1)^j q^j sums[t], k = t + j;
-the Gram matrix T*T has theta(t, j) = q^t epsilon(t, j)^2.
-:func:`restriction_inverse_coefficients` writes the inverse blocks as sums
-of inclusion products, with Fraction coefficients from one small exact
-solve.
+Whole-tensor recovery reads the same series once more.  The restriction
+T_d = [chi_a(x)] of V_h to the weight-d sphere, over x in W_d and a in
+W_h, splits in the support-spectral basis by the pattern of t digits >= 2
+into maps E_t from the (h-t)-subsets to the (d-t)-subsets of n - t axes.
+E_t^T E_t lies in the Bose-Mesner algebra of the binary Johnson scheme
+J(n-t, h-t) (Delsarte, Philips Res. Rep. Suppl. 10, 1973; Tarnanen,
+Aaltonen and Goethals, Europ. J. Combin. 6, 1985), with the eigenvalues
+theta_d(t, j) / q^t, a product of two series values; at d = h, T is
+square with eigenvalues epsilon(t, j) = (-1)^j q^j sums[t], k = t + j,
+and theta_h = q^t epsilon^2.  :func:`restriction_inverse_coefficients`
+writes the min-norm pseudo-inverse of each E_t (its inverse at d = h) as
+a sum of inclusion products, with Fraction coefficients from one small
+exact solve and one exact count.
 
 Every quantity is a Python int or Fraction, and a table is a plain tuple
 of them; the zero tests are exact, and nothing here touches floating
@@ -68,7 +71,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .krawtchouk import krawtchouk_series, krawtchouk_value
+from .krawtchouk import generating_coefficients, krawtchouk_series, krawtchouk_value
 from .scheme import digits_table
 
 
@@ -159,15 +162,16 @@ def lift_multipliers(q: int, n: int, h: int, d: int, k: int) -> tuple[tuple[int,
 
 
 # ---------------------------------------------------------------------------
-# full recovery: the inverse of the square sphere restriction
+# whole-tensor recovery: the pseudo-inverse of the sphere restriction
 
 
-def _solve_exact(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """x with rows x = rhs for int ``rows`` (nonsingular) and ``rhs``, in Fractions.
+def _solve_exact(rows: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
+    """x = numerators / det with rows x = rhs, for int ``rows`` (nonsingular) and ``rhs``.
 
     Fraction-free Gauss-Jordan elimination (Bareiss): every entry stays an
-    integer minor of the augmented matrix, so each division is exact and no
-    Fraction is formed before the answer.
+    integer minor of the augmented matrix, so each division is exact, and
+    every diagonal entry ends as the last pivot, +-det(rows), the common
+    denominator.
     """
     m = [row + [b] for row, b in zip(rows, rhs)]
     size = len(m)
@@ -181,60 +185,92 @@ def _solve_exact(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
                 factor = m[r][col]
                 m[r] = [(top[col] * x - factor * y) // previous for x, y in zip(m[r], top)]
         previous = top[col]
-    return [Fraction(m[r][size], m[r][r]) for r in range(size)]
+    return [m[r][size] for r in range(size)], previous
 
 
-def _restriction_eigenvalue(q: int, n: int, h: int, t: int, j: int) -> int:
-    """epsilon(t, j) = (-1)^j q^j s with s = K(h-k; h-k, n-k-h+t), k = t + j.
+def _gram_eigenvalue(q: int, n: int, h: int, d: int, t: int, j: int) -> int:
+    """theta_d(t, j) = q^(t+2j) K(d-k; h-k, n-k-h+t) K(h-k; d-k, n-k-d+t), k = t + j.
 
-    s is the nondegeneracy sum ``eigen_sums(q, n, h, h, k)[t]``, and
-    P_h(h; n) at k = 0.  The Gram matrix T*T has eigenvalue
-    theta(t, j) = q^t epsilon(t, j)^2 on the same eigenspace.
+    The eigenvalue of the Gram matrix T_d* T_d of the sphere restriction
+    on the eigenspace of t digits >= 2 and Johnson index j, q^t times
+    that of E_t^T E_t; 0 for k > d.  At d = h it is q^t epsilon(t, j)^2,
+    epsilon(t, j) = (-1)^j q^j s with s the nondegeneracy sum
+    ``eigen_sums(q, n, h, h, k)[t]``.
     """
     k = t + j
-    return (-1) ** j * q**j * krawtchouk_series(q, h - k, h - k, n - k - h + t)
+    return (
+        q ** (t + 2 * j)
+        * krawtchouk_series(q, d - k, h - k, n - k - h + t)
+        * krawtchouk_series(q, h - k, d - k, n - k - d + t)
+    )
 
 
 @lru_cache(maxsize=None)
-def restriction_inverse_coefficients(q: int, n: int, h: int) -> tuple[tuple[Fraction, ...], ...]:
-    """c[t][i], i = 0..h-t: E_t^-1 = sum_i c[t][i] W_i on each pattern of t digits >= 2.
+def restriction_inverse_coefficients(
+    q: int, n: int, h: int, d: int
+) -> tuple[tuple[Fraction, ...], ...]:
+    """c[t][i], i = 0..d-t: E_t^+ = sum_i c[t][i] W_i on each pattern of t digits >= 2.
 
-    T = [chi_a(x)] over x, a in W_h is the square restriction of V_h to the
-    weight-h sphere.  In the support-spectral basis a word's digits >= 2
-    (its nonzero (q-1)-ary frequencies) are kept, and on each pattern of t
-    of them T is C^(x)t (x) E_t: C is unitary up to q^(1/2) per axis, and
-    E_t, over the sets of digits 1 among the other N = n - t axes, has
-    entry (q-1)^(m-i) (-1)^i at intersection size i, m = h - t.  E_t lies
-    in the Bose-Mesner algebra of the binary Johnson scheme J(N, m), with
-    eigenvalue epsilon(t, j) on its eigenspace V_j, j = 0..J = min(m, n - h).
-    The inclusion product W_i[B, B'] = C(|B & B'|, i) has eigenvalue
-    C(m-j, i-j) C(N-i-j, m-i) on V_j (0 when i < j).  The top ranks i = m-J..m span that algebra,
-    because C(x, i) is triangular over the J+1 intersection sizes
-    x = m-J..m, so their c[t][i] solve
+    T_d = [chi_a(x)] over x in W_d, a in W_h restricts V_h to the weight-d
+    sphere.  In the support-spectral basis a word's digits >= 2 (its
+    nonzero (q-1)-ary frequencies) are kept, and on each pattern of t of
+    them T_d is C^(x)t (x) E_t: C is unitary up to q^(1/2) per axis, and
+    E_t, from the sets A of m = h - t digits 1 to the sets X of p = d - t
+    digits 1 among the other N = n - t axes, has entry
+    (q-1)^(m-x) (-1)^x at x = |A & X|.  Its min-norm pseudo-inverse
+    E_t^+ = (E_t^T E_t)^+ E_t^T, the inverse at d = h, has an entry that
+    depends on x alone, written here as sum_i c[t][i] C(x, i), the
+    inclusion products W_i that the add passes of recovery apply.
 
-        sum_i c[t][i] C(m-j, i-j) C(N-i-j, m-i) = 1 / epsilon(t, j),   j = 0..J;
+    E_t^T E_t lies in the Bose-Mesner algebra of the binary Johnson scheme
+    J(N, m) (Delsarte, Philips Res. Rep. Suppl. 10, 1973), with eigenvalue
+    lambda_j = :func:`_gram_eigenvalue` / q^t on its eigenspace V_j,
+    j = 0..J = min(m, n - h).  The inclusion product C(|B & B'|, i) on
+    m-sets has eigenvalue C(m-j, i-j) C(N-i-j, m-i) on V_j (0 when i < j),
+    and the top ranks i = m-J..m span the algebra, so the pseudo-inverse
+    (E_t^T E_t)^+ = sum_i psi_i C(|B & B'|, i) solves
 
-    the lower ranks get 0.  Raises ValueError when some epsilon is 0, which
-    happens exactly when :func:`check_conditions` fails at d = h.
+        sum_i psi_i C(m-j, i-j) C(N-i-j, m-i) = 1 / lambda_j  (0 where lambda_j = 0).
+
+    Composing it with E_t^T sums over the m-sets B, grouped by y = |A & B|:
+    the part of B inside A and the part outside give the Krawtchouk values
+    P_y(x; m) and P_(m-y)(p-x; N-m), so E_t^+ has the entry
+
+        sum_y (E_t^T E_t)^+(y) P_y(x; m) P_(m-y)(p-x; N-m)
+
+    at |A & X| = x.  The sizes x that occur run from max(0, p + m - N) to
+    p, and over them C(x, i) is unit lower triangular, so the c[t][i]
+    follow by substitution; the lower ranks get 0.  At d = h these are the
+    coefficients of E_t^-1.
     """
-    if not 0 <= h <= n:
-        raise ValueError(f"eigenindex {h} outside [0, {n}]")
+    if not 0 <= d <= h <= n:
+        raise ValueError(f"need 0 <= d <= h <= n, got d={d}, h={h}, n={n}")
     table = []
-    for t in range(h + 1):
-        N, m = n - t, h - t
+    for t in range(d + 1):
+        N, m, p = n - t, h - t, d - t
         top = min(m, n - h)
-        eps = [_restriction_eigenvalue(q, n, h, t, j) for j in range(top + 1)]
-        if 0 in eps:
-            raise ValueError(f"the sphere restriction of (q={q}, n={n}, h={h}) is singular")
+        lam = [_gram_eigenvalue(q, n, h, d, t, j) // q**t for j in range(top + 1)]
         ranks = range(m - top, m + 1)
         rows = [
             [math.comb(m - j, i - j) * math.comb(N - i - j, m - i) if i >= j else 0 for i in ranks]
             for j in range(top + 1)
         ]
-        # the right-hand side 1/epsilon, scaled to integers by their lcm
-        scale = math.lcm(*eps)
-        c = _solve_exact(rows, [scale // e for e in eps])
-        table.append((Fraction(0),) * (m - top) + tuple(x / scale for x in c))
+        # the right-hand side 1/lambda, scaled to integers by the lcm of the nonzero ones;
+        # every sum below is an integer over the one denominator det * scale
+        scale = math.lcm(*filter(None, lam))
+        psi, det = _solve_exact(rows, [scale // e if e else 0 for e in lam])
+        # the entry of (E_t^T E_t)^+ at |B & B'| = y
+        gram = [sum(c * math.comb(y, i) for i, c in zip(ranks, psi)) for y in range(m + 1)]
+        low = max(0, p + m - N)
+        c: list[int] = []
+        for x in range(low, p + 1):
+            # P_y(x; m) and P_i(p-x; N-m) for every y and i
+            inside = generating_coefficients(q, x, m)
+            outside = generating_coefficients(q, p - x, N - m)
+            sizes = range(max(0, 2 * m - N), m + 1)
+            entry = sum(gram[y] * inside[y] * outside[m - y] for y in sizes)
+            c.append(entry - sum(ci * math.comb(x, i) for i, ci in enumerate(c, low)))
+        table.append((Fraction(0),) * low + tuple(Fraction(a, det * scale) for a in c))
     return tuple(table)
 
 

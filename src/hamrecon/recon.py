@@ -18,9 +18,9 @@ Two algorithms, both linear in the data:
     (1,), so M is the identity, Psi vanishes on S^I, and the sphere values
     are the layer.
 
-    Both drivers hold the ball in the support-spectral basis while they
-    solve: block J, the words of support exactly J (f(0) for J empty), is
-    transformed with the (q-1)-ary transform on its own axes, and block J
+    The layer driver holds the ball in the support-spectral basis while
+    it solves: block J, the words of support exactly J (f(0) for J empty),
+    is transformed with the (q-1)-ary transform on its own axes, and block J
     at frequency v is written as one word, digit 0 off J and v_i + 1 on J.
     There M is diagonal, with the exact nondegeneracy sums[l] on the
     frequencies of weight l (the count of digits >= 2); the solver divides
@@ -31,54 +31,49 @@ Two algorithms, both linear in the data:
     by column entries shifted by k - |J| and spread over the rest of I.  A
     block at frequency v thus reaches every block I ⊋ J at the same v times
     the exact integer ``coeffs.lift_multipliers`` W[|J|][l]: per axis,
-    digit 0 added into digit 1, as in Yates's algorithm.  The lift needs no
-    eigenfunction structure, so it runs on the q^n tensor or on a stack of
-    k-faces alike.
+    digit 0 added into digit 1, as in Yates's algorithm.
 
-    The per-support driver solves a layer as one batched problem, since M
-    is the same for all C(n, k) supports: Phi is one gather and one
-    (q-1)-ary transform, Psi the lift of the gathered faces.  The stack is
-    cut into chunks of at most ``_CHUNK_WORDS`` complex words, buffers and
-    gather axes included, so peak memory does not grow with C(n, k).  After
-    the last layer one inverse transform per chunk returns blocks to values.
+    It solves a layer as one batched problem, since M is the same for all
+    C(n, k) supports: Phi is one gather and one (q-1)-ary transform, Psi
+    the lift of the gathered faces.  The stack is cut into chunks of at
+    most ``_CHUNK_WORDS`` complex words, buffers and gather axes included,
+    so peak memory does not grow with C(n, k).  After the last layer one
+    inverse transform per chunk returns blocks to values.
 
-    The tensor driver holds the whole ball as one q^n tensor.  Summing the
-    sphere, per axis, over every digit into digit 0 (the superset sums)
-    leaves at each word a the total over the words that agree with a on
-    supp(a); the sphere is zero off W_d, so at weight k < d that is Phi(a),
-    for every layer at once.  Each layer k takes Psi from
-    whichever is smaller: the lift of its C(n, k) gathered k-faces, as the
-    per-support driver does, when C(n, k) q^k < q^n, and the lift of the
-    whole tensor otherwise.  At (3, 10) that is the faces for k <= 4, whose
-    lift costs 4 to 70 times less than the tensor's (warm, one BLAS
-    thread: 11 to 200 us against 0.8 ms).  The driver runs when the
-    supports of layers below d hold at least as many face words as the
-    tensor, sum_{k<d} C(n, k) q^k >= q^n; inside the default state cap that
-    happens only for q <= 6, so its dense q x q kernels stay small.  At
-    small d the per-support driver, which reads only the ball, is 10 to 100
-    times faster.
+    When the supports of the layers below d hold at least as many face
+    words as the q^n tensor, sum_{k<d} C(n, k) q^k >= q^n (inside the
+    default state cap only for q <= 6), the ball is instead cut from the
+    whole-tensor solve of the second algorithm below, run at radius d: no
+    layer is solved there.  At small d the layer driver, which reads only
+    the ball, is 10 to 100 times faster.
 
-2.  Sphere to everything, for d = h.  Write f = sum_{a in W_h} g(a) chi_a.
-    On the sphere that is s = T g, T[x, a] = chi_a(x) over x, a in W_h, a
-    square matrix, so g = T^-1 s.  In the support-spectral basis T keeps
-    each pattern of t digits >= 2 (nonzero (q-1)-ary frequencies) and is
-    C^(x)t (x) E_t there: C, on the digits >= 2 of one axis, is unitary up
-    to q^(1/2), and E_t lies in the algebra of the binary Johnson scheme
-    J(n - t, h - t), with eigenvalue epsilon(t, j) = (-1)^j q^j s on its
+2.  Sphere to everything.  Write f = sum_{a in W_h} g(a) chi_a.  On the
+    weight-d sphere that is s = T_d g, T_d[x, a] = chi_a(x) over x in W_d
+    and a in W_h; at d = h, T = T_h is square and g = T^-1 s.  In the
+    support-spectral basis T_d keeps each pattern of t digits >= 2
+    (nonzero (q-1)-ary frequencies) and is C^(x)t (x) E_t there: C, on the
+    digits >= 2 of one axis, is unitary up to q^(1/2), and E_t maps the
+    (h-t)-subsets of the other n - t axes to their (d-t)-subsets, with
+    E_t^T E_t in the algebra of the binary Johnson scheme J(n - t, h - t).
+    At d = h, E_t has eigenvalue epsilon(t, j) = (-1)^j q^j s on its
     eigenspace V_j, s the nondegeneracy sum
-    ``eigen_sums(q, n, h, h, t + j)[t]`` (P_h(h; n) at t = j = 0).  So T
-    is invertible exactly when the layer conditions hold, and E_t^-1 is a
-    short sum of inclusion products sum_i c[t][i] W_i with exact
-    coefficients (``coeffs.restriction_inverse_coefficients``), applied as
-    per-axis digit 0 += digit 1, a multiply, and the lift's digit 1 +=
-    digit 0.  C^-1 is never built: the inverse Fourier kernel of an axis is
-    C on digits >= 2 and a 2 x 2 block on digits 0 and 1, so the closing
-    pass (``spectral.closing_transform``) applies that block and the
-    inverse support transform.  The (q-1)-ary transform of the sphere's
-    own blocks, those two add passes and that one dense pass are the whole
-    recovery: no ball, no layer, no forward q^n pass.  The paper's own
-    closing step, the ball filled layer by layer and the Fourier
-    coefficients read off its h-faces through the closed form
+    ``eigen_sums(q, n, h, h, t + j)[t]`` (P_h(h; n) at t = j = 0), so T
+    is invertible exactly when the layer conditions hold.  For every d the
+    min-norm pseudo-inverse E_t^+ (E_t^-1 at d = h) is a short sum of
+    inclusion products sum_i c[t][i] W_i with exact coefficients
+    (``coeffs.restriction_inverse_coefficients``), applied as per-axis
+    digit 0 += digit 1, a multiply, and the lift's digit 1 += digit 0.
+    C^-1 is never built: the inverse Fourier kernel of an axis is C on
+    digits >= 2 and a 2 x 2 block on digits 0 and 1, so the closing pass
+    (``spectral.closing_transform``) applies that block and the inverse
+    support transform.  The (q-1)-ary transform of the sphere's own
+    blocks, those two add passes and that one dense pass are the whole
+    recovery (:func:`_restriction_solve`): no ball, no layer, no forward
+    q^n pass.  The pseudo-inverse gives the g of least norm, so for
+    consistent data any g with T_d g = s gives the same ball, and for
+    inconsistent data the least-squares fit.  The paper's own closing
+    step, the ball filled layer by layer and the Fourier coefficients read
+    off its h-faces through the closed form
 
         eta = q^(n-2h) * sum_j (-1)^j (q-1)^(h-j) v_j ,
 
@@ -125,8 +120,6 @@ from .spectral import (
     closing_transform,
     distance_tensor_stack,
     read_vertex_dict,
-    superset_transform,
-    support_transform,
 )
 
 
@@ -371,10 +364,16 @@ def solve_layer(system: LayerSystem, q: int, n: int, h: int, d: int) -> np.ndarr
 
 
 def _tensor_path(q: int, n: int, d: int) -> bool:
-    """Whether to solve layers 1..d-1 in whole-tensor passes.
+    """Whether to cut the ball from the whole-tensor solve instead of solving layers.
 
-    True when the supports of those layers hold, face by face, at least as
-    many words as the q^n tensor: sum_{k<d} C(n, k) q^k >= q^n.
+    True when the supports of layers 1..d-1 hold, face by face, at least
+    as many words as the q^n tensor: sum_{k<d} C(n, k) q^k >= q^n.  Just
+    below the rule the two routes are about even (warm, best of 30, one
+    BLAS thread on a 2-core Xeon VM): at (4,8,6,5) 3.1 ms by layers
+    against 3.0 ms on the tensor, at (3,10,10,5) 2.0-2.2 ms against
+    2.7-2.9 ms.  On the tensor cells (3,10,10,8), (4,8,8,6) and (3,10,8,6)
+    the tensor takes 3.0-3.3 ms; on the passing d <= 3 cells of (3,10) and
+    (4,8) the layers take 0.03-0.4 ms and the tensor 2.6-3.8 ms.
     """
     return sum(math.comb(n, k) * q**k for k in range(d)) >= q**n
 
@@ -440,27 +439,25 @@ def _add_down_blocks(t: np.ndarray, q: int, axes: int) -> None:
 
 @lru_cache(maxsize=None)
 def _lift_table(q: int, n: int, h: int, d: int, k: int) -> np.ndarray:
-    """:func:`coeffs.lift_multipliers` W[j][l] as floats at [l, j], zero for j >= k."""
-    table = np.zeros((n + 1, n + 1))
+    """:func:`coeffs.lift_multipliers` W[j][l] as floats at [l, j], zero for j = k."""
+    table = np.zeros((k + 1, k + 1))
     for j, row in enumerate(lift_multipliers(q, n, h, d, k)):
         table[: j + 1, j] = [float(w) for w in row]
     table.setflags(write=False)
     return table
 
 
-def _lift(xhat: np.ndarray, q: int, n: int, h: int, d: int, k: int, axes: int) -> np.ndarray:
-    """Psi of layer k in the support-spectral basis over the last ``axes`` word axes.
+def _lift(faces: np.ndarray, q: int, n: int, h: int, d: int, k: int) -> np.ndarray:
+    """Psi of layer k in the support-spectral basis on a stack of k-faces.
 
-    ``xhat`` holds the recovered blocks of size below k, transformed: the
-    whole q^n tensor (``axes = n``) or a stack of k-faces (``axes = k``).
+    ``faces`` holds the recovered blocks of size below k, transformed.
     Each block is weighed by :func:`coeffs.lift_multipliers` and added into
     every block that contains it at the same frequency, which is digit 0
-    added into digit 1 on each axis.  Blocks of size k or more are not read;
-    Psi is read at the weight-k words.
+    added into digit 1 on each axis.  Blocks of size k are not read; Psi is
+    read at the full-support words.
     """
-    table = _lift_table(q, n, h, d, k)[: axes + 1, : axes + 1].reshape(-1)
-    psi = xhat * table[_support_codes(q, axes)]
-    _add_up_blocks(psi, q, axes)
+    psi = faces * _lift_table(q, n, h, d, k).reshape(-1)[_support_codes(q, k)]
+    _add_up_blocks(psi, q, k)
     return psi
 
 
@@ -476,31 +473,45 @@ def _face_psi(
     """
     k = supports.shape[1]
     faces = xhat[(q ** (n - supports)) @ digits_table(q, k).T]
-    return _lift(faces, q, n, h, d, k, k)[:, weight_ranks(q, k, k)]
+    return _lift(faces, q, n, h, d, k)[:, weight_ranks(q, k, k)]
 
 
-def _layers_by_tensor(sphere: SphereData, h: int, origin: complex) -> np.ndarray:
-    """The ball below weight d in the support-spectral basis, from whole-tensor passes.
+def _restriction_solve(sphere: SphereData, h: int) -> np.ndarray:
+    """f = sum_{a in W_h} g(a) chi_a for the min-norm g with T_d g nearest the sphere.
 
-    Phi of every layer is the transform of the sphere's superset sums.
-    Layer k is (Phi - Psi) / sums[l] at its weight-k words, with Psi lifted
-    on the C(n, k) k-faces when they hold fewer words than the tensor and on
-    the whole tensor otherwise.
+    T_d[x, a] = chi_a(x) over x in W_d, a in W_h, d the sphere radius (the
+    module docstring's second algorithm); on each pattern of t digits >= 2
+    it is C^(x)t (x) E_t, E_t^+ = sum_i c[t][i] W_i
+    (:func:`coeffs.restriction_inverse_coefficients`).  In five passes:
+
+    1. the (q-1)-ary transform of each d-support block of the sphere, its
+       |W_d| words only;
+    2. per axis digit 0 += digit 1, each support block summed into the
+       blocks inside it;
+    3. a multiply by c[t][i], t the digits >= 2 and i + t the nonzero
+       digits;
+    4. per axis digit 1 += digit 0, each block summed back into the blocks
+       that contain it, then zero off W_h: that is E_t^+ on every pattern;
+    5. one :func:`spectral.closing_transform` pass, which sums g against
+       the characters; C^-t cancels against the C in the characters, so
+       no C is built.
+
+    The whole q^n tensor comes back.  When the sphere is the restriction
+    of an index-h eigenfunction, it agrees with that function on B_d, and
+    at d = h everywhere.
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
-    phi_hat = superset_transform(sphere.values, q, n)
-    xhat = np.zeros(params.size, dtype=np.complex128)
-    xhat[0] = origin
-    for k in range(1, d):
-        supports = _supports(n, k)
-        ranks = (q ** (n - supports)) @ _sub_assignments(q, k).T
-        if len(supports) * q**k < q**n:
-            psi = _face_psi(xhat, q, n, h, d, supports)
-        else:
-            psi = _lift(xhat, q, n, h, d, k, n)[ranks]
-        xhat[ranks] = _solve_layers(phi_hat[ranks] - psi, q, n, h, d, k)
-    return xhat
+    g = sphere.values.copy()
+    _block_transform(g, q, n, _supports(n, d), sign=-1)
+    _add_down_blocks(g, q, n)
+    table = np.zeros((n + 1, n + 1))
+    for t, row in enumerate(restriction_inverse_coefficients(q, n, h, d)):
+        table[t, t : d + 1] = [float(c) for c in row]
+    g *= table.reshape(-1)[_support_codes(q, n)]
+    _add_up_blocks(g, q, n)
+    g[weight_table(q, n) != h] = 0
+    return closing_transform(g, q, n)
 
 
 def _check_cell(q: int, n: int, h: int, d: int) -> None:
@@ -515,26 +526,27 @@ def _check_cell(q: int, n: int, h: int, d: int) -> None:
 def reconstruct_ball(sphere: SphereData, h: int) -> VertexFunction:
     """Recover the radius-d ball from the weight-d sphere values.
 
-    Validates the exact nondegeneracy conditions up front, then fills
-    weight layers k = 1..d-1 bottom-up, in chunks of supports or, when
-    :func:`_tensor_path` holds, in whole-tensor passes.  The layer k = d is
-    the input: its operator is the identity (the column is (1,)) and Psi
-    vanishes on its full-support words, so the given sphere values are
-    copied through verbatim.  Sphere data that no index-h eigenfunction
-    restricts to is not detected here.  The ball comes back as an index-h
-    :class:`VertexFunction` that is zero off B_d.
+    Validates the exact nondegeneracy conditions up front.  When
+    :func:`_tensor_path` holds, the whole function comes from the min-norm
+    solve of the sphere restriction (:func:`_restriction_solve`) and is
+    cut to the ball; otherwise weight layers k = 1..d-1 are filled
+    bottom-up in chunks of supports.  The layer k = d is the input: its
+    operator is the identity (the column is (1,)) and Psi vanishes on its
+    full-support words, so the given sphere values are copied through
+    verbatim.  Sphere data that no index-h eigenfunction restricts to is
+    not detected here: on the tensor path the layers below d are those of
+    the min-norm least-squares fit, on the per-support path those the layer
+    solves give.  The ball comes back as an index-h :class:`VertexFunction`
+    that is zero off B_d.
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
     _check_cell(q, n, h, d)
-    origin = reconstruct_origin(sphere, h)
     if _tensor_path(q, n, d):
-        values = support_transform(_layers_by_tensor(sphere, h, origin), q, n, sign=+1)
-        # layer d is the sphere, copied below; each block maps to itself, so the
-        # blocks of size d and above are already zero, but some are -0.0
+        values = _restriction_solve(sphere, h)
         values[weight_table(q, n) >= d] = 0
     else:
-        values = _layers_by_support(sphere, h, origin)
+        values = _layers_by_support(sphere, h, reconstruct_origin(sphere, h))
     top = sphere.domain_ranks()
     values[top] = sphere.values[top]
     return VertexFunction(params, values, eigenindex=h)
@@ -593,20 +605,9 @@ def reconstruct_full(sphere: SphereData, h: int) -> VertexFunction:
     Requires the sphere radius to equal the eigenvalue index.  Solves
     s = T g for f = sum_{a in W_h} g(a) chi_a, T[x, a] = chi_a(x) over
     x, a in W_h (the module docstring's second algorithm): T is invertible
-    exactly when :func:`check_conditions` passes, and on each pattern of t
-    digits >= 2 it is C^(x)t (x) E_t, E_t^-1 = sum_i c[t][i] W_i
-    (:func:`coeffs.restriction_inverse_coefficients`).  After the gate:
-
-    1. the (q-1)-ary transform of each h-support block of the sphere, its
-       |W_h| words only;
-    2. per axis digit 0 += digit 1 (each support block summed into the
-       blocks inside it), a multiply by c[t][i], t the digits >= 2 and
-       i + t the nonzero digits, and per axis digit 1 += digit 0 (each
-       block summed back into the blocks that contain it), zeroed off W_h:
-       that is E_t^-1 on every pattern;
-    3. one :func:`spectral.closing_transform` pass, which sums g against
-       the characters; C^-t cancels against the C in the characters, so
-       no C is built.
+    exactly when :func:`check_conditions` passes, and after that gate
+    :func:`_restriction_solve` applies its inverse, E_t^-1 on every
+    pattern of t digits >= 2, and sums g against the characters.
 
     The ball is never built, no weight layer is solved, and the condition
     number is kappa(T), not the kappa(T)^2 of the normal equations
@@ -624,20 +625,5 @@ def reconstruct_full(sphere: SphereData, h: int) -> VertexFunction:
         raise ValueError(
             f"full reconstruction needs sphere radius d={sphere.d} equal to the index h={h}"
         )
-    if h == 0:
-        # the constant eigenspace: the single given value is the function
-        return VertexFunction(
-            params, np.full(params.size, complex(sphere.values[0])), eigenindex=0
-        )
-    q, n = params.q, params.n
-    _check_cell(q, n, h, h)
-    g = sphere.values.copy()
-    _block_transform(g, q, n, _supports(n, h), sign=-1)
-    _add_down_blocks(g, q, n)
-    table = np.zeros((n + 1, n + 1))
-    for t, row in enumerate(restriction_inverse_coefficients(q, n, h)):
-        table[t, t : h + 1] = [float(c) for c in row]
-    g *= table.reshape(-1)[_support_codes(q, n)]
-    _add_up_blocks(g, q, n)
-    g[weight_table(q, n) != h] = 0
-    return VertexFunction(params, closing_transform(g, q, n), eigenindex=h)
+    _check_cell(params.q, params.n, h, h)
+    return VertexFunction(params, _restriction_solve(sphere, h), eigenindex=h)

@@ -19,18 +19,16 @@ two buffers per call.  Above it numpy's FFT takes over, where a q x q kernel
 would cost O(q^2) memory (32 GiB at q = 65536).  It is batched over leading
 axes, so the solvers transform a whole stack of faces in one call.  The
 same grouped-gemm loop applies any per-axis kernel, which gives
-:func:`support_transform`, the (q-1)-ary transform of every support block
-of the tensor at once, :func:`superset_transform`, that transform after
-the superset sums, and :func:`closing_transform`, the last pass of full
-recovery.  In the support-spectral basis the inverse Fourier kernel of one
-axis splits into the map (x_0, x_1) -> (x_0 + x_1, (q-1) x_0 - x_1) on
-digits 0 and 1 and a block C on digits 2..q-1 with C C* = q I, so the
-square sphere restriction splits into Johnson-scheme blocks times
-Kronecker powers of C.  C cancels against its own inverse, and the
-closing pass applies only the 2 x 2 block and the inverse support
-transform.  Above ``DENSE_MAX_Q`` that pass is two strided lines and
-numpy's inverse FFT over digits 1..q-1, axis by axis, so no q x q kernel
-is built at any q.
+:func:`closing_transform`, the last pass of whole-tensor recovery.  In the
+support-spectral basis (per axis, digit 0 kept and digits 1..q-1 through
+the (q-1)-ary transform) the inverse Fourier kernel of one axis splits
+into the map (x_0, x_1) -> (x_0 + x_1, (q-1) x_0 - x_1) on digits 0 and 1
+and a block C on digits 2..q-1 with C C* = q I, so the sphere restriction
+splits into Johnson-scheme blocks times Kronecker powers of C.  C cancels
+against its own inverse, and the closing pass applies only the 2 x 2
+block and the inverse support transform.  Above ``DENSE_MAX_Q`` that pass
+is two strided lines and numpy's inverse FFT over digits 1..q-1, axis by
+axis, so no q x q kernel is built at any q.
 
 Combinatorial coefficients are always exact integers and are converted to
 floats only at the point where they multiply complex data.
@@ -126,8 +124,7 @@ def _group_kernel(q: int, g: int, kind: str, sign: int) -> np.ndarray:
     ``"support"`` is the g-th Kronecker power of the axis kernel that keeps
     digit 0 and applies the (q-1)-ary one to digits 1..q-1 (digit j as
     j-1), divided by q-1 for ``sign = +1`` so that the two signs are
-    inverse to each other; ``"superset"`` first replaces digit 0 by the
-    line total, which sets column 0 of the axis kernel to ones.
+    inverse to each other.
     ``"closing"`` (``sign = +1``) is the Kronecker power of the axis map
     (x_0, x_1) -> (x_0 + x_1, (q-1) x_0 - x_1), digits 2..q-1 kept,
     followed by the ``"support"`` axis kernel.
@@ -138,8 +135,6 @@ def _group_kernel(q: int, g: int, kind: str, sign: int) -> np.ndarray:
     else:
         axis = np.zeros((q, q), dtype=np.complex128)
         axis[0, 0] = 1
-        if kind == "superset":
-            axis[1:, 0] = 1
         axis[1:, 1:] = _group_kernel(q - 1, 1, "fourier", sign) / ((q - 1) if sign > 0 else 1)
         if kind == "closing":
             pair = np.eye(q, dtype=np.complex128)
@@ -194,28 +189,6 @@ def axis_transform(values: np.ndarray, q: int, n: int, sign: int) -> np.ndarray:
     return t.reshape(values.shape)
 
 
-def support_transform(values: np.ndarray, q: int, n: int, sign: int) -> np.ndarray:
-    """The support-spectral transform: each support block transformed on its own.
-
-    Per axis, digit 0 is kept and digits 1..q-1 (as 0..q-2) go through the
-    (q-1)-ary transform with ``sign``, so the words of support exactly J
-    are mapped among themselves by the (q-1)-ary transform on the axes of
-    J.  ``sign = +1`` carries the (q-1)^-|J| factor and inverts ``-1``.
-    Dense kernels only: the recovery selects it only for q <= DENSE_MAX_Q.
-    """
-    return _dense_transform(values, q, n, "support", sign)
-
-
-def superset_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Forward :func:`support_transform` of the superset sums of ``values``.
-
-    The superset sums at a word total the values over the words that agree
-    with it on its support (per axis, digit 0 becomes the line total).  That
-    step folds into the transform's axis kernel, so it costs nothing extra.
-    """
-    return _dense_transform(values, q, n, "superset", -1)
-
-
 def closing_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
     """Values from the solved coefficients of full recovery, in one pass.
 
@@ -223,8 +196,8 @@ def closing_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
     kept, then the inverse support transform (``sign = +1``).  In the
     support-spectral basis the inverse Fourier kernel of one axis is that
     2 x 2 block plus a block C on digits 2..q-1: given y with C applied to
-    digits 2..q-1 of every axis, this pass returns
-    ``axis_transform(support_transform(y, q, n, +1), q, n, +1)``.  Up to
+    digits 2..q-1 of every axis, this pass returns the inverse Fourier
+    transform (without its q^-n) of the inverse support transform of y.  Up to
     ``DENSE_MAX_Q`` one grouped-gemm pass with the fused axis kernel;
     above it, axis by axis, the two strided lines and numpy's inverse FFT
     over digits 1..q-1, so no q x q kernel is built.

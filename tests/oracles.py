@@ -20,7 +20,11 @@ paper's closing route (``per_support_full``) stays here as a reference for
 the package's full recovery, which divides by the spectrum of the square
 sphere restriction T = [chi_a(x)] instead.  Two more references build T
 and its Gram matrix T*T densely and solve them with ``np.linalg.solve``
-(``dense_restriction_full``, ``dense_gram_full``).
+(``dense_restriction_full``, ``dense_gram_full``); for a sphere of radius
+d < h, T_d has rows W_d only, and ``dense_restriction_lstsq`` takes its
+min-norm least-squares solution from ``np.linalg.lstsq``.  The
+support-spectral transform (``support_transform``) is applied axis by
+axis with its own q x q kernel.
 
 The JSON payload of a vertex function is built one word at a time as a
 dict, and its file text comes from the stdlib's ``json.dumps``: the
@@ -145,6 +149,26 @@ def _dense_transform(values, q, n, sign):
     return t.reshape(-1)
 
 
+def support_transform(values, q, n, sign):
+    """Each support block's (q-1)-ary transform with ``sign``, over the last axis.
+
+    Per axis, digit 0 is kept and digits 1..q-1 (as 0..q-2) go through the
+    (q-1)-ary transform, so the words of support exactly J are mapped
+    among themselves; ``sign = +1`` carries the (q-1)^-|J| factor and
+    inverts ``-1``.  Leading axes are a batch.
+    """
+    powers = np.exp(sign * 2j * np.pi * np.arange(q - 1) / (q - 1))
+    kernel = np.zeros((q, q), dtype=np.complex128)
+    kernel[0, 0] = 1
+    kernel[1:, 1:] = powers[np.outer(np.arange(q - 1), np.arange(q - 1)) % (q - 1)]
+    if sign > 0:
+        kernel[1:, 1:] /= q - 1
+    t = np.asarray(values, dtype=np.complex128).reshape(np.shape(values)[:-1] + (q,) * n)
+    for axis in range(t.ndim - n, t.ndim):
+        t = np.moveaxis(np.tensordot(kernel, t, axes=(1, axis)), 0, axis)
+    return t.reshape(np.shape(values))
+
+
 def _full_support_ranks(params, positions):
     k = len(positions)
     return (digits_table(params.q - 1, k) + 1) @ position_weights(params, positions)
@@ -210,11 +234,15 @@ def per_support_full(sphere, h):
 # full recovery as one dense linear system
 
 
-def dense_gram(q, n, h):
-    """G = [P_h(rho(a, b); n)] over a, b in W_h, in rank order, from the pairwise distances."""
+def dense_gram(q, n, h, d):
+    """G = T_d* T_d = [P_d(rho(a, b); n)] over a, b in W_h, in rank order.
+
+    Entry (a, b) sums chi_(b-a) over the weight-d sphere; built from the
+    pairwise distances.
+    """
     words = digits_table(q, n)[weight_ranks(q, n, h)]
     dist = (words[:, None, :] != words[None, :, :]).sum(axis=2)
-    column = np.array([hr.krawtchouk_value(q, h, i, n) for i in range(n + 1)], dtype=float)
+    column = np.array([hr.krawtchouk_value(q, d, i, n) for i in range(n + 1)], dtype=float)
     return column[dist]
 
 
@@ -230,14 +258,15 @@ def dense_gram_full(sphere, h):
     ranks = weight_ranks(q, n, h)
     g = np.zeros(params.size, dtype=np.complex128)
     sphere_hat = _dense_transform(sphere.values, q, n, -1)
-    g[ranks] = np.linalg.solve(dense_gram(q, n, h), sphere_hat[ranks])
+    g[ranks] = np.linalg.solve(dense_gram(q, n, h, h), sphere_hat[ranks])
     return _dense_transform(g, q, n, +1)
 
 
-def dense_restriction(q, n, h):
-    """T = [chi_a(x)] over x (rows) and a (columns) in W_h, in rank order."""
-    words = digits_table(q, n)[weight_ranks(q, n, h)]
-    return np.exp(2j * np.pi * ((words @ words.T) % q) / q)
+def dense_restriction(q, n, h, d):
+    """T_d = [chi_a(x)] over x in W_d (rows) and a in W_h (columns), in rank order."""
+    words = digits_table(q, n)
+    rows, columns = words[weight_ranks(q, n, d)], words[weight_ranks(q, n, h)]
+    return np.exp(2j * np.pi * ((rows @ columns.T) % q) / q)
 
 
 def dense_restriction_full(sphere, h):
@@ -246,8 +275,25 @@ def dense_restriction_full(sphere, h):
     q, n = params.q, params.n
     ranks = weight_ranks(q, n, h)
     g = np.zeros(params.size, dtype=np.complex128)
-    g[ranks] = np.linalg.solve(dense_restriction(q, n, h), sphere.values[ranks])
+    g[ranks] = np.linalg.solve(dense_restriction(q, n, h, h), sphere.values[ranks])
     return _dense_transform(g, q, n, +1)
+
+
+def dense_restriction_lstsq(spheres, h):
+    """f = sum_{a in W_h} g(a) chi_a per sphere, g the min-norm least-squares fit of T_d g = s.
+
+    The spheres share one cell; one ``np.linalg.lstsq`` call fits them all.
+    """
+    params, d = spheres[0].params, spheres[0].d
+    q, n = params.q, params.n
+    data = np.stack([sphere.values[sphere.domain_ranks()] for sphere in spheres], axis=1)
+    fits = np.linalg.lstsq(dense_restriction(q, n, h, d), data, rcond=None)[0]
+    functions = []
+    for fit in fits.T:
+        g = np.zeros(params.size, dtype=np.complex128)
+        g[weight_ranks(q, n, h)] = fit
+        functions.append(_dense_transform(g, q, n, +1))
+    return functions
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 import hamrecon as hr
 from hamrecon.coeffs import (
-    _restriction_eigenvalue,
+    _gram_eigenvalue,
     layer_column,
     lift_multipliers,
     restriction_inverse_coefficients,
@@ -237,19 +237,47 @@ def test_dense_layer_matrix_shape_and_symmetry():
         hr.dense_layer_matrix(3, 4, 2, 2, 3)
 
 
-def _gram_spectrum(q, n, h):
-    """(t, j, theta, multiplicity) at d = h, theta from the nondegeneracy sums.
+def _gram_spectrum(q, n, h, d):
+    """(t, j, theta_d, multiplicity) over the eigenspaces of T_d* T_d on W_h.
 
-    theta(t, j) = q^(t+2j) s^2, s = eigen_sums(q, n, h, h, t + j)[t], or
-    P_h(h; n) at t = j = 0; the multiplicity is C(n, t) (q-2)^t times the
-    dimension C(n-t, j) - C(n-t, j-1) of the Johnson eigenspace V_j.
+    The multiplicity is C(n, t) (q-2)^t times the dimension
+    C(n-t, j) - C(n-t, j-1) of the Johnson eigenspace V_j.
     """
     for t in range(h + 1):
         for j in range(min(h - t, n - h) + 1):
-            k = t + j
-            s = hr.krawtchouk_value(q, h, h, n) if k == 0 else hr.eigen_sums(q, n, h, h, k)[t]
             dim = math.comb(n - t, j) - (math.comb(n - t, j - 1) if j else 0)
-            yield t, j, q ** (t + 2 * j) * s * s, math.comb(n, t) * (q - 2) ** t * dim
+            yield t, j, _gram_eigenvalue(q, n, h, d, t, j), math.comb(n, t) * (q - 2) ** t * dim
+
+
+def _gram_eigenvalues(q, n, h, d):
+    """Every theta_d as often as its multiplicity, sorted, as floats."""
+    spectrum = list(_gram_spectrum(q, n, h, d))
+    thetas = [float(theta) for *_, theta, _ in spectrum]
+    return np.sort(np.repeat(thetas, [mult for *_, mult in spectrum]))
+
+
+def test_gram_spectrum_of_every_sphere_restriction():
+    # theta_d against the dense Gram matrix T_d* T_d = [P_d(rho(a, b); n)]
+    # over a, b in W_h, as multisets, for every 0 <= d <= h on five small
+    # (q, n); and the two trace identities, sum mult = |W_h| and
+    # sum theta mult = |W_h| |W_d| (every |chi_a(x)| is 1), for q = 3..11
+    # and n <= 15
+    for q, n in ((3, 4), (4, 4), (3, 5), (5, 3), (4, 3)):
+        for h in range(n + 1):
+            for d in range(h + 1):
+                found = np.sort(np.linalg.eigvalsh(dense_gram(q, n, h, d)))
+                expect = _gram_eigenvalues(q, n, h, d)
+                assert np.max(np.abs(found - expect)) <= 1e-9 * max(expect[-1], 1), (q, n, h, d)
+    for q in range(3, 12):
+        for n in range(1, 16):
+            for h in range(n + 1):
+                size = math.comb(n, h) * (q - 1) ** h
+                for d in range(h + 1):
+                    spectrum = list(_gram_spectrum(q, n, h, d))
+                    assert sum(mult for *_, mult in spectrum) == size, (q, n, h, d)
+                    sphere = math.comb(n, d) * (q - 1) ** d
+                    trace = sum(theta * mult for *_, theta, mult in spectrum)
+                    assert trace == size * sphere, (q, n, h, d)
 
 
 # every d = h cell with q = 3..11 and n <= 15
@@ -258,22 +286,17 @@ GRAM_CELLS = [(q, n, h) for q in range(3, 12) for n in range(1, 16) for h in ran
 
 def test_restriction_inverse_coefficients_invert_the_spectrum():
     # exactly, on every eigenspace of the square restriction T:
-    # epsilon(t, j) = (-1)^j q^j s with q^t epsilon^2 = theta(t, j), and
-    # sum_i c[t][i] (eigenvalue of W_i on V_j) = 1 / epsilon(t, j); the Gram
-    # spectrum passes item 5's two trace identities
+    # epsilon(t, j) = (-1)^j q^j s with q^t epsilon^2 = theta_h(t, j), and
+    # sum_i c[t][i] (eigenvalue of W_i on V_j) = 1 / epsilon(t, j)
     for q, n, h in GRAM_CELLS:
         assert hr.check_conditions(q, n, h, h).passed, (q, n, h)
-        table = restriction_inverse_coefficients(q, n, h)
+        table = restriction_inverse_coefficients(q, n, h, h)
         assert len(table) == h + 1
-        size = math.comb(n, h) * (q - 1) ** h
-        spectrum = list(_gram_spectrum(q, n, h))
-        assert sum(mult for *_, mult in spectrum) == size, (q, n, h)
-        assert sum(theta * mult for *_, theta, mult in spectrum) == size**2, (q, n, h)
-        for t, j, theta, _ in spectrum:
+        for t, j, theta, _ in _gram_spectrum(q, n, h, h):
             k = t + j
             s = hr.krawtchouk_value(q, h, h, n) if k == 0 else hr.eigen_sums(q, n, h, h, k)[t]
-            eps = _restriction_eigenvalue(q, n, h, t, j)
-            assert eps == (-1) ** j * q**j * s and q**t * eps * eps == theta, (q, n, h, t, j)
+            eps = (-1) ** j * q**j * s
+            assert q**t * eps * eps == theta, (q, n, h, t, j)
             big, m = n - t, h - t
             row = table[t]
             assert len(row) == m + 1 and all(isinstance(c, Fraction) for c in row)
@@ -295,11 +318,9 @@ def test_gram_spectrum_and_dense_solve_match_full_recovery():
         for h in range(1, n + 1):
             if not hr.check_conditions(q, n, h, h).passed:
                 continue
-            gram = dense_gram(q, n, h)
+            gram = dense_gram(q, n, h, h)
             found = np.sort(np.linalg.eigvalsh(gram))
-            expect = np.sort(
-                [float(theta) for _, _, theta, mult in _gram_spectrum(q, n, h) for _ in range(mult)]
-            )
+            expect = _gram_eigenvalues(q, n, h, h)
             assert np.max(np.abs(found - expect)) <= 1e-9 * expect[-1], (q, n, h)
             sphere = hr.SphereData.from_function(eigfn(q, n, h), h)
             got = hr.reconstruct_full(sphere, h).values

@@ -14,11 +14,12 @@ from hamrecon.scheme import (
     weight_ranks,
     weight_table,
 )
-from hamrecon.spectral import DENSE_MAX_Q, axis_transform, support_transform
+from hamrecon.spectral import DENSE_MAX_Q, axis_transform
 
 from helpers import desk_cells, eigfn, load_cells, params, tol_for
 from oracles import (
     apply_layer_operator,
+    dense_restriction_lstsq,
     face,
     full_support,
     hamming_distance,
@@ -27,6 +28,7 @@ from oracles import (
     per_support_full,
     sphere,
     support_rhs,
+    support_transform,
 )
 
 
@@ -249,31 +251,18 @@ def _tensor_ball_matches(q, n, h, d, bound):
 
 
 def test_tensor_path_matches_per_support_reference(monkeypatch):
-    # the whole-tensor path on every passing desk cell, forced where the
-    # size rule picks the per-support path; no support is solved on its own.
-    # Each layer lifts Psi on the smaller of its stack of k-faces and the
-    # tensor (the tensor on a tie), and both routes run.
+    # the whole-tensor route on every passing desk cell, forced where the
+    # size rule picks the per-support path: the min-norm solve of the sphere
+    # restriction, cut to the ball, with no layer right-hand side and no lift
     monkeypatch.setattr(recon, "_tensor_path", lambda q, n, d: True)
     monkeypatch.setattr(recon, "_layer_rhs", None)
-    lifted = []
-    lift = recon._lift
-
-    def recorded(xhat, q, n, h, d, k, axes):
-        lifted.append((q, n, k, axes, xhat.size))
-        return lift(xhat, q, n, h, d, k, axes)
-
-    monkeypatch.setattr(recon, "_lift", recorded)
+    monkeypatch.setattr(recon, "_lift", None)
     compared = 0
     for q, n, h, d in desk_cells():
         if hr.check_conditions(q, n, h, d).passed:
             _tensor_ball_matches(q, n, h, d, 1e-12)
             compared += 1
     assert compared >= 100
-    assert {axes == n for q, n, k, axes, size in lifted} == {True, False}
-    for q, n, k, axes, size in lifted:
-        faces = len(recon._supports(n, k)) * q**k
-        assert axes in (k, n) and size == (q**n if axes == n else faces), (q, n, k, axes)
-        assert size <= min(faces, q**n), (q, n, k, axes)
 
 
 def test_full_recovery_never_builds_the_ball(monkeypatch):
@@ -284,7 +273,6 @@ def test_full_recovery_never_builds_the_ball(monkeypatch):
     names = (
         "reconstruct_ball",
         "reconstruct_origin",
-        "_layers_by_tensor",
         "_layers_by_support",
         "_lift",
     )
@@ -308,13 +296,45 @@ def test_full_recovery_never_builds_the_ball(monkeypatch):
     assert compared >= 40 and tensor_cells >= 10, (compared, tensor_cells)
 
 
+def test_restriction_solve_is_the_min_norm_fit():
+    # on every passing desk cell with d < h, the whole tensor against the
+    # dense min-norm least-squares solution of T_d g = s: for the sphere of a
+    # seeded eigenfunction, and for seeded random sphere data that no
+    # eigenfunction restricts to
+    compared = 0
+    for q, n, h, d in desk_cells():
+        if d == h or not hr.check_conditions(q, n, h, d).passed:
+            continue
+        p = params(q, n)
+        rng = np.random.default_rng(q * 1000 + n * 100 + h * 10 + d)
+        raw = rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
+        spheres = [
+            hr.SphereData.from_function(eigfn(q, n, h), d),
+            hr.SphereData(p, d, np.where(weight_table(q, n) == d, raw, 0)),
+        ]
+        for sphere, expect in zip(spheres, dense_restriction_lstsq(spheres, h)):
+            gap = np.max(np.abs(recon._restriction_solve(sphere, h) - expect))
+            assert gap <= 1e-12, (q, n, h, d, gap)
+        compared += 1
+    assert compared >= 70, compared
+
+
 def test_tensor_path_matches_per_support_reference_at_cap_scale(monkeypatch):
     # the size rule's own choice on the four cap cells; the bound is relative
-    # to the largest value, 1
+    # to the largest value, 1.  Three balls with d < h against the seeded
+    # eigenfunction itself.
     monkeypatch.setattr(recon, "_layer_rhs", None)
     for q, n, h in ((4, 8, 6), (3, 10, 8), (3, 10, 10), (4, 8, 8)):
         assert recon._tensor_path(q, n, h)
         _tensor_ball_matches(q, n, h, h, 1e-11)
+    for q, n, h, d in ((3, 10, 10, 8), (3, 10, 8, 6), (4, 8, 8, 6)):
+        assert recon._tensor_path(q, n, d)
+        f = eigfn(q, n, h)
+        got = hr.reconstruct_ball(hr.SphereData.from_function(f, d), h).values
+        mask = _ball_mask(q, n, d)
+        assert not np.any(got[~mask]), (q, n, h, d)
+        err = np.max(np.abs(got[mask] - f.values[mask])) / f.max_abs()
+        assert err <= 1e-13, (q, n, h, d, err)
 
 
 def test_full_recovery_is_accurate_at_cap_scale_and_on_large_alphabets():
@@ -337,8 +357,8 @@ def test_full_recovery_is_accurate_at_cap_scale_and_on_large_alphabets():
 
 def test_tensor_lift_matches_distance_stack_psi():
     # values that are no eigenfunction on the weights below k: Psi at every
-    # weight-k word, from the lift over the whole tensor and from the lift over
-    # each layer's stack of faces, against one distance stack per face
+    # weight-k word, from the lift over each layer's stack of faces, against
+    # one distance stack per face
     layers = 0
     for q, n, h, d in desk_cells():
         p = params(q, n)
@@ -349,16 +369,12 @@ def test_tensor_lift_matches_distance_stack_psi():
             raw = rng.normal(size=p.size) + 1j * rng.normal(size=p.size)
             lower = np.where(wt < k, raw, 0)
             xhat = support_transform(lower, q, n, -1)
-            psi_hat = recon._lift(xhat, q, n, h, d, k, n)
-            psi = support_transform(np.where(wt == k, psi_hat, 0), q, n, +1)
             supports = recon._supports(n, k)
             stack_ranks, stack_rhs = recon._layer_rhs(
                 zero_sphere.values, xhat, q, n, h, d, supports
             )
             for index, positions in enumerate(supports):
                 ranks, rhs = support_rhs(zero_sphere, lower, tuple(positions), h)
-                gap = np.max(np.abs(psi[ranks] + rhs))
-                assert gap <= 1e-12 * np.max(np.abs(rhs)), (q, n, h, d, k, positions, gap)
                 rhs_hat = axis_transform(rhs, q - 1, k, -1)
                 assert np.array_equal(stack_ranks[index], ranks)
                 gap = np.max(np.abs(stack_rhs[index] - rhs_hat))
