@@ -1,14 +1,17 @@
 """The exact solvability conditions for layer-by-layer recovery.
 
 Recovering the weight-k layer inverts M = sum_i r_{i,d-k} D_i on the
-(q-1)-ary k-dimensional sub-scheme; M is invertible iff none of its k+1
-eigenvalues ("nondegeneracy sums") vanish.  Both sides are exact here:
-the sums are a tuple of integers, one per sub-scheme level, and
-singularity of the densely built M is decided by certified modular rank
-computation.
+(q-1)-ary k-dimensional sub-scheme.  M is diagonal on the characters of
+that sub-scheme: a character of weight l (l nonzero frequencies) is an
+eigenvector with eigenvalue sums[l], the nondegeneracy sum, an exact
+integer from ``eigen_sums``.  So a zero sum means a singular layer, and
+every character of that weight lies in its kernel; no matrix is built.
 
 Run:  python demos/04_nondegeneracy_conditions.py
 """
+
+import itertools
+import math
 
 import hamrecon as hr
 
@@ -32,15 +35,20 @@ for q in (3, 4, 5):
                 print(f"   {q}  {n}  {h}  {d}   {kind:6s}    {detail}")
 
 print("\none failing layer in detail: q=3, n=4, h=3, d=2, k=1")
-sums = hr.eigen_sums(3, 4, 3, 2, 1)
-print(f"  nondegeneracy sums by sub-scheme level: {[str(s) for s in sums]}")
-matrix = hr.dense_layer_matrix(3, 4, 3, 2, 1)
-print(f"  dense layer operator: {[[str(x) for x in row] for row in matrix]}")
-print(f"  exactly singular?    {hr.is_singular(matrix)}")
-vec = hr.kernel_vector(matrix)
-print(f"  certified kernel vector: {[str(x) for x in vec]}")
+q, k = 3, 1
+sums = hr.eigen_sums(q, 4, 3, 2, k)
+for level, value in enumerate(sums):
+    count = math.comb(k, level) * (q - 2) ** level
+    verdict = "in the kernel" if value == 0 else "nonzero"
+    print(f"  weight {level}: {count} character(s), eigenvalue {value} -> {verdict}")
+# over alphabet q - 1 = 2 a character of frequency b is (-1)^(b.x) on the
+# relabeled full-support points x (digit v of the face read as v - 1)
+points = list(itertools.product(range(q - 1), repeat=k))
+for b in itertools.product(range(q - 1), repeat=k):
+    if sums[sum(1 for x in b if x)] == 0:
+        values = [(-1) ** sum(bi * xi for bi, xi in zip(b, x)) for x in points]
+        print(f"  kernel character b={b}: {values} on the points {points}")
 
 print("\nand a healthy one: q=3, n=4, h=2, d=2, k=1")
 sums_ok = hr.eigen_sums(3, 4, 2, 2, 1)
-print(f"  sums: {[str(s) for s in sums_ok]}; singular? "
-      f"{hr.is_singular(hr.dense_layer_matrix(3, 4, 2, 2, 1))}")
+print(f"  sums: {[str(s) for s in sums_ok]}; singular? {0 in sums_ok}")

@@ -7,8 +7,9 @@ origin: the radius-d sphere determines the radius-d ball, and the sphere
 whose radius equals the eigenvalue index determines the whole function.
 This package implements both reconstructions together with the exact
 integer machinery needed to decide the conditions.  The tuple-level
-brute-force references that check the solvers at desk scale live with
-the tests, in ``tests/oracles.py``.
+brute-force references that check the solvers at desk scale, the dense
+layer operator and the certified singularity test live with the tests,
+in ``tests/oracles.py`` and ``tests/rankcheck.py``.
 """
 
 from .coeffs import (
@@ -17,7 +18,6 @@ from .coeffs import (
     check_conditions,
     coefficient,
     coefficient_table,
-    dense_layer_matrix,
     eigen_sums,
 )
 from .krawtchouk import (
@@ -33,13 +33,10 @@ from .localdist import (
     transfer_orthogonal,
     verify_face_relation,
 )
-from .rankcheck import fraction_rank, is_singular, kernel_vector
 from .recon import (
     ConditionError,
-    DataInconsistencyError,
     LayerSystem,
     SphereData,
-    eta_discrepancy,
     eta_face_values,
     layer_rhs,
     reconstruct_ball,

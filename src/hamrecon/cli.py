@@ -13,31 +13,31 @@ Subcommands:
 Each subparser names its runner, which takes the argparse namespace.
 Argparse types check the shape of each flag: q >= 3 (q >= 2 for
 ``krawtchouk-dump``), n >= 1, h, d and seed >= 0, a finite positive
-tolerance, and comma-separated integer lists (``sweep`` sorts them and
-drops repeats; ``--positions`` keeps them as given).  Every other rule is
-the library's, whose ``ValueError`` exits 64 like a parser error: the
-state cap (``SchemeParams``, for every ``sweep`` pair before any row), the
-h and d ranges, distinct positions, and d = h in full mode.  The CLI
-itself refuses, before any work, ``--oracle-eta`` in ball mode, q > 10
-on ``generate`` and ``reconstruct`` (such words have no text form), a
-``krawtchouk-dump`` table of (N+1)^2 values above the state cap (N <= 255
-by default), and a sphere file without an eigenvalue index or that it
-cannot read.
+``verify --tolerance``, and comma-separated integer lists (``sweep``
+sorts them and drops repeats; ``--positions`` keeps them as given).
+Every other rule is the library's, whose ``ValueError`` exits 64 like a
+parser error: the state cap (``SchemeParams``, for every ``sweep`` pair
+before any row), the h and d ranges, distinct positions, and d = h in
+full mode.  The CLI itself refuses, before any work, q > 10 on
+``generate`` and ``reconstruct`` (such words have no text form), a
+``krawtchouk-dump`` table of (N+1)^2 values above the state cap
+(N <= 255 by default), and a sphere file without an eigenvalue index or
+that it cannot read.
 
 ``generate`` and ``reconstruct`` stream their JSON from the value array in
 bounded chunks, the same bytes as the stdlib's indented ``json.dumps``; a
 write that fails part way removes the output file.  On every command
 that takes it, an ``--output`` that cannot be opened for writing exits 64
 before any work.  A regular file is truncated only once the output is
-ready, so a run that fails before then (exit 2, 3 or 64) leaves no new
+ready, so a run that fails before then (exit 2 or 64) leaves no new
 file and a file that was there untouched; a device, pipe or FIFO is
 written as it is and never removed.
 
 Exit codes: 0 success (conditions pass), 1 ``verify`` round-trip error
-above ``--tolerance``, 2 conditions fail, 3 input data inconsistent, 64
-invalid parameters or malformed input.  Reports are bitwise deterministic
-for fixed flags and seed: exact integers are serialized as decimal
-strings, and wall-clock timing goes to stderr, never into the report.
+above ``--tolerance``, 2 conditions fail, 64 invalid parameters or
+malformed input.  Reports are bitwise deterministic for fixed flags and
+seed: exact integers are serialized as decimal strings, and wall-clock
+timing goes to stderr, never into the report.
 """
 
 from __future__ import annotations
@@ -56,21 +56,13 @@ import numpy as np
 
 from .coeffs import check_conditions
 from .krawtchouk import krawtchouk_table
-from .recon import (
-    ConditionError,
-    DataInconsistencyError,
-    SphereData,
-    eta_discrepancy,
-    reconstruct_ball,
-    reconstruct_full,
-)
+from .recon import ConditionError, SphereData, reconstruct_ball, reconstruct_full
 from .localdist import local_distribution
 from .scheme import MAX_STATES_ENV, SchemeParams, max_states, parse_word, weight_table, word_text
 from .spectral import function_from_dict, random_eigenfunction, vertex_json_chunks
 
 EXIT_OK = 0
 EXIT_CONDITION_FAIL = 2
-EXIT_INCONSISTENT = 3
 EXIT_USAGE = 64
 
 
@@ -148,19 +140,6 @@ def _build_parser() -> _Parser:
     p_rec.add_argument("--mode", choices=("ball", "full"), required=True)
     p_rec.add_argument("--input", type=str, required=True)
     p_rec.add_argument("--output", type=str, required=True)
-    p_rec.add_argument(
-        "--tolerance",
-        type=_tolerance,
-        default=1e-8,
-        help="largest eta oracle gap, relative to 1 + max |f|; read only with --oracle-eta",
-    )
-    p_rec.add_argument(
-        "--oracle-eta",
-        action="store_true",
-        help="full mode only (refused with exit 64 in ball mode): check the eta closed"
-        " form against direct sums on the recovered function, exit 3 with no output"
-        " file beyond --tolerance",
-    )
 
     p_ver = sub.add_parser("verify", help="seeded mask-and-recover round trip")
     p_ver.set_defaults(run=run_verify)
@@ -288,8 +267,6 @@ def run_generate(args: argparse.Namespace) -> int:
 
 
 def run_reconstruct(args: argparse.Namespace) -> int:
-    if args.oracle_eta and args.mode == "ball":
-        raise UsageError("--oracle-eta acts in full mode only")
     summary: dict = {"command": "reconstruct", "mode": args.mode, "output": args.output}
 
     def pieces() -> Iterable[str]:
@@ -308,13 +285,6 @@ def run_reconstruct(args: argparse.Namespace) -> int:
             ball = reconstruct_ball(sphere, h)
             return vertex_json_chunks(ball.params, ball.values, h, sphere.d)
         out = reconstruct_full(sphere, h)
-        if args.oracle_eta:
-            gap = eta_discrepancy(out, h)
-            summary["eta_oracle_max_discrepancy"] = gap
-            if gap > args.tolerance * (1.0 + out.max_abs()):
-                raise DataInconsistencyError(
-                    f"eta oracle disagrees with the closed form by {gap:.3e}"
-                )
         return vertex_json_chunks(out.params, out.values, out.eigenindex)
 
     _emit(pieces, args.output)
@@ -409,9 +379,6 @@ def main(argv=None) -> int:
         payload = exc.report.to_json_dict() if exc.report else {"error": str(exc)}
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
         return EXIT_CONDITION_FAIL
-    except DataInconsistencyError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INCONSISTENT
     except ValueError as exc:  # UsageError included
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

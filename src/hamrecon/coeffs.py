@@ -69,10 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .krawtchouk import generating_coefficients, krawtchouk_series, krawtchouk_value
-from .scheme import digits_table
 
 
 class RegimeError(ValueError):
@@ -329,36 +326,3 @@ def check_conditions(q: int, n: int, h: int, d: int) -> ConditionReport:
         failures += [(k, l) for l, s in enumerate(eigen_sums(q, n, h, d, k)) if s == 0]
     return ConditionReport(q=q, n=n, h=h, d=d, origin_value=origin, failures=tuple(failures))
 
-
-# ---------------------------------------------------------------------------
-# dense layer operator (oracle side)
-
-
-@lru_cache(maxsize=None)
-def layer_column(q: int, n: int, h: int, d: int, k: int) -> tuple[int, ...]:
-    """r_{i,d-k} for i = 0..min(k, d-k): the layer operator M = sum_i r_{i,d-k} D_i.
-
-    The k-face has components i = 0..k, and r_{ij} = 0 for i > j.  Only
-    the oracles build M from its column; recovery reads M's eigenvalues
-    from :func:`eigen_sums`.
-    """
-    return tuple(coefficient(q, n, h, k, i, d - k) for i in range(min(k, d - k) + 1))
-
-
-def dense_layer_matrix(q: int, n: int, h: int, d: int, k: int) -> np.ndarray:
-    """M = sum_i r_{i,d-k} D_i on the (q-1)-ary k-cube, as an int64 matrix.
-
-    Rows and columns are indexed by the relabeled full-support points in
-    lexicographic order; entry (a, b) is r_{rho(a,b), d-k}.  Built by
-    distance classification only, so it is independent of the eigenvalue
-    bookkeeping that :func:`eigen_sums` relies on.
-    """
-    if not 1 <= k <= d <= h:
-        raise ValueError(f"need 1 <= k <= d <= h, got k={k}, d={d}, h={h}")
-    column = layer_column(q, n, h, d, k)
-    # distances past the end of the column carry weight zero
-    padded = np.zeros(k + 1, dtype=np.int64)
-    padded[: len(column)] = column
-    pts = digits_table(q - 1, k)
-    dist = (pts[:, None, :] != pts[None, :, :]).sum(axis=2)
-    return padded[dist]

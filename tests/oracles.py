@@ -6,7 +6,11 @@ Hamming distance, the weight and support of a word, the value of a
 local enumerator, and the totals of a full function over orthogonal
 faces by direct summation.  The layer operator M and the eigenspace
 projector (the scheme idempotent q^-n sum_i P_h(i; n) D_i) are applied
-through the distance stack, never through their Fourier diagonals.
+through the distance stack, never through their Fourier diagonals, and
+``dense_layer_matrix`` builds M as an integer matrix by distance
+classes: the reference that the package's exact nondegeneracy sums are
+checked against, with the certified singularity test of
+``tests/rankcheck.py`` deciding its rank.
 
 Per-support references redo the batched recovery drivers the way the
 paper states the algorithm: each weight layer one support set at a
@@ -33,11 +37,11 @@ reference the package's streaming writer must match byte for byte.
 
 import itertools
 import json
+from functools import lru_cache
 
 import numpy as np
 
 import hamrecon as hr
-from hamrecon.coeffs import layer_column
 from hamrecon.scheme import (
     check_positions,
     check_word,
@@ -116,6 +120,40 @@ def orthogonal_face_totals(f, positions):
     q, n = f.params.q, f.params.n
     comp_axes = tuple(p - 1 for p in hr.complement(positions, n))
     return f.values.reshape((q,) * n).sum(axis=comp_axes).reshape(-1)
+
+
+# ---------------------------------------------------------------------------
+# the layer operator and the scheme idempotent, by distance classes
+
+
+@lru_cache(maxsize=None)
+def layer_column(q: int, n: int, h: int, d: int, k: int) -> tuple[int, ...]:
+    """r_{i,d-k} for i = 0..min(k, d-k): the layer operator M = sum_i r_{i,d-k} D_i.
+
+    The k-face has components i = 0..k, and r_{ij} = 0 for i > j.  Only
+    the oracles build M from its column; recovery reads M's eigenvalues
+    from ``hamrecon.eigen_sums``.
+    """
+    return tuple(hr.coefficient(q, n, h, k, i, d - k) for i in range(min(k, d - k) + 1))
+
+
+def dense_layer_matrix(q: int, n: int, h: int, d: int, k: int) -> np.ndarray:
+    """M = sum_i r_{i,d-k} D_i on the (q-1)-ary k-cube, as an int64 matrix.
+
+    Rows and columns are indexed by the relabeled full-support points in
+    lexicographic order; entry (a, b) is r_{rho(a,b), d-k}.  Built by
+    distance classification only, so it is independent of the eigenvalue
+    bookkeeping that ``hamrecon.eigen_sums`` relies on.
+    """
+    if not 1 <= k <= d <= h:
+        raise ValueError(f"need 1 <= k <= d <= h, got k={k}, d={d}, h={h}")
+    column = layer_column(q, n, h, d, k)
+    # distances past the end of the column carry weight zero
+    padded = np.zeros(k + 1, dtype=np.int64)
+    padded[: len(column)] = column
+    pts = digits_table(q - 1, k)
+    dist = (pts[:, None, :] != pts[None, :, :]).sum(axis=2)
+    return padded[dist]
 
 
 def _distance_combination(values, q, k, column):

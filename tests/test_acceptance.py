@@ -18,7 +18,8 @@ from hamrecon.cli import main as cli_main
 from hamrecon.scheme import weight_ranks, weight_table
 
 from helpers import DESK_QN, desk_cells, eigfn, params
-from oracles import orthogonal_face_totals
+from oracles import dense_layer_matrix, orthogonal_face_totals
+from rankcheck import is_singular
 
 
 def _finish(name: str, started: float, budget: float, detail: str) -> None:
@@ -138,7 +139,7 @@ def test_criterion_5_condition_operator_equivalence():
     for q, n, h, d in desk_cells():
         for k in range(1, d + 1):
             has_zero = 0 in hr.eigen_sums(q, n, h, d, k)
-            singular = hr.is_singular(hr.dense_layer_matrix(q, n, h, d, k))
+            singular = is_singular(dense_layer_matrix(q, n, h, d, k))
             assert has_zero == singular, (q, n, h, d, k)
             tuples += 1
     _finish(

@@ -108,12 +108,11 @@ def test_generate_reconstruct_round_trip(tmp_path, capsys):
 
     code, out, _ = run(
         capsys,
-        "reconstruct", "--mode", "full",
-        "--input", str(sphere_path), "--output", str(out_path), "--oracle-eta",
+        "reconstruct", "--mode", "full", "--input", str(sphere_path), "--output", str(out_path),
     )
     assert code == 0
     summary = json.loads(out)
-    assert summary["mode"] == "full" and summary["eta_oracle_max_discrepancy"] <= 1e-9
+    assert summary["mode"] == "full"
 
     recovered = hr.function_from_dict(json.loads(out_path.read_text()))
     truth = hr.random_eigenfunction(hr.SchemeParams(3, 4), 2, seed=7)
@@ -129,26 +128,6 @@ def test_generate_reconstruct_round_trip(tmp_path, capsys):
     ball = hr.function_from_dict(json.loads(ball_path.read_text()))
     mask = hr.scheme.weight_table(3, 4) <= 2
     assert np.max(np.abs(ball.values[mask] - truth.values[mask])) <= 1e-8
-
-
-def test_eta_oracle_disagreement_exits_3_without_output(tmp_path, capsys, monkeypatch):
-    sphere_path = tmp_path / "sphere.json"
-    out_path = tmp_path / "recovered.json"
-    code, _, _ = run(
-        capsys,
-        "generate", "--q", "3", "--n", "4", "--h", "2", "--seed", "7", "--d", "2",
-        "--output", str(sphere_path),
-    )
-    assert code == 0
-    monkeypatch.setattr("hamrecon.cli.eta_discrepancy", lambda f, h: 1.0)
-    code, out, err = run(
-        capsys,
-        "reconstruct", "--mode", "full",
-        "--input", str(sphere_path), "--output", str(out_path), "--oracle-eta",
-    )
-    assert code == 3
-    assert not out_path.exists() and out == ""
-    assert "disagrees with the closed form by 1.000e+00" in err
 
 
 def test_reconstruct_error_paths(tmp_path, capsys):
@@ -413,12 +392,12 @@ PARAMETER_ERRORS = [
     pytest.param(
         ("sweep", "--q", "3,4", "--n", "3,9", "--output", "{out}"), "enumeration cap", id="sweep-over-cap"
     ),
-    pytest.param((*FULL, "--tolerance", "0"), "tolerance", id="tolerance-zero"),
-    pytest.param((*FULL, "--oracle-eta", "--tolerance", "nan"), "tolerance", id="oracle-tolerance-nan"),
+    pytest.param((*FULL, "--oracle-eta"), "unrecognized arguments: --oracle-eta", id="oracle-eta-gone"),
     pytest.param(
-        ("reconstruct", "--mode", "ball", "--input", "{sphere}", "--output", "{out}", "--oracle-eta"),
-        "--oracle-eta acts in full mode only", id="oracle-eta-in-ball-mode",
+        (*FULL, "--tolerance", "1e-8"), "unrecognized arguments: --tolerance 1e-8",
+        id="reconstruct-tolerance-gone",
     ),
+    pytest.param((*VERIFY, "--tolerance", "0"), "tolerance", id="tolerance-zero"),
     pytest.param((*VERIFY, "--tolerance", "nan"), "tolerance", id="verify-tolerance-nan"),
     pytest.param((*VERIFY, "--tolerance", "inf"), "tolerance", id="verify-tolerance-inf"),
     pytest.param(
@@ -485,7 +464,7 @@ def test_unwritable_output_is_refused_before_the_work(tmp_path, capsys, monkeypa
         GEN,
         (*GEN, "--d", "2"),
         ("reconstruct", "--mode", "ball", "--input", str(sphere)),
-        ("reconstruct", "--mode", "full", "--input", str(sphere), "--oracle-eta"),
+        ("reconstruct", "--mode", "full", "--input", str(sphere)),
         ("sweep", "--q", "3", "--n", "3"),
         ("krawtchouk-dump", "--q", "3", "--n", "4"),
     )
@@ -496,19 +475,19 @@ def test_unwritable_output_is_refused_before_the_work(tmp_path, capsys, monkeypa
     assert not called and not (tmp_path / "missing").exists()
 
 
-def test_failed_run_leaves_the_output_path_as_it_was(tmp_path, capsys, monkeypatch):
-    # exit 2 (conditions fail) and exit 3 (eta oracle) create no file and
-    # leave a file that was there untouched; a run that succeeds replaces a
-    # longer file's whole text
+def test_failed_run_leaves_the_output_path_as_it_was(tmp_path, capsys):
+    # exit 2 (conditions fail in ball mode) and exit 64 (full mode refuses
+    # d != h once the input is read) create no file and leave a file that
+    # was there untouched; a run that succeeds replaces a longer file's
+    # whole text
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     assert run(capsys, *GEN, "--seed", "7", "--d", "2", "--output", str(good))[0] == 0
     bad_gen = ("generate", "--q", "3", "--n", "4", "--h", "3", "--seed", "1", "--d", "2")
     assert run(capsys, *bad_gen, "--output", str(bad))[0] == 0
     refused = (
         (2, ("reconstruct", "--mode", "ball", "--input", str(bad))),
-        (3, ("reconstruct", "--mode", "full", "--input", str(good), "--oracle-eta")),
+        (64, ("reconstruct", "--mode", "full", "--input", str(bad))),
     )
-    monkeypatch.setattr("hamrecon.cli.eta_discrepancy", lambda f, h: 1.0)
     old_text = "old text\n" * 10_000
     for code, argv in refused:
         absent, present = tmp_path / "absent.json", tmp_path / "present.json"
@@ -516,7 +495,6 @@ def test_failed_run_leaves_the_output_path_as_it_was(tmp_path, capsys, monkeypat
         assert run(capsys, *argv, "--output", str(absent))[:2] == (code, "")
         assert run(capsys, *argv, "--output", str(present))[:2] == (code, "")
         assert not absent.exists() and present.read_text() == old_text
-    monkeypatch.undo()
     argv = ("reconstruct", "--mode", "full", "--input", str(good), "--output", str(present))
     assert run(capsys, *argv)[0] == 0
     out = hr.reconstruct_full(hr.SphereData.from_dict(json.loads(good.read_text())), 2)

@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 import hamrecon as hr
-from hamrecon.coeffs import (
-    _gram_eigenvalue,
-    layer_column,
-    lift_multipliers,
-    restriction_inverse_coefficients,
-)
+from hamrecon.coeffs import _gram_eigenvalue, lift_multipliers, restriction_inverse_coefficients
 from hamrecon.krawtchouk import polymul
 from hamrecon.scheme import digits_table, weight_table
 
 from helpers import DESK_QN, desk_cells, eigfn
-from oracles import dense_gram, dense_gram_full, dense_restriction_full
+from oracles import (
+    dense_gram,
+    dense_gram_full,
+    dense_layer_matrix,
+    dense_restriction_full,
+    layer_column,
+)
 
 # the cap-scale cells (q, n, h) of the full-recovery benchmark
 CAP_CELLS = ((4, 8, 6), (3, 10, 8), (3, 10, 10), (4, 8, 8))
@@ -139,7 +140,7 @@ def test_eigen_sums_are_dense_operator_eigenvalues():
     # apply the dense layer operator to sub-scheme characters
     for q, n, h, d, k in ((3, 4, 2, 2, 1), (3, 4, 3, 3, 2), (4, 4, 3, 3, 2), (3, 5, 4, 4, 3)):
         sums = hr.eigen_sums(q, n, h, d, k)
-        dense = np.array([[float(x) for x in row] for row in hr.dense_layer_matrix(q, n, h, d, k)])
+        dense = np.array([[float(x) for x in row] for row in dense_layer_matrix(q, n, h, d, k)])
         sub_q = q - 1
         pts = digits_table(sub_q, k)
         for b_rank in range(sub_q**k):
@@ -225,16 +226,16 @@ def test_exact_serialization_round_trip():
 
 
 def test_dense_layer_matrix_shape_and_symmetry():
-    rows = hr.dense_layer_matrix(3, 4, 2, 2, 1)
+    rows = dense_layer_matrix(3, 4, 2, 2, 1)
     assert len(rows) == 2 and len(rows[0]) == 2
-    m = hr.dense_layer_matrix(4, 5, 3, 3, 2)
+    m = dense_layer_matrix(4, 5, 3, 3, 2)
     size = 3**2
     assert len(m) == size
     for a in range(size):
         for b in range(size):
             assert m[a][b] == m[b][a]  # distance matrices are symmetric
     with pytest.raises(ValueError):
-        hr.dense_layer_matrix(3, 4, 2, 2, 3)
+        dense_layer_matrix(3, 4, 2, 2, 3)
 
 
 def _gram_spectrum(q, n, h, d):

@@ -19,6 +19,7 @@ from hamrecon.spectral import DENSE_MAX_Q, axis_transform
 from helpers import desk_cells, eigfn, load_cells, params, tol_for
 from oracles import (
     apply_layer_operator,
+    dense_layer_matrix,
     dense_restriction_lstsq,
     face,
     full_support,
@@ -116,9 +117,7 @@ def test_solve_layer_dense_oracle_and_linearity():
     rhs = rng.normal(size=2) + 1j * rng.normal(size=2)  # S^I has (q-1)^1 = 2 points
     system = hr.LayerSystem(positions=(2,), rhs=rhs.copy())
     got = hr.solve_layer(system, q, n, h, d)
-    dense = np.array(
-        [[float(x) for x in row] for row in hr.dense_layer_matrix(q, n, h, d, 1)]
-    )
+    dense = np.array([[float(x) for x in row] for row in dense_layer_matrix(q, n, h, d, 1)])
     expect = np.linalg.solve(dense, rhs)
     assert np.max(np.abs(got - expect)) <= 1e-9
     assert system.solution is got
@@ -536,9 +535,12 @@ def test_reconstruct_ball_is_zero_off_the_ball_at_cap_scale():
 
 
 def test_eta_discrepancy_small_for_eigenfunctions():
+    # the closed form against direct axis sums on every h-face
     for q, n, h in ((3, 4, 2), (4, 3, 2), (3, 3, 3)):
         f = eigfn(q, n, h, seed=9)
-        assert hr.eta_discrepancy(f, h) <= 1e-8 * f.max_abs()
+        for positions in itertools.combinations(range(1, n + 1), h):
+            gap = np.abs(hr.eta_face_values(f, positions) - orthogonal_face_totals(f, positions))
+            assert np.max(gap) <= 1e-8 * f.max_abs(), (q, n, h, positions)
 
 
 def test_reconstruct_full_round_trips():
