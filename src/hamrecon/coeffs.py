@@ -18,7 +18,8 @@ factor as a power series.  Three closed forms read it:
 * transfer coefficients  r_{ij}  = (-1)^i sum_l C(k-i, l) (q-2)^l K(j-i-l; h-k, n-k-h),
   the y^j coefficient of (-y)^i (1+(q-2)y)^(k-i) (1-y)^(h-k) (1+(q-1)y)^(n-k-h);
 * nondegeneracy sums     sums[l] = K(d-k; h-k, n-k-h+l);
-* lift multipliers       W[j][l] = (1-q)^(k-j) K(d-2k+j; h-k, n-k-h+l),  j < k.
+* ball coefficients      kappa[k][t][i], from the ratios of the sums at radius k
+  to those at radius d, K(k-t-j; h-t-j, n-h-j) / K(d-t-j; h-t-j, n-h-j).
 
 The layer operator for weight-k recovery is M = sum_i r_{i,d-k} D_i taken
 inside the (q-1)-ary k-dimensional sub-scheme carried by the full-support
@@ -31,14 +32,6 @@ the Krawtchouk row over alphabet q-1:
     sum_i P_i(l; k) (-y)^i (1+(q-2)y)^(k-i) = (1+(q-1)y)^l
 
 (MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 5 sec. 7).
-The lift multipliers carry Psi from the recovered values of a smaller
-support J ⊊ I, |J| = j, to the layer on I.  A word of support J lies at
-distance (k - j) + s from a full-support word of I, s its (q-1)-ary
-distance on J, so column entry r_{k-j+s,d-k} weighs the s-th (q-1)-ary
-distance matrix on J; on a J-frequency of weight l that sum is the
-row above with i = k-j+s, shifted by (-y)^(k-j).  A function on the
-J-block, spread constantly over the other k - j axes of I, has its
-transform multiplied by (q-1)^(k-j), hence W.
 The formulas hold for every face dimension 0 <= k <= h <= n, which is
 all that sphere-to-ball reconstruction needs (k <= d <= h); a face with
 k > h has no transfer formula and raises :class:`RegimeError`.
@@ -55,7 +48,8 @@ square with eigenvalues epsilon(t, j) = (-1)^j q^j sums[t], k = t + j,
 and theta_h = q^t epsilon^2.  :func:`restriction_inverse_coefficients`
 writes the min-norm pseudo-inverse of each E_t (its inverse at d = h) as
 a sum of inclusion products, with Fraction coefficients from one small
-exact solve and one exact count.
+exact solve and one exact count; :func:`ball_coefficients` does the same
+for each layer T_k T_d^+ of the ball, from one small exact solve.
 
 Every quantity is a Python int or Fraction, and a table is a plain tuple
 of them; the zero tests are exact, and nothing here touches floating
@@ -138,26 +132,6 @@ def eigen_sums(q: int, n: int, h: int, d: int, k: int) -> tuple[int, ...]:
     return tuple(krawtchouk_series(q, d - k, h - k, n - k - h + l) for l in range(k + 1))
 
 
-@lru_cache(maxsize=None)
-def lift_multipliers(q: int, n: int, h: int, d: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """W[j][l] = (q-1)^(k-j) sum_s r_{k-j+s,d-k} P_s(l; j) over alphabet q-1, for j < k.
-
-    The part of Psi on a weight-k support I that comes from the recovered
-    values of support exactly J, |J| = j < k, in the support-spectral basis:
-    a J-block frequency of weight l reaches I multiplied by W[j][l].  By the
-    substitution above, W[j][l] = (1-q)^(k-j) K(d-2k+j; h-k, n-k-h+l), which
-    is 0 when j < 2k - d.  ``table[j][l]`` for l = 0..j.
-    """
-    _check_layer(n, h, d, k)
-    return tuple(
-        tuple(
-            (1 - q) ** (k - j) * krawtchouk_series(q, d - 2 * k + j, h - k, n - k - h + l)
-            for l in range(j + 1)
-        )
-        for j in range(k)
-    )
-
-
 # ---------------------------------------------------------------------------
 # whole-tensor recovery: the pseudo-inverse of the sphere restriction
 
@@ -214,7 +188,7 @@ def restriction_inverse_coefficients(
     them T_d is C^(x)t (x) E_t: C is unitary up to q^(1/2) per axis, and
     E_t, from the sets A of m = h - t digits 1 to the sets X of p = d - t
     digits 1 among the other N = n - t axes, has entry
-    (q-1)^(m-x) (-1)^x at x = |A & X|.  Its min-norm pseudo-inverse
+    (-1)^x (q-1)^(p-x) at x = |A & X|.  Its min-norm pseudo-inverse
     E_t^+ = (E_t^T E_t)^+ E_t^T, the inverse at d = h, has an entry that
     depends on x alone, written here as sum_i c[t][i] C(x, i), the
     inclusion products W_i that the add passes of recovery apply.
@@ -268,6 +242,62 @@ def restriction_inverse_coefficients(
             entry = sum(gram[y] * inside[y] * outside[m - y] for y in sizes)
             c.append(entry - sum(ci * math.comb(x, i) for i, ci in enumerate(c, low)))
         table.append((Fraction(0),) * low + tuple(Fraction(a, det * scale) for a in c))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def ball_coefficients(
+    q: int, n: int, h: int, d: int
+) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """kappa[k][t][i], k < d, i = 0..k-t: layer k of the ball is sum_i kappa[k][t][i] W_i.
+
+    Layer k of the ball of the min-norm fit is T_k T_d^+ s, s the sphere.
+    On each pattern of t digits >= 2 that is I (x) K_{k,t} with
+    K_{k,t} = E^(k)_t E_t^+, where E^(k)_t, from the sets A of m = h - t
+    digits 1 to the sets X of r = k - t digits 1 among the other N = n - t
+    axes, has entry (-1)^x (q-1)^(r-x) at x = |A & X|; the C factors
+    cancel.  K_{k,t} maps the sets Y of p = d - t digits 1 to the sets X
+    and lies in the Johnson-scheme algebra, so its entry is
+    sum_i kappa[k][t][i] C(|X & Y|, i).  Each map of that algebra acts on
+    the j-th common irreducible V_j as a scalar times one fixed map, and
+    the scalars multiply: C(|X & Y|, i) has C(N-i-j, p-i) C(r-j, i-j), and
+    E^(k)_t has (-1)^j q^j K(r-j; m-j, N-m-j) C(N-2j, m-j) / C(N-2j, r-j).
+    So for j <= min(r, N-m) K_{k,t} has
+
+        mu_j = K(r-j; m-j, N-m-j) C(N-2j, p-j) / (K(p-j; m-j, N-m-j) C(N-2j, r-j)),
+
+    the layer sum at radius k over the one at radius d (the nondegeneracy
+    sum ``eigen_sums(q, n, h, d, t + j)[t]``), and 0 where that vanishes or
+    the A-sets lack V_j.  The top ranks i = r-J..r, J = min(r, N-p), follow
+    by one small exact solve; the lower ranks get 0.
+    """
+    if not 0 <= d <= h <= n:
+        raise ValueError(f"need 0 <= d <= h <= n, got d={d}, h={h}, n={n}")
+    table = []
+    for k in range(d):
+        rows = []
+        for t in range(k + 1):
+            N, m, p, r = n - t, h - t, d - t, k - t
+            top = min(r, N - p)
+            ranks = range(r - top, r + 1)
+            scalars = [
+                [math.comb(N - i - j, p - i) * math.comb(r - j, i - j) if i >= j else 0
+                 for i in ranks]
+                for j in range(top + 1)
+            ]
+            # mu_j as (numerator, denominator), scaled to integers by the lcm of the
+            # denominators; every kappa is an integer over the one denominator det * scale
+            ratios = [(0, 1)] * (top + 1)
+            for j in range(min(top, N - m) + 1):
+                den = krawtchouk_series(q, p - j, m - j, N - m - j) * math.comb(N - 2 * j, r - j)
+                if den:
+                    num = krawtchouk_series(q, r - j, m - j, N - m - j)
+                    ratios[j] = (num * math.comb(N - 2 * j, p - j), den)
+            scale = math.lcm(*(den for _, den in ratios))
+            kappa, det = _solve_exact(scalars, [num * (scale // den) for num, den in ratios])
+            kappa = [Fraction(x, det * scale) for x in kappa]
+            rows.append((Fraction(0),) * (r - top) + tuple(kappa))
+        table.append(tuple(rows))
     return tuple(table)
 
 

@@ -4,9 +4,9 @@ Two algorithms, both linear in the data:
 
 1.  Sphere to ball.  Given the values of an index-h eigenfunction on the
     weight-d sphere (d <= h), recover the whole radius-d ball around the
-    origin.  The center value is the sphere sum divided by P_d(h; n);
-    each further weight layer k = 1..d is recovered on every support set
-    I with |I| = k by solving
+    origin.  The paper goes layer by layer: the center value is the
+    sphere sum divided by P_d(h; n), and each weight layer k = 1..d-1 is
+    recovered on every support set I with |I| = k by solving
 
         M F^I = Phi^I - Psi^I
 
@@ -14,38 +14,35 @@ Two algorithms, both linear in the data:
     the given sphere, Psi applies the same coefficients r_{i,d-k} to the
     already-known values of weight < k on the q-ary k-face, read at S^I,
     and M = sum_i r_{i,d-k} D_i lives in the (q-1)-ary k-dimensional
-    sub-scheme algebra.  The top layer k = d needs no solve: its column is
-    (1,), so M is the identity, Psi vanishes on S^I, and the sphere values
-    are the layer.
+    sub-scheme algebra, where it is diagonal with the exact nondegeneracy
+    sums as eigenvalues.  :func:`reconstruct_origin`, :func:`layer_rhs`
+    and :func:`solve_layer` keep that step for one support set; recovery
+    does not call them.
 
-    The layer driver holds the ball in the support-spectral basis while
-    it solves: block J, the words of support exactly J (f(0) for J empty),
-    is transformed with the (q-1)-ary transform on its own axes, and block J
+    Recovery runs the whole recursion as one closed form.  Layer k of the
+    ball is T_k T_d^+ s, s the sphere and T_k the restriction of V_h to
+    W_k of the second algorithm below; for the sphere of an eigenfunction
+    that is the eigenfunction's layer, and for any other sphere it is the
+    layer of the min-norm least-squares fit.  Hold words in the
+    support-spectral basis: block J, the words of support exactly J, is
+    transformed with the (q-1)-ary transform on its own axes, and block J
     at frequency v is written as one word, digit 0 off J and v_i + 1 on J.
-    There M is diagonal, with the exact nondegeneracy sums[l] on the
-    frequencies of weight l (the count of digits >= 2); the solver divides
-    by them and refuses a layer whose sum vanishes.  And Psi is a lift: a
-    word x of the face on I with support J lies at distance
-    (k - |J|) + dist_J(a, x) from a full-support word a of I, so Psi on I
-    sums, over J ⊊ I, the (q-1)-ary distance operators of block J weighed
-    by column entries shifted by k - |J| and spread over the rest of I.  A
-    block at frequency v thus reaches every block I ⊋ J at the same v times
-    the exact integer ``coeffs.lift_multipliers`` W[|J|][l]: per axis,
-    digit 0 added into digit 1, as in Yates's algorithm.
+    There T_k T_d^+ keeps each pattern of t digits >= 2 and is
+    I (x) K_{k,t} on it, with K_{k,t} = sum_i kappa[k][t][i] W_i a short
+    sum of inclusion products on the digits 1, exact coefficients from
+    ``coeffs.ball_coefficients``: on each Johnson eigenspace K_{k,t}
+    scales by the layer sum at radius k over the one at radius d, the
+    recursion's divisions composed.  So the ball takes the (q-1)-ary
+    transform of the sphere's d-blocks, written straight into a layout of
+    B_d built once per (q, n, d); one add-down, per axis digit 0 += digit 1;
+    and per layer k < d a multiply by kappa[k], an add-up, digit 1 +=
+    digit 0, on the words of B_k, and the inverse transform of the blocks
+    of W_k.  No word of weight above d is read or written.  The top layer
+    k = d is the sphere itself.
 
-    It solves a layer as one batched problem, since M is the same for all
-    C(n, k) supports: Phi is one gather and one (q-1)-ary transform, Psi
-    the lift of the gathered faces.  The stack is cut into chunks of at
-    most ``_CHUNK_WORDS`` complex words, buffers and gather axes included,
-    so peak memory does not grow with C(n, k).  After the last layer one
-    inverse transform per chunk returns blocks to values.
-
-    When the supports of the layers below d hold at least as many face
-    words as the q^n tensor, sum_{k<d} C(n, k) q^k >= q^n (inside the
-    default state cap only for q <= 6), the ball is instead cut from the
-    whole-tensor solve of the second algorithm below, run at radius d: no
-    layer is solved there.  At small d the layer driver, which reads only
-    the ball, is 10 to 100 times faster.
+    When the layers' work sum_{k<=d} |B_k| reaches 7/5 q^n the ball is
+    cut instead from the whole-tensor solve of the second algorithm, run
+    at radius d: the same ball, by one pass over all q^n words.
 
 2.  Sphere to everything.  Write f = sum_{a in W_h} g(a) chi_a.  On the
     weight-d sphere that is s = T_d g, T_d[x, a] = chi_a(x) over x in W_d
@@ -62,7 +59,7 @@ Two algorithms, both linear in the data:
     min-norm pseudo-inverse E_t^+ (E_t^-1 at d = h) is a short sum of
     inclusion products sum_i c[t][i] W_i with exact coefficients
     (``coeffs.restriction_inverse_coefficients``), applied as per-axis
-    digit 0 += digit 1, a multiply, and the lift's digit 1 += digit 0.
+    digit 0 += digit 1, a multiply, and digit 1 += digit 0.
     C^-1 is never built: the inverse Fourier kernel of an axis is C on
     digits >= 2 and a 2 x 2 block on digits 0 and 1, so the closing pass
     (``spectral.closing_transform``) applies that block and the inverse
@@ -102,15 +99,17 @@ import numpy as np
 
 from .coeffs import (
     ConditionReport,
+    ball_coefficients,
     check_conditions,
+    coefficient,
     eigen_sums,
-    lift_multipliers,
     restriction_inverse_coefficients,
 )
 from .krawtchouk import krawtchouk_value
 from .scheme import (
     SchemeParams,
     check_positions,
+    complement,
     digits_table,
     position_weights,
     weight_ranks,
@@ -194,7 +193,7 @@ class LayerSystem:
 
 
 # ---------------------------------------------------------------------------
-# step 0: the center value
+# the paper's step on one support set: the center, then Phi - Psi and M^-1
 
 
 def reconstruct_origin(sphere: SphereData, h: int) -> complex:
@@ -207,16 +206,6 @@ def reconstruct_origin(sphere: SphereData, h: int) -> complex:
         )
     total = complex(sphere.values[sphere.domain_ranks()].sum())
     return total / p
-
-
-# ---------------------------------------------------------------------------
-# the batched layer kernel: every function below works on a stack of m support
-# sets at once, given as an (m, k) array of sorted 1-based positions
-
-# Most complex words a chunk of supports or faces may hold at once, the face
-# stack with its transform buffers and the Phi gather with its tau axis
-# included.  A fixed bound keeps peak memory flat however large a layer is.
-_CHUNK_WORDS = 1 << 18
 
 
 @lru_cache(maxsize=None)
@@ -239,97 +228,16 @@ def _sub_assignments(q: int, k: int) -> np.ndarray:
     return table
 
 
-def _chunks(count: int, words_each: int) -> list[slice]:
-    """Consecutive slices of ``count`` items, each holding at most _CHUNK_WORDS words."""
-    step = max(1, _CHUNK_WORDS // words_each)
-    return [slice(start, start + step) for start in range(0, count, step)]
-
-
-def _layer_words(q: int, n: int, h: int, d: int, k: int) -> int:
-    """Complex words one support of layer k keeps live: the larger of Psi and Phi.
-
-    Psi holds the q^k face, its weights and its lift; Phi holds a value and
-    an index for each of the C(n-k, d-k) (q-1)^d words it sums.
-    """
-    psi = 4 * q**k
-    phi = 2 * math.comb(n - k, d - k) * (q - 1) ** d
-    return max(psi, phi)
-
-
-def _block_transform(
-    values: np.ndarray, q: int, n: int, supports: np.ndarray, sign: int
-) -> None:
-    """In place, the (q-1)-ary transform of each support's block with ``sign``.
-
-    The block of a support is its words with every digit on the support
-    nonzero; ``sign = +1`` carries the (q-1)^-k factor and inverts ``-1``.
-    """
-    k = supports.shape[1]
-    ranks = (q ** (n - supports)) @ _sub_assignments(q, k).T
-    out = axis_transform(values[ranks], q - 1, k, sign)
-    values[ranks] = out if sign < 0 else out / (q - 1) ** k
-
-
-def _layer_rhs(
-    sphere: np.ndarray, xhat: np.ndarray, q: int, n: int, h: int, d: int, supports: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full-support ranks and Phi - Psi of layer k for a stack of supports, spectrally.
-
-    ``sphere`` holds dense values; ``xhat`` holds the recovered blocks of
-    size below k in the support-spectral basis (larger blocks are not read).
-    The right-hand side comes in each support's (q-1)-ary basis, shape
-    (m, (q-1)^k), columns ordered like ``_sub_assignments(q, k)``.
-    """
-    m, k = supports.shape
-    weights = q ** (n - supports)
-    ranks_full = weights @ _sub_assignments(q, k).T
-
-    # Phi: each full-support word a plus every weight-(d-k) pattern tau on the
-    # complement of its support, a word of weight d
-    outside = np.ones((m, n), dtype=bool)
-    outside[np.arange(m)[:, None], supports - 1] = False
-    comp_weights = (q ** (n - 1 - np.nonzero(outside)[1])).reshape(m, n - k)
-    tau = comp_weights[:, _supports(n - k, d - k) - 1] @ _sub_assignments(q, d - k).T
-    phi = sphere[ranks_full[:, :, None] + tau.reshape(m, 1, -1)].sum(axis=2)
-
-    psi = _face_psi(xhat, q, n, h, d, supports)
-    return ranks_full, axis_transform(phi, q - 1, k, sign=-1) - psi
-
-
-def _solve_layers(rhs: np.ndarray, q: int, n: int, h: int, d: int, k: int) -> np.ndarray:
-    """Solve M x = rhs for each row of ``rhs``, both in the (q-1)-ary basis.
-
-    The operator is a combination of sub-scheme distance matrices, hence
-    diagonal in that basis with eigenvalue sums[l] on the weight-l
-    component; division by those exact sums inverts it.  Refuses (rather
-    than pseudo-inverts) when a sum vanishes.
-    """
-    sums = eigen_sums(q, n, h, d, k)
-    zeros = [l for l, s in enumerate(sums) if s == 0]
-    if zeros:
-        raise ConditionError(
-            f"layer k={k} is singular: nondegeneracy sum vanishes at levels {zeros}",
-            report=check_conditions(q, n, h, d),
-        )
-    return rhs / np.array([float(s) for s in sums])[weight_table(q - 1, k)]
-
-
-# ---------------------------------------------------------------------------
-# one support set: the batched kernel on a stack of one
-
-
 def layer_rhs(sphere: SphereData, partial: VertexFunction, positions, h: int) -> LayerSystem:
     """Right-hand side Phi - Psi of the weight-k system on one support set.
 
     Phi(a) sums the sphere values over the orthogonal face at distance
     d-k from a; every word it touches has total weight exactly d (the k
     nonzero digits of a plus d-k fresh nonzero digits off its support),
-    so Phi is readable from the sphere alone.  Psi(a) combines the
-    already-reconstructed values of weight < k inside the q-ary k-face
-    through the same coefficient column, applied as the lift of the
-    module docstring: the blocks of the face below k are transformed, and
-    the right-hand side is transformed back, so both sides of the call are
-    values.  Values of weight >= k in ``partial`` are ignored.
+    so Phi is one gather from the sphere.  Psi(a) applies the same column,
+    sum_i r_{i,d-k} D_i, to the values of weight < k on the q-ary k-face,
+    in one distance-stack pass, and is read at the full-support words.
+    Values of weight >= k in ``partial`` are ignored.
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
@@ -337,62 +245,142 @@ def layer_rhs(sphere: SphereData, partial: VertexFunction, positions, h: int) ->
     k = len(pos)
     if not 1 <= k <= d:
         raise ValueError(f"support size {k} outside [1, d={d}]")
-    xhat = np.where(weight_table(q, n) < k, partial.values, 0)
-    for j in range(1, k):
-        _block_transform(xhat, q, n, np.array(pos)[_supports(k, j) - 1], sign=-1)
-    _, rhs = _layer_rhs(sphere.values, xhat, q, n, h, d, np.array([pos], dtype=np.int64))
-    rhs = axis_transform(rhs[0], q - 1, k, sign=+1) / (q - 1) ** k
-    return LayerSystem(positions=pos, rhs=rhs)
+    weights = position_weights(params, pos)
+    ranks_full = _sub_assignments(q, k) @ weights
+    rest = q ** (n - np.array(complement(pos, n), dtype=np.int64))
+    tau = rest[_supports(n - k, d - k) - 1] @ _sub_assignments(q, d - k).T
+    phi = sphere.values[ranks_full[:, None] + tau.reshape(1, -1)].sum(axis=1)
+    face = np.where(weight_table(q, k) < k, partial.values[digits_table(q, k) @ weights], 0)
+    column = [coefficient(q, n, h, k, i, d - k) for i in range(min(k, d - k) + 1)]
+    stack = distance_tensor_stack(face, q, k, len(column) - 1)
+    psi = sum(float(c) * t for c, t in zip(column, stack)).reshape(-1)[weight_ranks(q, k, k)]
+    return LayerSystem(positions=pos, rhs=phi - psi)
 
 
 def solve_layer(system: LayerSystem, q: int, n: int, h: int, d: int) -> np.ndarray:
     """Invert the layer operator on one support set and store the solution.
 
-    Refuses with :class:`ConditionError` when a nondegeneracy sum vanishes.
+    M is diagonal on the (q-1)-ary characters of the support, with the
+    exact nondegeneracy sums[l] on the characters of weight l, so the
+    solve is a transform, a division and the inverse transform.  Refuses
+    with :class:`ConditionError` when a sum vanishes.
     """
     k = len(system.positions)
-    spectrum = _solve_layers(axis_transform(system.rhs, q - 1, k, sign=-1), q, n, h, d, k)
-    solution = axis_transform(spectrum, q - 1, k, sign=+1) / (q - 1) ** k
-    system.solution = solution
-    return solution
+    sums = eigen_sums(q, n, h, d, k)
+    zeros = [l for l, s in enumerate(sums) if s == 0]
+    if zeros:
+        raise ConditionError(
+            f"layer k={k} is singular: nondegeneracy sum vanishes at levels {zeros}",
+            report=check_conditions(q, n, h, d),
+        )
+    divisors = np.array([float(s) for s in sums])[weight_table(q - 1, k)]
+    spectrum = axis_transform(system.rhs, q - 1, k, sign=-1) / divisors
+    system.solution = axis_transform(spectrum, q - 1, k, sign=+1) / (q - 1) ** k
+    return system.solution
 
 
 # ---------------------------------------------------------------------------
 # whole-sphere drivers
 
 
-def _tensor_path(q: int, n: int, d: int) -> bool:
-    """Whether to cut the ball from the whole-tensor solve instead of solving layers.
+def _block_transform(values: np.ndarray, q: int, n: int, supports: np.ndarray) -> None:
+    """In place, the forward (q-1)-ary transform of each support's block.
 
-    True when the supports of layers 1..d-1 hold, face by face, at least
-    as many words as the q^n tensor: sum_{k<d} C(n, k) q^k >= q^n.  Just
-    below the rule the two routes are about even (warm, best of 30, one
-    BLAS thread on a 2-core Xeon VM): at (4,8,6,5) 3.1 ms by layers
-    against 3.0 ms on the tensor, at (3,10,10,5) 2.0-2.2 ms against
-    2.7-2.9 ms.  On the tensor cells (3,10,10,8), (4,8,8,6) and (3,10,8,6)
-    the tensor takes 3.0-3.3 ms; on the passing d <= 3 cells of (3,10) and
-    (4,8) the layers take 0.03-0.4 ms and the tensor 2.6-3.8 ms.
+    The block of a support is its words with every digit on the support
+    nonzero.
     """
-    return sum(math.comb(n, k) * q**k for k in range(d)) >= q**n
+    ranks = (q ** (n - supports)) @ _sub_assignments(q, supports.shape[1]).T
+    values[ranks] = axis_transform(values[ranks], q - 1, supports.shape[1], sign=-1)
 
 
-def _layers_by_support(sphere: SphereData, h: int, origin: complex) -> np.ndarray:
-    """Ball values of weight < d, each layer in chunks of its C(n, k) supports."""
+def _tensor_path(q: int, n: int, d: int) -> bool:
+    """Whether to cut the ball from the whole-tensor solve instead of composing its layers.
+
+    The composition passes over B_k for each layer k <= d, the tensor
+    solve over all q^n words: the rule is sum_{k<=d} |B_k| >= c q^n with
+    c = 7/5, in the measured window 1.10 < c < 1.45 (warm, one BLAS thread,
+    2-core Xeon VM).  At (4,8,.,6), ratio 1.10, the composition is the
+    faster, 2.5 ms against 2.9-4.2 ms on the tensor; at (3,10,.,7), ratio
+    1.45, the tensor was the faster when first measured, but timed again
+    the composition broke even only near a ratio of 2: 3.1 against 3.3 ms
+    at (4,8,8,7), 5.9 against 4.4 ms at (3,10,10,8), ratio 2.35.
+    """
+    sizes = [math.comb(n, j) * (q - 1) ** j for j in range(d + 1)]
+    work = sum((d + 1 - j) * size for j, size in enumerate(sizes))
+    return 5 * work >= 7 * q**n
+
+
+@lru_cache(maxsize=None)
+def _ball_layout(q: int, n: int, d: int) -> tuple:
+    """(ranks, starts, codes, pairs): the words of B_d in the order the composition reads them.
+
+    ``ranks`` lists them by weight, then support (:func:`_supports` order),
+    then digits, so W_k is ``ranks[starts[k]:starts[k + 1]]`` and holds the
+    blocks of weight k in :func:`_block_transform` order.  ``codes`` is
+    weight * (d + 1) + t for each word of weight below d, t its digits
+    >= 2.  ``pairs[k]`` holds, per axis, the positions of the words of
+    weight below k with digit 0 there and of the same words with digit 1
+    there, the pairs inside B_k; axes without one are left out.
+    """
+    blocks = [(q ** (n - _supports(n, k))) @ _sub_assignments(q, k).T for k in range(d + 1)]
+    ranks = np.concatenate([block.reshape(-1) for block in blocks])
+    starts = tuple(itertools.accumulate((block.size for block in blocks), initial=0))
+    below = ranks[: starts[d]]
+    digits = below[:, None] // q ** np.arange(n - 1, -1, -1) % q
+    weights = (digits != 0).sum(axis=1)
+    codes = weights * (d + 1) + (digits >= 2).sum(axis=1)
+    position = np.empty(q**n, dtype=np.intp)
+    position[ranks] = np.arange(ranks.size)
+    axes, zeros = np.nonzero(digits.T == 0)
+    ones = position[below[zeros] + q ** (n - 1 - axes)]
+    bounds = np.searchsorted(axes, np.arange(n + 1)).tolist()
+    axis_pairs = [(zeros[lo:hi], ones[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    # the pairs of an axis inside B_k: its digit-0 words of weight below k come first
+    counts = np.bincount(weights[zeros] * n + axes, minlength=d * n).reshape(d, n)
+    counts = np.vstack([np.zeros(n, dtype=np.intp), counts.cumsum(axis=0)]).tolist()
+    pairs = tuple(
+        tuple((z[:c], o[:c]) for (z, o), c in zip(axis_pairs, count) if c) for count in counts
+    )
+    return ranks, starts, codes, pairs
+
+
+@lru_cache(maxsize=None)
+def _ball_table(q: int, n: int, h: int, d: int) -> np.ndarray:
+    """:func:`coeffs.ball_coefficients` as floats, row k at weight * (d + 1) + t."""
+    table = np.zeros((d, (d + 1) ** 2))
+    for k, rows in enumerate(ball_coefficients(q, n, h, d)):
+        for t, row in enumerate(rows):
+            for i, kappa in enumerate(row):
+                table[k, (i + t) * (d + 1) + t] = float(kappa)
+    table.setflags(write=False)
+    return table
+
+
+def _compose_ball(sphere: SphereData, h: int) -> np.ndarray:
+    """Ball values of weight < d, layer k as T_k T_d^+ s on the words of B_k.
+
+    The module docstring's first algorithm: the sphere's d-blocks
+    transformed into the layout of B_d, one add-down, and per layer a
+    multiply by kappa[k], an add-up inside B_k and the inverse transform of
+    the blocks of W_k.
+    """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
+    ranks, starts, codes, pairs = _ball_layout(q, n, d)
+    down = np.zeros(starts[d + 1], dtype=np.complex128)
+    top = sphere.values[ranks[starts[d] :]].reshape(math.comb(n, d), -1)
+    down[starts[d] :] = axis_transform(top, q - 1, d, sign=-1).reshape(-1)
+    for zeros, ones in pairs[d]:
+        down[zeros] += down[ones]
     values = np.zeros(params.size, dtype=np.complex128)
-    values[0] = origin
-    for k in range(1, d):
-        supports = _supports(n, k)
-        for chunk in _chunks(len(supports), _layer_words(q, n, h, d, k)):
-            ranks, rhs = _layer_rhs(sphere.values, values, q, n, h, d, supports[chunk])
-            values[ranks] = _solve_layers(rhs, q, n, h, d, k)
-    # every layer lifts the blocks below it, so they leave the spectral basis
-    # last; a support holds its ranks, its values and two transform buffers
-    for k in range(1, d):
-        supports = _supports(n, k)
-        for chunk in _chunks(len(supports), 5 * (q - 1) ** k):
-            _block_transform(values, q, n, supports[chunk], sign=+1)
+    table = _ball_table(q, n, h, d)
+    for k in range(d):
+        layer = down[: starts[k + 1]] * table[k][codes[: starts[k + 1]]]
+        for zeros, ones in pairs[k]:
+            layer[ones] += layer[zeros]
+        blocks = layer[starts[k] :].reshape(math.comb(n, k), -1)
+        out = axis_transform(blocks, q - 1, k, sign=+1) / (q - 1) ** k
+        values[ranks[starts[k] : starts[k + 1]]] = out.reshape(-1)
     return values
 
 
@@ -435,45 +423,6 @@ def _add_down_blocks(t: np.ndarray, q: int, axes: int) -> None:
         view[:, :, 0] += view[:, :, 1]
 
 
-@lru_cache(maxsize=None)
-def _lift_table(q: int, n: int, h: int, d: int, k: int) -> np.ndarray:
-    """:func:`coeffs.lift_multipliers` W[j][l] as floats at [l, j], zero for j = k."""
-    table = np.zeros((k + 1, k + 1))
-    for j, row in enumerate(lift_multipliers(q, n, h, d, k)):
-        table[: j + 1, j] = [float(w) for w in row]
-    table.setflags(write=False)
-    return table
-
-
-def _lift(faces: np.ndarray, q: int, n: int, h: int, d: int, k: int) -> np.ndarray:
-    """Psi of layer k in the support-spectral basis on a stack of k-faces.
-
-    ``faces`` holds the recovered blocks of size below k, transformed.
-    Each block is weighed by :func:`coeffs.lift_multipliers` and added into
-    every block that contains it at the same frequency, which is digit 0
-    added into digit 1 on each axis.  Blocks of size k are not read; Psi is
-    read at the full-support words.
-    """
-    psi = faces * _lift_table(q, n, h, d, k).reshape(-1)[_support_codes(q, k)]
-    _add_up_blocks(psi, q, k)
-    return psi
-
-
-def _face_psi(
-    xhat: np.ndarray, q: int, n: int, h: int, d: int, supports: np.ndarray
-) -> np.ndarray:
-    """Psi of layer k for a stack of supports, from the lift of their k-faces.
-
-    Gathers each support's q-ary k-face out of ``xhat`` (the blocks below k
-    in the support-spectral basis), lifts the stack and reads it at the
-    full-support words: shape (m, (q-1)^k), columns ordered like
-    ``_sub_assignments(q, k)``.
-    """
-    k = supports.shape[1]
-    faces = xhat[(q ** (n - supports)) @ digits_table(q, k).T]
-    return _lift(faces, q, n, h, d, k)[:, weight_ranks(q, k, k)]
-
-
 def _restriction_solve(sphere: SphereData, h: int) -> np.ndarray:
     """f = sum_{a in W_h} g(a) chi_a for the min-norm g with T_d g nearest the sphere.
 
@@ -501,7 +450,7 @@ def _restriction_solve(sphere: SphereData, h: int) -> np.ndarray:
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
     g = sphere.values.copy()
-    _block_transform(g, q, n, _supports(n, d), sign=-1)
+    _block_transform(g, q, n, _supports(n, d))
     _add_down_blocks(g, q, n)
     table = np.zeros((n + 1, n + 1))
     for t, row in enumerate(restriction_inverse_coefficients(q, n, h, d)):
@@ -524,18 +473,16 @@ def _check_cell(q: int, n: int, h: int, d: int) -> None:
 def reconstruct_ball(sphere: SphereData, h: int) -> VertexFunction:
     """Recover the radius-d ball from the weight-d sphere values.
 
-    Validates the exact nondegeneracy conditions up front.  When
-    :func:`_tensor_path` holds, the whole function comes from the min-norm
-    solve of the sphere restriction (:func:`_restriction_solve`) and is
-    cut to the ball; otherwise weight layers k = 1..d-1 are filled
-    bottom-up in chunks of supports.  The layer k = d is the input: its
-    operator is the identity (the column is (1,)) and Psi vanishes on its
-    full-support words, so the given sphere values are copied through
-    verbatim.  Sphere data that no index-h eigenfunction restricts to is
-    not detected here: on the tensor path the layers below d are those of
-    the min-norm least-squares fit, on the per-support path those the layer
-    solves give.  The ball comes back as an index-h :class:`VertexFunction`
-    that is zero off B_d.
+    Validates the exact nondegeneracy conditions up front.  Layer k < d
+    is T_k T_d^+ s, the layer of the min-norm least-squares fit to the
+    sphere s: composed on B_d (:func:`_compose_ball`), or, when
+    :func:`_tensor_path` holds, cut from the whole-tensor solve
+    (:func:`_restriction_solve`).  Both routes give that one ball, and for
+    the sphere of an index-h eigenfunction it is the eigenfunction's.
+    The layer k = d is the input, copied through verbatim.  Sphere data
+    that no index-h eigenfunction restricts to is not detected here.  The
+    ball comes back as an index-h :class:`VertexFunction` that is zero off
+    B_d.
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
@@ -544,7 +491,7 @@ def reconstruct_ball(sphere: SphereData, h: int) -> VertexFunction:
         values = _restriction_solve(sphere, h)
         values[weight_table(q, n) >= d] = 0
     else:
-        values = _layers_by_support(sphere, h, reconstruct_origin(sphere, h))
+        values = _compose_ball(sphere, h)
     top = sphere.domain_ranks()
     values[top] = sphere.values[top]
     return VertexFunction(params, values, eigenindex=h)

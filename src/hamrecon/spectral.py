@@ -17,7 +17,7 @@ Up to ``DENSE_MAX_Q`` each pass is one gemm with a dense kernel on a group of
 g axes, g the largest with q^g <= 16 words, and the passes ping-pong between
 two buffers per call.  Above it numpy's FFT takes over, where a q x q kernel
 would cost O(q^2) memory (32 GiB at q = 65536).  It is batched over leading
-axes, so the solvers transform a whole stack of faces in one call.  The
+axes, so the solvers transform a whole stack of support blocks in one call.  The
 same grouped-gemm loop applies any per-axis kernel, which gives
 :func:`closing_transform`, the last pass of whole-tensor recovery.  In the
 support-spectral basis (per axis, digit 0 kept and digits 1..q-1 through

@@ -12,11 +12,11 @@ classes: the reference that the package's exact nondegeneracy sums are
 checked against, with the certified singularity test of
 ``tests/rankcheck.py`` deciding its rank.
 
-Per-support references redo the batched recovery drivers the way the
-paper states the algorithm: each weight layer one support set at a
-time, and the closing step of full recovery one face at a time.  The
-code shares no batching, chunking or transform routine with
-``hamrecon.recon``: Phi is gathered subset by subset, Psi is one
+Per-support references redo recovery the way the paper states the
+algorithm: each weight layer one support set at a time, where the
+package composes the whole ball at once, and the closing step of full
+recovery one face at a time.  The code shares no layout or transform
+routine with ``hamrecon.recon``: Phi is gathered subset by subset, Psi is one
 distance-stack pass per face, the layer solve builds its own dense
 q x q kernel, and the Fourier coefficients come from the eta sums
 themselves (``eta_face_values``), not from their diagonal form.  The
@@ -26,9 +26,13 @@ sphere restriction T = [chi_a(x)] instead.  Two more references build T
 and its Gram matrix T*T densely and solve them with ``np.linalg.solve``
 (``dense_restriction_full``, ``dense_gram_full``); for a sphere of radius
 d < h, T_d has rows W_d only, and ``dense_restriction_lstsq`` takes its
-min-norm least-squares solution from ``np.linalg.lstsq``.  The
-support-spectral transform (``support_transform``) is applied axis by
-axis with its own q x q kernel.
+min-norm least-squares solution from ``np.linalg.lstsq``.  On one
+pattern of digits >= 2, ``dense_pattern_block`` builds the block of T_d
+between subsets of the other axes, and ``inclusion_sum`` the matrix of
+a sum of inclusion products, the form the exact coefficients of
+``hamrecon.coeffs`` take.  The support-spectral transform
+(``support_transform``) is applied axis by axis with its own q x q
+kernel.
 
 The JSON payload of a vertex function is built one word at a time as a
 dict, and its file text comes from the stdlib's ``json.dumps``: the
@@ -37,6 +41,7 @@ reference the package's streaming writer must match byte for byte.
 
 import itertools
 import json
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -332,6 +337,28 @@ def dense_restriction_lstsq(spheres, h):
         g[weight_ranks(q, n, h)] = fit
         functions.append(_dense_transform(g, q, n, +1))
     return functions
+
+
+def dense_pattern_block(q, axes, m, p):
+    """E with entry (-1)^x (q-1)^(p-x), x = |A & X|, from the m-sets A to the p-sets X.
+
+    Over the subsets of ``axes`` axes, rows X and columns A in
+    itertools.combinations order: the block of the sphere restriction T_p
+    on one pattern of digits >= 2.  Returns (E, rows, columns).
+    """
+    rows = [set(x) for x in itertools.combinations(range(axes), p)]
+    columns = [set(a) for a in itertools.combinations(range(axes), m)]
+    sizes = np.array([[len(x & a) for a in columns] for x in rows]).reshape(len(rows), -1)
+    return (-1.0) ** sizes * float(q - 1) ** (p - sizes), rows, columns
+
+
+def inclusion_sum(coefficients, rows, columns):
+    """The matrix sum_i coefficients[i] C(|R & S|, i) over row sets R and column sets S."""
+    sizes = [[len(r & s) for s in columns] for r in rows]
+    return np.array(
+        [[float(sum(c * math.comb(z, i) for i, c in enumerate(coefficients))) for z in row]
+         for row in sizes]
+    ).reshape(len(rows), len(columns))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 import hamrecon as hr
-from hamrecon.coeffs import _gram_eigenvalue, lift_multipliers, restriction_inverse_coefficients
+from hamrecon.coeffs import (
+    _gram_eigenvalue,
+    ball_coefficients,
+    restriction_inverse_coefficients,
+)
 from hamrecon.krawtchouk import polymul
 from hamrecon.scheme import digits_table, weight_table
 
@@ -14,7 +18,9 @@ from oracles import (
     dense_gram,
     dense_gram_full,
     dense_layer_matrix,
+    dense_pattern_block,
     dense_restriction_full,
+    inclusion_sum,
     layer_column,
 )
 
@@ -163,30 +169,6 @@ def test_layer_eigenvalues_are_column_sums_against_krawtchouk_rows():
                     for l in range(k + 1)
                 )
                 assert hr.eigen_sums(q, n, h, d, k) == expect, (q, n, h, d, k)
-
-
-def test_lift_multipliers_are_shifted_column_sums():
-    # W[j][l] from the series in closed form; the reference weighs the column
-    # shifted by k - j against P_s(l; j) over alphabet q-1, with column entries
-    # past its end read as 0
-    desk = [(q, n, h) for q in range(3, 8) for n in range(1, 9) for h in range(n + 1)]
-    entries = 0
-    for q, n, h in [*desk, *CAP_CELLS]:
-        for d in range(1, h + 1):
-            for k in range(1, d + 1):
-                column = layer_column(q, n, h, d, k)
-                table = lift_multipliers(q, n, h, d, k)
-                assert [len(row) for row in table] == list(range(1, k + 1))
-                for j, row in enumerate(table):
-                    for l, got in enumerate(row):
-                        expect = (q - 1) ** (k - j) * sum(
-                            column[k - j + s] * hr.krawtchouk_value(q - 1, s, l, j)
-                            for s in range(j + 1)
-                            if k - j + s < len(column)
-                        )
-                        assert type(got) is int and got == expect, (q, n, h, d, k, j, l)
-                        entries += 1
-    assert entries > 10000
 
 
 def test_check_conditions():
@@ -345,3 +327,51 @@ def test_dense_restriction_solve_matches_full_recovery():
             assert gap <= 1e-12, (q, n, h, gap)
             cells += 1
     assert cells >= 40
+
+
+# cells with d < h where the pattern blocks E_t are not square
+PATTERN_CELLS = ((3, 5, 4, 2), (4, 5, 4, 3), (3, 6, 5, 3), (5, 4, 3, 2))
+
+
+def _pinv(matrix):
+    # an explicit cutoff: numpy's default, relative to the largest singular
+    # value, keeps a zero singular value of the q = 5 blocks as 1e-16 noise
+    return np.linalg.pinv(matrix, rcond=1e-10)
+
+
+def test_restriction_inverse_coefficients_are_the_dense_pseudo_inverse():
+    # sum_i c[t][i] C(|A & X|, i) against pinv of the block E_t with entry
+    # (-1)^x (q-1)^((d-t)-x), x = |A & X|, for every t; d = h cells too
+    blocks = 0
+    for q, n, h, d in PATTERN_CELLS + ((3, 5, 5, 5), (4, 4, 3, 3)):
+        table = restriction_inverse_coefficients(q, n, h, d)
+        for t in range(d + 1):
+            block, rows, columns = dense_pattern_block(q, n - t, h - t, d - t)
+            expect = _pinv(block)
+            got = inclusion_sum(table[t], columns, rows)
+            gap = np.max(np.abs(got - expect)) / np.max(np.abs(expect))
+            assert gap <= 1e-13, (q, n, h, d, t, gap)
+            blocks += 1
+    assert blocks >= 20
+
+
+def test_ball_coefficients_compose_the_dense_blocks():
+    # K_{k,t} = sum_i kappa[k][t][i] C(|X & Y|, i) against E^(k)_t pinv(E^(d)_t)
+    # for every t and every k < d, E^(k)_t the block of radius k
+    blocks = 0
+    for q, n, h, d in PATTERN_CELLS + ((3, 5, 5, 4), (4, 5, 5, 3)):
+        table = ball_coefficients(q, n, h, d)
+        assert [len(rows) for rows in table] == list(range(1, d + 1))
+        for t in range(d):
+            sphere_block, spheres, _ = dense_pattern_block(q, n - t, h - t, d - t)
+            inverse = _pinv(sphere_block)
+            for k in range(t, d):
+                layer_block, layers, _ = dense_pattern_block(q, n - t, h - t, k - t)
+                row = table[k][t]
+                assert len(row) == k - t + 1 and all(isinstance(c, Fraction) for c in row)
+                expect = layer_block @ inverse
+                got = inclusion_sum(row, layers, spheres)
+                gap = np.max(np.abs(got - expect)) / max(1.0, np.max(np.abs(expect)))
+                assert gap <= 1e-13, (q, n, h, d, k, t, gap)
+                blocks += 1
+    assert blocks >= 30
