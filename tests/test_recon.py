@@ -199,17 +199,18 @@ def test_reconstruct_ball_non_eigen_data_is_reproduced():
     assert np.array_equal(got.values[smask], vals[smask])
 
 
-def test_composition_matches_per_support_reference(monkeypatch):
+@pytest.mark.parametrize("seed", [1, 2000])
+def test_batched_drivers_match_per_support_reference(monkeypatch, seed):
     # the composition on every passing desk cell, the cells the work rule
     # sends to the tensor path included, against the paper's recursion run
-    # one support set at a time
+    # one support set at a time, for two seeded eigenfunctions per cell
     monkeypatch.setattr(recon, "_tensor_path", lambda q, n, d: False)
     monkeypatch.setattr(recon, "_restriction_solve", None)
     compared = 0
     for q, n, h, d in desk_cells():
         if not hr.check_conditions(q, n, h, d).passed:
             continue
-        sphere = hr.SphereData.from_function(eigfn(q, n, h), d)
+        sphere = hr.SphereData.from_function(eigfn(q, n, h, seed=seed), d)
         got = hr.reconstruct_ball(sphere, h).values
         assert np.max(np.abs(got - per_support_ball(sphere, h))) <= 1e-12, (q, n, h, d)
         compared += 1
