@@ -18,8 +18,7 @@ factor as a power series.  Three closed forms read it:
 * transfer coefficients  r_{ij}  = (-1)^i sum_l C(k-i, l) (q-2)^l K(j-i-l; h-k, n-k-h),
   the y^j coefficient of (-y)^i (1+(q-2)y)^(k-i) (1-y)^(h-k) (1+(q-1)y)^(n-k-h);
 * nondegeneracy sums     sums[l] = K(d-k; h-k, n-k-h+l);
-* ball coefficients      kappa[k][t][i], from the ratios of the sums at radius k
-  to those at radius d, K(k-t-j; h-t-j, n-h-j) / K(d-t-j; h-t-j, n-h-j).
+* restriction scalars    e_r(j) = (-1)^j q^j K(r-j; m-j, N-m-j) C(N-2j, m-j) / C(N-2j, r-j).
 
 The layer operator for weight-k recovery is M = sum_i r_{i,d-k} D_i taken
 inside the (q-1)-ary k-dimensional sub-scheme carried by the full-support
@@ -36,20 +35,21 @@ The formulas hold for every face dimension 0 <= k <= h <= n, which is
 all that sphere-to-ball reconstruction needs (k <= d <= h); a face with
 k > h has no transfer formula and raises :class:`RegimeError`.
 
-Whole-tensor recovery reads the same series once more.  The restriction
-T_d = [chi_a(x)] of V_h to the weight-d sphere, over x in W_d and a in
-W_h, splits in the support-spectral basis by the pattern of t digits >= 2
-into maps E_t from the (h-t)-subsets to the (d-t)-subsets of n - t axes.
-E_t^T E_t lies in the Bose-Mesner algebra of the binary Johnson scheme
-J(n-t, h-t) (Delsarte, Philips Res. Rep. Suppl. 10, 1973; Tarnanen,
-Aaltonen and Goethals, Europ. J. Combin. 6, 1985), with the eigenvalues
-theta_d(t, j) / q^t, a product of two series values; at d = h, T is
-square with eigenvalues epsilon(t, j) = (-1)^j q^j sums[t], k = t + j,
-and theta_h = q^t epsilon^2.  :func:`restriction_inverse_coefficients`
-writes the min-norm pseudo-inverse of each E_t (its inverse at d = h) as
-a sum of inclusion products, with Fraction coefficients from one small
-exact solve and one exact count; :func:`ball_coefficients` does the same
-for each layer T_k T_d^+ of the ball, from one small exact solve.
+Both recovery tables are maps of the binary Johnson-scheme algebra
+(Delsarte, Philips Res. Rep. Suppl. 10, 1973; Tarnanen, Aaltonen and
+Goethals, Europ. J. Combin. 6, 1985).  On each pattern of t digits >= 2
+the restriction T_k = [chi_a(x)] of V_h to the weight-k sphere is a map
+E^(k)_t from the m-subsets (m = h - t) to the r-subsets (r = k - t) of
+N = n - t axes, E_t = E^(d)_t at the sphere, p = d - t.  It acts on the
+j-th common irreducible V_j as the scalar e_r(j) times one fixed map, and
+such scalars multiply.  One small exact solve per pattern
+(:func:`_inclusion_expansion`) writes the map with scalars mu_j as a sum
+of inclusion products, mu_j = 0 where e_p(j) vanishes:
+:func:`restriction_inverse_coefficients` the min-norm pseudo-inverse
+E_t^+, mu_j = 1 / e_p(j), and :func:`ball_coefficients` each ball layer
+E^(k)_t E_t^+, mu_j = e_r(j) / e_p(j).  At d = h, e_m(j) is (-1)^j q^j
+sums[t] of layer t + j (P_h(h; n) at t = j = 0), so T_h is invertible
+exactly when the layer conditions hold.
 
 Every quantity is a Python int or Fraction, and a table is a plain tuple
 of them; the zero tests are exact, and nothing here touches floating
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .krawtchouk import generating_coefficients, krawtchouk_series, krawtchouk_value
+from .krawtchouk import krawtchouk_series, krawtchouk_value
 
 
 class RegimeError(ValueError):
@@ -133,7 +133,7 @@ def eigen_sums(q: int, n: int, h: int, d: int, k: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# whole-tensor recovery: the pseudo-inverse of the sphere restriction
+# recovery coefficients: maps of the Johnson-scheme algebra on each pattern
 
 
 def _solve_exact(rows: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
@@ -159,21 +159,45 @@ def _solve_exact(rows: list[list[int]], rhs: list[int]) -> tuple[list[int], int]
     return [m[r][size] for r in range(size)], previous
 
 
-def _gram_eigenvalue(q: int, n: int, h: int, d: int, t: int, j: int) -> int:
-    """theta_d(t, j) = q^(t+2j) K(d-k; h-k, n-k-h+t) K(h-k; d-k, n-k-d+t), k = t + j.
+def _restriction_scalar(q: int, N: int, m: int, r: int, j: int) -> tuple[int, int]:
+    """(numerator, denominator) of E^(r) from the m-sets to the r-sets of N axes on V_j.
 
-    The eigenvalue of the Gram matrix T_d* T_d of the sphere restriction
-    on the eigenspace of t digits >= 2 and Johnson index j, q^t times
-    that of E_t^T E_t; 0 for k > d.  At d = h it is q^t epsilon(t, j)^2,
-    epsilon(t, j) = (-1)^j q^j s with s the nondegeneracy sum
-    ``eigen_sums(q, n, h, h, k)[t]``.
+    E^(r) has entry (-1)^x (q-1)^(r-x) at x = |A & X|.  On the j-th common
+    irreducible V_j it is the scalar
+
+        (-1)^j q^j K(r-j; m-j, N-m-j) C(N-2j, m-j) / C(N-2j, r-j)
+
+    times the fixed map of V_j, 0 when the m-sets lack V_j (j > N - m).
+    Needs j <= min(m, r) and 2j <= N.
     """
-    k = t + j
-    return (
-        q ** (t + 2 * j)
-        * krawtchouk_series(q, d - k, h - k, n - k - h + t)
-        * krawtchouk_series(q, h - k, d - k, n - k - d + t)
-    )
+    num = (-q) ** j * krawtchouk_series(q, r - j, m - j, N - m - j) * math.comb(N - 2 * j, m - j)
+    return num, math.comb(N - 2 * j, r - j)
+
+
+def _inclusion_expansion(
+    N: int, p: int, r: int, mu: list[tuple[int, int]]
+) -> tuple[Fraction, ...]:
+    """x_i, i = 0..min(p, r): the map with scalar mu_j on V_j as sum_i x_i C(|X & Y|, i).
+
+    The map runs from the p-sets Y to the r-sets X of N axes, and ``mu``
+    holds (numerator, denominator) for j = 0..J, J = min(r, p, N - max(r, p)),
+    the V_j that both carry.  C(|X & Y|, i) has the scalar
+    C(N-i-j, p-i) C(r-j, i-j) on V_j (0 when i < j), and the top ranks
+    i = min(p, r)-J..min(p, r) span the maps between the two, so one small
+    exact solve gives them; the lower ranks get 0.  The targets are scaled
+    to integers by the lcm of their denominators, so every x_i is an
+    integer over the one denominator det * scale.
+    """
+    top = len(mu) - 1
+    high = min(p, r)
+    ranks = range(high - top, high + 1)
+    rows = [
+        [math.comb(N - i - j, p - i) * math.comb(r - j, i - j) if i >= j else 0 for i in ranks]
+        for j in range(top + 1)
+    ]
+    scale = math.lcm(*(den for _, den in mu))
+    x, det = _solve_exact(rows, [num * (scale // den) for num, den in mu])
+    return (Fraction(0),) * (high - top) + tuple(Fraction(v, det * scale) for v in x)
 
 
 @lru_cache(maxsize=None)
@@ -189,59 +213,21 @@ def restriction_inverse_coefficients(
     E_t, from the sets A of m = h - t digits 1 to the sets X of p = d - t
     digits 1 among the other N = n - t axes, has entry
     (-1)^x (q-1)^(p-x) at x = |A & X|.  Its min-norm pseudo-inverse
-    E_t^+ = (E_t^T E_t)^+ E_t^T, the inverse at d = h, has an entry that
-    depends on x alone, written here as sum_i c[t][i] C(x, i), the
-    inclusion products W_i that the add passes of recovery apply.
-
-    E_t^T E_t lies in the Bose-Mesner algebra of the binary Johnson scheme
-    J(N, m) (Delsarte, Philips Res. Rep. Suppl. 10, 1973), with eigenvalue
-    lambda_j = :func:`_gram_eigenvalue` / q^t on its eigenspace V_j,
-    j = 0..J = min(m, n - h).  The inclusion product C(|B & B'|, i) on
-    m-sets has eigenvalue C(m-j, i-j) C(N-i-j, m-i) on V_j (0 when i < j),
-    and the top ranks i = m-J..m span the algebra, so the pseudo-inverse
-    (E_t^T E_t)^+ = sum_i psi_i C(|B & B'|, i) solves
-
-        sum_i psi_i C(m-j, i-j) C(N-i-j, m-i) = 1 / lambda_j  (0 where lambda_j = 0).
-
-    Composing it with E_t^T sums over the m-sets B, grouped by y = |A & B|:
-    the part of B inside A and the part outside give the Krawtchouk values
-    P_y(x; m) and P_(m-y)(p-x; N-m), so E_t^+ has the entry
-
-        sum_y (E_t^T E_t)^+(y) P_y(x; m) P_(m-y)(p-x; N-m)
-
-    at |A & X| = x.  The sizes x that occur run from max(0, p + m - N) to
-    p, and over them C(x, i) is unit lower triangular, so the c[t][i]
-    follow by substitution; the lower ranks get 0.  At d = h these are the
-    coefficients of E_t^-1.
+    E_t^+, the inverse at d = h, has the scalar mu_j = 1 / e_p(j) on V_j
+    (:func:`_restriction_scalar`), and its entry at A, X is
+    sum_i c[t][i] C(|A & X|, i), the inclusion products W_i that the add
+    passes of recovery apply.
     """
     if not 0 <= d <= h <= n:
         raise ValueError(f"need 0 <= d <= h <= n, got d={d}, h={h}, n={n}")
     table = []
     for t in range(d + 1):
         N, m, p = n - t, h - t, d - t
-        top = min(m, n - h)
-        lam = [_gram_eigenvalue(q, n, h, d, t, j) // q**t for j in range(top + 1)]
-        ranks = range(m - top, m + 1)
-        rows = [
-            [math.comb(m - j, i - j) * math.comb(N - i - j, m - i) if i >= j else 0 for i in ranks]
-            for j in range(top + 1)
-        ]
-        # the right-hand side 1/lambda, scaled to integers by the lcm of the nonzero ones;
-        # every sum below is an integer over the one denominator det * scale
-        scale = math.lcm(*filter(None, lam))
-        psi, det = _solve_exact(rows, [scale // e if e else 0 for e in lam])
-        # the entry of (E_t^T E_t)^+ at |B & B'| = y
-        gram = [sum(c * math.comb(y, i) for i, c in zip(ranks, psi)) for y in range(m + 1)]
-        low = max(0, p + m - N)
-        c: list[int] = []
-        for x in range(low, p + 1):
-            # P_y(x; m) and P_i(p-x; N-m) for every y and i
-            inside = generating_coefficients(q, x, m)
-            outside = generating_coefficients(q, p - x, N - m)
-            sizes = range(max(0, 2 * m - N), m + 1)
-            entry = sum(gram[y] * inside[y] * outside[m - y] for y in sizes)
-            c.append(entry - sum(ci * math.comb(x, i) for i, ci in enumerate(c, low)))
-        table.append((Fraction(0),) * low + tuple(Fraction(a, det * scale) for a in c))
+        mu = []
+        for j in range(min(p, N - m) + 1):
+            num, den = _restriction_scalar(q, N, m, p, j)
+            mu.append((den, num) if num else (0, 1))
+        table.append(_inclusion_expansion(N, p, m, mu))
     return tuple(table)
 
 
@@ -256,47 +242,31 @@ def ball_coefficients(
     K_{k,t} = E^(k)_t E_t^+, where E^(k)_t, from the sets A of m = h - t
     digits 1 to the sets X of r = k - t digits 1 among the other N = n - t
     axes, has entry (-1)^x (q-1)^(r-x) at x = |A & X|; the C factors
-    cancel.  K_{k,t} maps the sets Y of p = d - t digits 1 to the sets X
-    and lies in the Johnson-scheme algebra, so its entry is
-    sum_i kappa[k][t][i] C(|X & Y|, i).  Each map of that algebra acts on
-    the j-th common irreducible V_j as a scalar times one fixed map, and
-    the scalars multiply: C(|X & Y|, i) has C(N-i-j, p-i) C(r-j, i-j), and
-    E^(k)_t has (-1)^j q^j K(r-j; m-j, N-m-j) C(N-2j, m-j) / C(N-2j, r-j).
-    So for j <= min(r, N-m) K_{k,t} has
-
-        mu_j = K(r-j; m-j, N-m-j) C(N-2j, p-j) / (K(p-j; m-j, N-m-j) C(N-2j, r-j)),
-
-    the layer sum at radius k over the one at radius d (the nondegeneracy
-    sum ``eigen_sums(q, n, h, d, t + j)[t]``), and 0 where that vanishes or
-    the A-sets lack V_j.  The top ranks i = r-J..r, J = min(r, N-p), follow
-    by one small exact solve; the lower ranks get 0.
+    cancel.  K_{k,t} maps the sets Y of p = d - t digits 1 to the sets X,
+    with the scalar mu_j = e_r(j) / e_p(j) on V_j
+    (:func:`_restriction_scalar`): the layer sum at radius k over the one
+    at radius d, the nondegeneracy sum ``eigen_sums(q, n, h, d, t + j)[t]``.
     """
     if not 0 <= d <= h <= n:
         raise ValueError(f"need 0 <= d <= h <= n, got d={d}, h={h}, n={n}")
+    # e_p(j) on each pattern, for every j that some layer k < d reads
+    spheres = [
+        [_restriction_scalar(q, n - t, h - t, d - t, j) for j in range(min(d - 1 - t, n - d) + 1)]
+        for t in range(d)
+    ]
     table = []
     for k in range(d):
         rows = []
         for t in range(k + 1):
             N, m, p, r = n - t, h - t, d - t, k - t
-            top = min(r, N - p)
-            ranks = range(r - top, r + 1)
-            scalars = [
-                [math.comb(N - i - j, p - i) * math.comb(r - j, i - j) if i >= j else 0
-                 for i in ranks]
-                for j in range(top + 1)
-            ]
-            # mu_j as (numerator, denominator), scaled to integers by the lcm of the
-            # denominators; every kappa is an integer over the one denominator det * scale
-            ratios = [(0, 1)] * (top + 1)
-            for j in range(min(top, N - m) + 1):
-                den = krawtchouk_series(q, p - j, m - j, N - m - j) * math.comb(N - 2 * j, r - j)
-                if den:
-                    num = krawtchouk_series(q, r - j, m - j, N - m - j)
-                    ratios[j] = (num * math.comb(N - 2 * j, p - j), den)
-            scale = math.lcm(*(den for _, den in ratios))
-            kappa, det = _solve_exact(scalars, [num * (scale // den) for num, den in ratios])
-            kappa = [Fraction(x, det * scale) for x in kappa]
-            rows.append((Fraction(0),) * (r - top) + tuple(kappa))
+            mu = []
+            for j, (num_p, den_p) in enumerate(spheres[t][: min(r, N - p) + 1]):
+                if num_p:
+                    num_r, den_r = _restriction_scalar(q, N, m, r, j)
+                    mu.append((num_r * den_p, den_r * num_p))
+                else:
+                    mu.append((0, 1))
+            rows.append(_inclusion_expansion(N, p, r, mu))
         table.append(tuple(rows))
     return tuple(table)
 
@@ -340,6 +310,7 @@ class ConditionReport:
         }
 
 
+@lru_cache(maxsize=None)
 def check_conditions(q: int, n: int, h: int, d: int) -> ConditionReport:
     """Evaluate the exact layer nondegeneracy conditions for radius d.
 

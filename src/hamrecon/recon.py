@@ -51,15 +51,13 @@ Two algorithms, both linear in the data:
     (nonzero (q-1)-ary frequencies) and is C^(x)t (x) E_t there: C, on the
     digits >= 2 of one axis, is unitary up to q^(1/2), and E_t maps the
     (h-t)-subsets of the other n - t axes to their (d-t)-subsets, with
-    E_t^T E_t in the algebra of the binary Johnson scheme J(n - t, h - t).
-    At d = h, E_t has eigenvalue epsilon(t, j) = (-1)^j q^j s on its
-    eigenspace V_j, s the nondegeneracy sum
-    ``eigen_sums(q, n, h, h, t + j)[t]`` (P_h(h; n) at t = j = 0), so T
-    is invertible exactly when the layer conditions hold.  For every d the
-    min-norm pseudo-inverse E_t^+ (E_t^-1 at d = h) is a short sum of
-    inclusion products sum_i c[t][i] W_i with exact coefficients
-    (``coeffs.restriction_inverse_coefficients``), applied as per-axis
-    digit 0 += digit 1, a multiply, and digit 1 += digit 0.
+    E_t^T E_t in the algebra of the binary Johnson scheme J(n - t, h - t);
+    at d = h, T is invertible exactly when the layer conditions hold
+    (``coeffs``).  For every d the min-norm pseudo-inverse E_t^+ (E_t^-1
+    at d = h) is a short sum of inclusion products sum_i c[t][i] W_i with
+    exact coefficients (``coeffs.restriction_inverse_coefficients``),
+    applied as per-axis digit 0 += digit 1, a multiply, and
+    digit 1 += digit 0.
     C^-1 is never built: the inverse Fourier kernel of an axis is C on
     digits >= 2 and a 2 x 2 block on digits 0 and 1, so the closing pass
     (``spectral.closing_transform``) applies that block and the inverse
@@ -283,27 +281,41 @@ def solve_layer(system: LayerSystem, q: int, n: int, h: int, d: int) -> np.ndarr
 # whole-sphere drivers
 
 
-def _block_transform(values: np.ndarray, q: int, n: int, supports: np.ndarray) -> None:
-    """In place, the forward (q-1)-ary transform of each support's block.
+def _block_ranks(q: int, n: int, k: int) -> np.ndarray:
+    """(C(n, k), (q-1)^k) ranks of the words of weight k, one row per support block.
 
     The block of a support is its words with every digit on the support
-    nonzero.
+    nonzero; rows run in :func:`_supports` order, digits lexicographic.
     """
-    ranks = (q ** (n - supports)) @ _sub_assignments(q, supports.shape[1]).T
-    values[ranks] = axis_transform(values[ranks], q - 1, supports.shape[1], sign=-1)
+    return (q ** (n - _supports(n, k))) @ _sub_assignments(q, k).T
 
 
+def _block_transform(values: np.ndarray, q: int, n: int, d: int) -> None:
+    """In place, the forward (q-1)-ary transform of each weight-d support block."""
+    ranks = _block_ranks(q, n, d)
+    values[ranks] = axis_transform(values[ranks], q - 1, d, sign=-1)
+
+
+@lru_cache(maxsize=None)
 def _tensor_path(q: int, n: int, d: int) -> bool:
     """Whether to cut the ball from the whole-tensor solve instead of composing its layers.
 
     The composition passes over B_k for each layer k <= d, the tensor
     solve over all q^n words: the rule is sum_{k<=d} |B_k| >= c q^n with
-    c = 7/5, in the measured window 1.10 < c < 1.45 (warm, one BLAS thread,
-    2-core Xeon VM).  At (4,8,.,6), ratio 1.10, the composition is the
-    faster, 2.5 ms against 2.9-4.2 ms on the tensor; at (3,10,.,7), ratio
-    1.45, the tensor was the faster when first measured, but timed again
-    the composition broke even only near a ratio of 2: 3.1 against 3.3 ms
-    at (4,8,8,7), 5.9 against 4.4 ms at (3,10,10,8), ratio 2.35.
+    c = 7/5.  At (4,8,.,6), ratio 1.10, the composition is the faster,
+    2.5 ms against 2.9-4.2 ms on the tensor.  Above the rule the
+    composition stays the faster up to a ratio near 2; warm, best of 30,
+    one BLAS thread, 2-core Xeon VM:
+
+        cell          composition   tensor
+        (3,10,9,7)    1.93 ms       2.63 ms
+        (3,10,10,7)   1.96 ms       2.65 ms
+        (4,8,8,7)     2.57 ms       2.79 ms
+        (3,10,10,8)   3.23 ms       2.58 ms
+        (3,10,10,9)   4.36 ms       2.59 ms
+
+    No benchmark workload runs a ball on the tensor side yet, so c stays
+    at 7/5 until one times the crossover.
     """
     sizes = [math.comb(n, j) * (q - 1) ** j for j in range(d + 1)]
     work = sum((d + 1 - j) * size for j, size in enumerate(sizes))
@@ -316,13 +328,13 @@ def _ball_layout(q: int, n: int, d: int) -> tuple:
 
     ``ranks`` lists them by weight, then support (:func:`_supports` order),
     then digits, so W_k is ``ranks[starts[k]:starts[k + 1]]`` and holds the
-    blocks of weight k in :func:`_block_transform` order.  ``codes`` is
+    blocks of weight k in :func:`_block_ranks` order.  ``codes`` is
     weight * (d + 1) + t for each word of weight below d, t its digits
     >= 2.  ``pairs[k]`` holds, per axis, the positions of the words of
     weight below k with digit 0 there and of the same words with digit 1
     there, the pairs inside B_k; axes without one are left out.
     """
-    blocks = [(q ** (n - _supports(n, k))) @ _sub_assignments(q, k).T for k in range(d + 1)]
+    blocks = [_block_ranks(q, n, k) for k in range(d + 1)]
     ranks = np.concatenate([block.reshape(-1) for block in blocks])
     starts = tuple(itertools.accumulate((block.size for block in blocks), initial=0))
     below = ranks[: starts[d]]
@@ -344,14 +356,21 @@ def _ball_layout(q: int, n: int, d: int) -> tuple:
     return ranks, starts, codes, pairs
 
 
+def _code_table(rows, width: int) -> np.ndarray:
+    """rows[t][i] as floats at weight * width + t, weight = i + t: the codes of the layouts."""
+    table = np.zeros(width * width)
+    for t, row in enumerate(rows):
+        for i, c in enumerate(row):
+            table[(i + t) * width + t] = float(c)
+    return table
+
+
 @lru_cache(maxsize=None)
 def _ball_table(q: int, n: int, h: int, d: int) -> np.ndarray:
     """:func:`coeffs.ball_coefficients` as floats, row k at weight * (d + 1) + t."""
     table = np.zeros((d, (d + 1) ** 2))
     for k, rows in enumerate(ball_coefficients(q, n, h, d)):
-        for t, row in enumerate(rows):
-            for i, kappa in enumerate(row):
-                table[k, (i + t) * (d + 1) + t] = float(kappa)
+        table[k] = _code_table(rows, d + 1)
     table.setflags(write=False)
     return table
 
@@ -386,12 +405,12 @@ def _compose_ball(sphere: SphereData, h: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _support_codes(q: int, axes: int) -> np.ndarray:
-    """j + (axes+1) l per word, j its nonzero digits and l its digits >= 2, by broadcasting.
+    """weight * (axes+1) + t per word, t its digits >= 2, by broadcasting.
 
-    In the support-spectral basis j is the size of a word's block and l the
-    weight of its (q-1)-ary frequency.
+    In the support-spectral basis the weight is the size of a word's block
+    and t the weight of its (q-1)-ary frequency.
     """
-    axis = np.array([0, 1] + [axes + 2] * (q - 2), dtype=np.int16)
+    axis = np.array([0, axes + 1] + [axes + 2] * (q - 2), dtype=np.int16)
     codes = np.zeros(1, dtype=np.int16)
     for _ in range(axes):
         codes = (codes[:, None] + axis).reshape(-1)
@@ -450,12 +469,9 @@ def _restriction_solve(sphere: SphereData, h: int) -> np.ndarray:
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
     g = sphere.values.copy()
-    _block_transform(g, q, n, _supports(n, d))
+    _block_transform(g, q, n, d)
     _add_down_blocks(g, q, n)
-    table = np.zeros((n + 1, n + 1))
-    for t, row in enumerate(restriction_inverse_coefficients(q, n, h, d)):
-        table[t, t : d + 1] = [float(c) for c in row]
-    g *= table.reshape(-1)[_support_codes(q, n)]
+    g *= _code_table(restriction_inverse_coefficients(q, n, h, d), n + 1)[_support_codes(q, n)]
     _add_up_blocks(g, q, n)
     g[weight_table(q, n) != h] = 0
     return closing_transform(g, q, n)

@@ -30,9 +30,11 @@ min-norm least-squares solution from ``np.linalg.lstsq``.  On one
 pattern of digits >= 2, ``dense_pattern_block`` builds the block of T_d
 between subsets of the other axes, and ``inclusion_sum`` the matrix of
 a sum of inclusion products, the form the exact coefficients of
-``hamrecon.coeffs`` take.  The support-spectral transform
-(``support_transform``) is applied axis by axis with its own q x q
-kernel.
+``hamrecon.coeffs`` take; ``gram_route_restriction_inverse`` derives the
+coefficients of the restriction pseudo-inverse the long way, through the
+spectrum of the Gram matrix T_d* T_d (``gram_eigenvalue``).  The
+support-spectral transform (``support_transform``) is applied axis by
+axis with its own q x q kernel.
 
 The JSON payload of a vertex function is built one word at a time as a
 dict, and its file text comes from the stdlib's ``json.dumps``: the
@@ -42,11 +44,14 @@ reference the package's streaming writer must match byte for byte.
 import itertools
 import json
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 import hamrecon as hr
+from hamrecon.coeffs import _solve_exact
+from hamrecon.krawtchouk import krawtchouk_series
 from hamrecon.scheme import (
     check_positions,
     check_word,
@@ -359,6 +364,77 @@ def inclusion_sum(coefficients, rows, columns):
         [[float(sum(c * math.comb(z, i) for i, c in enumerate(coefficients))) for z in row]
          for row in sizes]
     ).reshape(len(rows), len(columns))
+
+
+def gram_eigenvalue(q, n, h, d, t, j):
+    """theta_d(t, j) = q^(t+2j) K(d-k; h-k, n-k-h+t) K(h-k; d-k, n-k-d+t), k = t + j.
+
+    The eigenvalue of the Gram matrix T_d* T_d of the sphere restriction
+    on the eigenspace of t digits >= 2 and Johnson index j, q^t times
+    that of E_t^T E_t; 0 for k > d.  At d = h it is q^t epsilon(t, j)^2,
+    epsilon(t, j) = (-1)^j q^j s with s the nondegeneracy sum
+    ``eigen_sums(q, n, h, h, k)[t]``.
+    """
+    k = t + j
+    return (
+        q ** (t + 2 * j)
+        * krawtchouk_series(q, d - k, h - k, n - k - h + t)
+        * krawtchouk_series(q, h - k, d - k, n - k - d + t)
+    )
+
+
+def gram_route_restriction_inverse(q, n, h, d):
+    """c[t][i] of ``coeffs.restriction_inverse_coefficients``, by way of the Gram matrix.
+
+    The package reads E_t^+ off the eigenspace scalars of E_t alone.  This
+    reference takes the longer route through E_t^T E_t, which lies in the
+    Bose-Mesner algebra of the binary Johnson scheme J(N, m), N = n - t,
+    m = h - t, p = d - t, with eigenvalue lambda_j = theta_d(t, j) / q^t
+    (:func:`gram_eigenvalue`) on its eigenspace V_j, j = 0..J = min(m, n - h).
+    The inclusion product C(|B & B'|, i) on m-sets has eigenvalue
+    C(m-j, i-j) C(N-i-j, m-i) on V_j (0 when i < j), and the top ranks
+    i = m-J..m span the algebra, so the pseudo-inverse
+    (E_t^T E_t)^+ = sum_i psi_i C(|B & B'|, i) solves
+
+        sum_i psi_i C(m-j, i-j) C(N-i-j, m-i) = 1 / lambda_j  (0 where lambda_j = 0).
+
+    Composing it with E_t^T sums over the m-sets B, grouped by y = |A & B|:
+    the part of B inside A and the part outside give the Krawtchouk values
+    P_y(x; m) and P_(m-y)(p-x; N-m), so E_t^+ has the entry
+
+        sum_y (E_t^T E_t)^+(y) P_y(x; m) P_(m-y)(p-x; N-m)
+
+    at |A & X| = x.  The sizes x that occur run from max(0, p + m - N) to
+    p, and over them C(x, i) is unit lower triangular, so the c[t][i]
+    follow by substitution; the lower ranks get 0.
+    """
+    table = []
+    for t in range(d + 1):
+        N, m, p = n - t, h - t, d - t
+        top = min(m, n - h)
+        lam = [gram_eigenvalue(q, n, h, d, t, j) // q**t for j in range(top + 1)]
+        ranks = range(m - top, m + 1)
+        rows = [
+            [math.comb(m - j, i - j) * math.comb(N - i - j, m - i) if i >= j else 0 for i in ranks]
+            for j in range(top + 1)
+        ]
+        # the right-hand side 1/lambda, scaled to integers by the lcm of the nonzero ones;
+        # every sum below is an integer over the one denominator det * scale
+        scale = math.lcm(*filter(None, lam))
+        psi, det = _solve_exact(rows, [scale // e if e else 0 for e in lam])
+        # the entry of (E_t^T E_t)^+ at |B & B'| = y
+        gram = [sum(c * math.comb(y, i) for i, c in zip(ranks, psi)) for y in range(m + 1)]
+        low = max(0, p + m - N)
+        c = []
+        for x in range(low, p + 1):
+            # P_y(x; m) and P_i(p-x; N-m) for every y and i
+            inside = hr.generating_coefficients(q, x, m)
+            outside = hr.generating_coefficients(q, p - x, N - m)
+            sizes = range(max(0, 2 * m - N), m + 1)
+            entry = sum(gram[y] * inside[y] * outside[m - y] for y in sizes)
+            c.append(entry - sum(ci * math.comb(x, i) for i, ci in enumerate(c, low)))
+        table.append((Fraction(0),) * low + tuple(Fraction(a, det * scale) for a in c))
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------

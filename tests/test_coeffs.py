@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 import hamrecon as hr
-from hamrecon.coeffs import (
-    _gram_eigenvalue,
-    ball_coefficients,
-    restriction_inverse_coefficients,
-)
+from hamrecon.coeffs import ball_coefficients, restriction_inverse_coefficients
 from hamrecon.krawtchouk import polymul
 from hamrecon.scheme import digits_table, weight_table
 
@@ -20,6 +16,8 @@ from oracles import (
     dense_layer_matrix,
     dense_pattern_block,
     dense_restriction_full,
+    gram_eigenvalue,
+    gram_route_restriction_inverse,
     inclusion_sum,
     layer_column,
 )
@@ -229,7 +227,7 @@ def _gram_spectrum(q, n, h, d):
     for t in range(h + 1):
         for j in range(min(h - t, n - h) + 1):
             dim = math.comb(n - t, j) - (math.comb(n - t, j - 1) if j else 0)
-            yield t, j, _gram_eigenvalue(q, n, h, d, t, j), math.comb(n, t) * (q - 2) ** t * dim
+            yield t, j, gram_eigenvalue(q, n, h, d, t, j), math.comb(n, t) * (q - 2) ** t * dim
 
 
 def _gram_eigenvalues(q, n, h, d):
@@ -327,6 +325,36 @@ def test_dense_restriction_solve_matches_full_recovery():
             assert gap <= 1e-12, (q, n, h, gap)
             cells += 1
     assert cells >= 40
+
+
+# q = 3..7 with q^n <= 20000 and every 0 <= d <= h <= n, then cells at the far
+# edge: the tensor-route balls, the FFT branch and zero eigenvalues at q = 40, 16
+EXPANSION_CELLS = [
+    *(
+        (q, n, h, d)
+        for q in range(3, 8)
+        for n in range(1, 10)
+        if q**n <= 20000
+        for h in range(n + 1)
+        for d in range(h + 1)
+    ),
+    (3, 10, 10, 8),
+    (3, 10, 10, 9),
+    (4, 8, 8, 7),
+    (3, 10, 9, 7),
+    (65536, 1, 1, 1),
+    (256, 2, 2, 2),
+    (40, 3, 3, 2),
+    (16, 4, 4, 3),
+    (3, 12, 9, 6),
+]
+
+
+def test_restriction_inverse_coefficients_match_the_gram_route():
+    # the eigenspace scalars of E_t alone against the route through the Gram
+    # spectrum, pseudo-inverse solve and Krawtchouk composition, exactly
+    for cell in EXPANSION_CELLS:
+        assert restriction_inverse_coefficients(*cell) == gram_route_restriction_inverse(*cell), cell
 
 
 # cells with d < h where the pattern blocks E_t are not square
