@@ -298,16 +298,12 @@ def run_verify(args: argparse.Namespace) -> int:
     d = h if args.d is None else args.d
     truth = random_eigenfunction(params, h, args.seed)
     sphere = SphereData.from_function(truth, d)
+    ball = args.mode == "ball"
     started = time.perf_counter()
-    if args.mode == "ball":
-        result = reconstruct_ball(sphere, h)
-        mask = weight_table(params.q, params.n) <= d
-        diff = np.abs(result.values[mask] - truth.values[mask])
-        scale = float(np.max(np.abs(truth.values[mask])))
-    else:
-        out = reconstruct_full(sphere, h)
-        diff = np.abs(out.values - truth.values)
-        scale = float(np.max(np.abs(truth.values)))
+    result = (reconstruct_ball if ball else reconstruct_full)(sphere, h)
+    mask = weight_table(params.q, params.n) <= (d if ball else params.n)
+    diff = np.abs(result.values[mask] - truth.values[mask])
+    scale = float(np.max(np.abs(truth.values[mask])))
     elapsed = time.perf_counter() - started
     max_abs = float(np.max(diff)) if diff.size else 0.0
     max_rel = max_abs / scale if scale > 0 else max_abs

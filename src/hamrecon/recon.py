@@ -170,14 +170,11 @@ class SphereData:
     @classmethod
     def from_dict(cls, data: dict) -> "SphereData":
         params, values, eigenindex, d = read_vertex_dict(data)
-        wt = weight_table(params.q, params.n)
-        present = np.nonzero(values != 0)[0]
         if d is None:
+            present = np.flatnonzero(values)
             if present.size == 0:
                 raise ValueError("cannot infer the sphere radius from an empty value list")
-            d = int(wt[present[0]])
-        if present.size and not np.all(wt[present] == d):
-            raise ValueError("sphere data lists words of mixed weights")
+            d = int(weight_table(params.q, params.n)[present[0]])
         return cls(params, d, values, eigenindex)
 
 
@@ -281,19 +278,25 @@ def solve_layer(system: LayerSystem, q: int, n: int, h: int, d: int) -> np.ndarr
 # whole-sphere drivers
 
 
+@lru_cache(maxsize=None)
 def _block_ranks(q: int, n: int, k: int) -> np.ndarray:
     """(C(n, k), (q-1)^k) ranks of the words of weight k, one row per support block.
 
     The block of a support is its words with every digit on the support
     nonzero; rows run in :func:`_supports` order, digits lexicographic.
     """
-    return (q ** (n - _supports(n, k))) @ _sub_assignments(q, k).T
+    ranks = (q ** (n - _supports(n, k))) @ _sub_assignments(q, k).T
+    ranks.setflags(write=False)
+    return ranks
 
 
-def _block_transform(values: np.ndarray, q: int, n: int, d: int) -> None:
-    """In place, the forward (q-1)-ary transform of each weight-d support block."""
-    ranks = _block_ranks(q, n, d)
-    values[ranks] = axis_transform(values[ranks], q - 1, d, sign=-1)
+def _sphere_spectrum(sphere: SphereData) -> np.ndarray:
+    """The forward (q-1)-ary transform of the sphere's d-blocks, laid out as :func:`_block_ranks`.
+
+    Both routes start from it: it fills W_d of :func:`_ball_layout`, or those ranks of q^n words.
+    """
+    q, n, d = sphere.params.q, sphere.params.n, sphere.d
+    return axis_transform(sphere.values[_block_ranks(q, n, d)], q - 1, d, sign=-1)
 
 
 @lru_cache(maxsize=None)
@@ -302,17 +305,22 @@ def _tensor_path(q: int, n: int, d: int) -> bool:
 
     The composition passes over B_k for each layer k <= d, the tensor
     solve over all q^n words: the rule is sum_{k<=d} |B_k| >= c q^n with
-    c = 7/5.  At (4,8,.,6), ratio 1.10, the composition is the faster,
-    2.5 ms against 2.9-4.2 ms on the tensor.  Above the rule the
-    composition stays the faster up to a ratio near 2; warm, best of 30,
-    one BLAS thread, 2-core Xeon VM:
+    c = 7/5.  Warm, the composition stays the faster up to a ratio near 2.
+    Cold, on the first call in a fresh process, the tensor route is the
+    faster on every cell below, (4,8,.,6) at ratio 1.10 included: the
+    composition first builds the layout of B_d, 12-31 ms alone at d >= 6.
+    :func:`reconstruct_ball` in ms, one BLAS thread, 2-core Xeon VM; warm
+    is the best of 30 calls, lowest over 5 processes, and cold the median
+    first call over 5 processes:
 
-        cell          composition   tensor
-        (3,10,9,7)    1.93 ms       2.63 ms
-        (3,10,10,7)   1.96 ms       2.65 ms
-        (4,8,8,7)     2.57 ms       2.79 ms
-        (3,10,10,8)   3.23 ms       2.58 ms
-        (3,10,10,9)   4.36 ms       2.59 ms
+                      composition      tensor
+        cell          warm    cold     warm    cold
+        (4,8,6,6)     1.67    14.0     3.05    5.5
+        (3,10,9,7)    2.15    17.3     3.09    6.9
+        (3,10,10,7)   2.21    23.5     2.90    7.1
+        (4,8,8,7)     3.28    25.5     3.04    6.9
+        (3,10,10,8)   3.39    27.8     2.77    6.7
+        (3,10,10,9)   4.81    37.5     2.59    4.6
 
     No benchmark workload runs a ball on the tensor side yet, so c stays
     at 7/5 until one times the crossover.
@@ -329,10 +337,11 @@ def _ball_layout(q: int, n: int, d: int) -> tuple:
     ``ranks`` lists them by weight, then support (:func:`_supports` order),
     then digits, so W_k is ``ranks[starts[k]:starts[k + 1]]`` and holds the
     blocks of weight k in :func:`_block_ranks` order.  ``codes`` is
-    weight * (d + 1) + t for each word of weight below d, t its digits
-    >= 2.  ``pairs[k]`` holds, per axis, the positions of the words of
-    weight below k with digit 0 there and of the same words with digit 1
-    there, the pairs inside B_k; axes without one are left out.
+    weight * (n + 1) + t for each word of weight below d, t its digits
+    >= 2: :func:`_support_codes`'s code, counted on B_d alone.  ``pairs[k]``
+    holds, per axis, the positions of the words of weight below k with
+    digit 0 there and of the same words with digit 1 there, the pairs
+    inside B_k; axes without one are left out.
     """
     blocks = [_block_ranks(q, n, k) for k in range(d + 1)]
     ranks = np.concatenate([block.reshape(-1) for block in blocks])
@@ -340,7 +349,7 @@ def _ball_layout(q: int, n: int, d: int) -> tuple:
     below = ranks[: starts[d]]
     digits = below[:, None] // q ** np.arange(n - 1, -1, -1) % q
     weights = (digits != 0).sum(axis=1)
-    codes = weights * (d + 1) + (digits >= 2).sum(axis=1)
+    codes = weights * (n + 1) + (digits >= 2).sum(axis=1)
     position = np.empty(q**n, dtype=np.intp)
     position[ranks] = np.arange(ranks.size)
     axes, zeros = np.nonzero(digits.T == 0)
@@ -357,7 +366,7 @@ def _ball_layout(q: int, n: int, d: int) -> tuple:
 
 
 def _code_table(rows, width: int) -> np.ndarray:
-    """rows[t][i] as floats at weight * width + t, weight = i + t: the codes of the layouts."""
+    """rows[t][i] as floats at weight * width + t, weight = i + t: width n + 1 for both routes."""
     table = np.zeros(width * width)
     for t, row in enumerate(rows):
         for i, c in enumerate(row):
@@ -367,10 +376,10 @@ def _code_table(rows, width: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _ball_table(q: int, n: int, h: int, d: int) -> np.ndarray:
-    """:func:`coeffs.ball_coefficients` as floats, row k at weight * (d + 1) + t."""
-    table = np.zeros((d, (d + 1) ** 2))
+    """:func:`coeffs.ball_coefficients` as floats, row k by :func:`_code_table`."""
+    table = np.zeros((d, (n + 1) ** 2))
     for k, rows in enumerate(ball_coefficients(q, n, h, d)):
-        table[k] = _code_table(rows, d + 1)
+        table[k] = _code_table(rows, n + 1)
     table.setflags(write=False)
     return table
 
@@ -378,17 +387,17 @@ def _ball_table(q: int, n: int, h: int, d: int) -> np.ndarray:
 def _compose_ball(sphere: SphereData, h: int) -> np.ndarray:
     """Ball values of weight < d, layer k as T_k T_d^+ s on the words of B_k.
 
-    The module docstring's first algorithm: the sphere's d-blocks
-    transformed into the layout of B_d, one add-down, and per layer a
-    multiply by kappa[k], an add-up inside B_k and the inverse transform of
-    the blocks of W_k.
+    The module docstring's first algorithm: :func:`_sphere_spectrum`
+    written into the W_d slice of the layout of B_d (:func:`_ball_layout`),
+    one add-down, and per layer a multiply by kappa[k], an add-up inside
+    B_k and the inverse transform of the blocks of W_k.  The add passes
+    are those of :func:`_add_pass`, restricted to the layout's pairs.
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
     ranks, starts, codes, pairs = _ball_layout(q, n, d)
     down = np.zeros(starts[d + 1], dtype=np.complex128)
-    top = sphere.values[ranks[starts[d] :]].reshape(math.comb(n, d), -1)
-    down[starts[d] :] = axis_transform(top, q - 1, d, sign=-1).reshape(-1)
+    down[starts[d] :] = _sphere_spectrum(sphere).reshape(-1)
     for zeros, ones in pairs[d]:
         down[zeros] += down[ones]
     values = np.zeros(params.size, dtype=np.complex128)
@@ -418,28 +427,16 @@ def _support_codes(q: int, axes: int) -> np.ndarray:
     return codes
 
 
-def _add_up_blocks(t: np.ndarray, q: int, axes: int) -> None:
-    """In place, per word axis digit 1 += digit 0, batched over leading axes.
+def _add_pass(t: np.ndarray, q: int, n: int, into: int, source: int) -> None:
+    """In place, per word axis digit ``into`` += digit ``source``, over all q^n words.
 
-    Each word then holds the sum over the words that equal it but for some
-    of its digits 1 turned to 0: in the support-spectral basis, every block
-    inside its own at the same frequency.
+    In the support-spectral basis digit 0 += digit 1 sums into each block
+    every block that contains it, at the same frequency, and digit 1 +=
+    digit 0 every block inside it.
     """
-    for axis in range(axes):
-        view = t.reshape(-1, q**axis, q, q ** (axes - 1 - axis))
-        view[:, :, 1] += view[:, :, 0]
-
-
-def _add_down_blocks(t: np.ndarray, q: int, axes: int) -> None:
-    """In place, per word axis digit 0 += digit 1: the mirror of :func:`_add_up_blocks`.
-
-    Each word then holds the sum over the words that equal it but for some
-    of its digits 0 turned to 1: every block that contains its own at the
-    same frequency.
-    """
-    for axis in range(axes):
-        view = t.reshape(-1, q**axis, q, q ** (axes - 1 - axis))
-        view[:, :, 0] += view[:, :, 1]
+    for axis in range(n):
+        view = t.reshape(q**axis, q, q ** (n - 1 - axis))
+        view[:, into] += view[:, source]
 
 
 def _restriction_solve(sphere: SphereData, h: int) -> np.ndarray:
@@ -450,14 +447,16 @@ def _restriction_solve(sphere: SphereData, h: int) -> np.ndarray:
     it is C^(x)t (x) E_t, E_t^+ = sum_i c[t][i] W_i
     (:func:`coeffs.restriction_inverse_coefficients`).  In five passes:
 
-    1. the (q-1)-ary transform of each d-support block of the sphere, its
-       |W_d| words only;
-    2. per axis digit 0 += digit 1, each support block summed into the
-       blocks inside it;
+    1. :func:`_sphere_spectrum`, the (q-1)-ary transform of each d-support
+       block of the sphere, its |W_d| words only, scattered into a zero
+       q^n array (the caller's sphere is read, never written);
+    2. :func:`_add_pass` digit 0 += digit 1, each support block summed into
+       the blocks inside it;
     3. a multiply by c[t][i], t the digits >= 2 and i + t the nonzero
-       digits;
-    4. per axis digit 1 += digit 0, each block summed back into the blocks
-       that contain it, then zero off W_h: that is E_t^+ on every pattern;
+       digits, looked up by :func:`_support_codes` in :func:`_code_table`;
+    4. :func:`_add_pass` digit 1 += digit 0, each block summed back into the
+       blocks that contain it, then zero off W_h: that is E_t^+ on every
+       pattern;
     5. one :func:`spectral.closing_transform` pass, which sums g against
        the characters; C^-t cancels against the C in the characters, so
        no C is built.
@@ -468,11 +467,11 @@ def _restriction_solve(sphere: SphereData, h: int) -> np.ndarray:
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
-    g = sphere.values.copy()
-    _block_transform(g, q, n, d)
-    _add_down_blocks(g, q, n)
+    g = np.zeros(params.size, dtype=np.complex128)
+    g[_block_ranks(q, n, d)] = _sphere_spectrum(sphere)
+    _add_pass(g, q, n, 0, 1)
     g *= _code_table(restriction_inverse_coefficients(q, n, h, d), n + 1)[_support_codes(q, n)]
-    _add_up_blocks(g, q, n)
+    _add_pass(g, q, n, 1, 0)
     g[weight_table(q, n) != h] = 0
     return closing_transform(g, q, n)
 

@@ -243,7 +243,7 @@ def distance_tensor_stack(values: np.ndarray, q: int, n: int, up_to: int) -> lis
     Processing axes one at a time and keeping the elementary symmetric
     combinations of the per-axis neighbor sums enumerates every sphere
     exactly once without ever materializing a q^n x q^n matrix.  Works
-    for any alphabet size q >= 2 (the sub-scheme solvers use q - 1).
+    for any alphabet size q >= 2.
     The last axis of ``values`` holds the q^n word values; leading axes
     are a batch, so each tensor has shape ``values.shape[:-1] + (q,) * n``.
     """

@@ -329,6 +329,21 @@ def test_both_routes_give_the_ball_of_the_min_norm_fit(monkeypatch):
     assert compared >= 70, compared
 
 
+def test_recovery_never_writes_into_the_sphere(monkeypatch):
+    # both ball routes and full recovery read the caller's sphere in place,
+    # so its values must come back byte for byte
+    for q, n, h, d in ((3, 4, 2, 2), (4, 5, 4, 3), (5, 4, 3, 3), (3, 6, 5, 3), (4, 8, 8, 8)):
+        assert hr.check_conditions(q, n, h, d).passed, (q, n, h, d)
+        sphere = hr.SphereData.from_function(eigfn(q, n, h), d)
+        before = sphere.values.tobytes()
+        for tensor in (True, False):
+            _ball_on_route(monkeypatch, sphere, h, tensor)
+            assert sphere.values.tobytes() == before, (q, n, h, d, tensor)
+        if d == h:
+            hr.reconstruct_full(sphere, h)
+            assert sphere.values.tobytes() == before, (q, n, h, d)
+
+
 def test_permuting_positions_permutes_the_ball(monkeypatch):
     # f(x o pi) on the sphere gives the ball x -> ball(x o pi), on both
     # routes, for data no eigenfunction restricts to: no truth is needed,
@@ -612,6 +627,7 @@ def test_sphere_and_ball_json_round_trip():
         {"q": 3, "n": 4, "eigenindex": 2, "values": [{"w": "0110", "re": 1.0, "im": 0.0}]}
     )
     assert inferred.d == 2
+    # a word of another weight, with the radius inferred and with it given
     with pytest.raises(ValueError):
         hr.SphereData.from_dict(
             {
@@ -622,6 +638,10 @@ def test_sphere_and_ball_json_round_trip():
                     {"w": "1110", "re": 1.0, "im": 0.0},
                 ],
             }
+        )
+    with pytest.raises(ValueError):
+        hr.SphereData.from_dict(
+            {"q": 3, "n": 4, "d": 2, "values": [{"w": "1110", "re": 1.0, "im": 0.0}]}
         )
     with pytest.raises(ValueError):
         hr.SphereData.from_dict({"q": 3, "n": 4, "values": []})
