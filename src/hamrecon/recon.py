@@ -32,13 +32,17 @@ Two algorithms, both linear in the data:
     sum of inclusion products on the digits 1, exact coefficients from
     ``coeffs.ball_coefficients``: on each Johnson eigenspace K_{k,t}
     scales by the layer sum at radius k over the one at radius d, the
-    recursion's divisions composed.  So the ball takes the (q-1)-ary
-    transform of the sphere's d-blocks, written straight into a layout of
-    B_d built once per (q, n, d); one add-down, per axis digit 0 += digit 1;
-    and per layer k < d a multiply by kappa[k], an add-up, digit 1 +=
-    digit 0, on the words of B_k, and the inverse transform of the blocks
-    of W_k.  No word of weight above d is read or written.  The top layer
-    k = d is the sphere itself.
+    recursion's divisions composed.  K_{k,t}[X, Y] depends on |X & Y|
+    alone, an element of the Johnson-scheme algebra, so for each pattern
+    size t < d the layers k = t..d-1 stack into one real matrix, the same
+    for every pattern.  Laid out once per (q, n, d), the sphere's spectrum
+    on t digits >= 2 is a grid with a row per set Y of d - t digits 1 and
+    a column per pattern, and the ball's words below d one with a row per
+    layer k and set X.  So the ball takes the (q-1)-ary transform of the
+    sphere's d-blocks, one gather into the grids, one gemm per t, one
+    scatter back to the blocks of B_(d-1), and per layer k < d the inverse
+    transform of the blocks of W_k.  No word of weight above d is read or
+    written.  The top layer k = d is the sphere itself.
 
     When the layers' work sum_{k<=d} |B_k| reaches 7/5 q^n the ball is
     cut instead from the whole-tensor solve of the second algorithm, run
@@ -293,7 +297,8 @@ def _block_ranks(q: int, n: int, k: int) -> np.ndarray:
 def _sphere_spectrum(sphere: SphereData) -> np.ndarray:
     """The forward (q-1)-ary transform of the sphere's d-blocks, laid out as :func:`_block_ranks`.
 
-    Both routes start from it: it fills W_d of :func:`_ball_layout`, or those ranks of q^n words.
+    Both routes start from it: it fills the W_d grids of :func:`_johnson_layout`, or those ranks
+    of q^n words.
     """
     q, n, d = sphere.params.q, sphere.params.n, sphere.d
     return axis_transform(sphere.values[_block_ranks(q, n, d)], q - 1, d, sign=-1)
@@ -303,24 +308,27 @@ def _sphere_spectrum(sphere: SphereData) -> np.ndarray:
 def _tensor_path(q: int, n: int, d: int) -> bool:
     """Whether to cut the ball from the whole-tensor solve instead of composing its layers.
 
-    The composition passes over B_k for each layer k <= d, the tensor
-    solve over all q^n words: the rule is sum_{k<=d} |B_k| >= c q^n with
-    c = 7/5.  Warm, the composition stays the faster up to a ratio near 2.
-    Cold, on the first call in a fresh process, the tensor route is the
-    faster on every cell below, (4,8,.,6) at ratio 1.10 included: the
-    composition first builds the layout of B_d, 12-31 ms alone at d >= 6.
-    :func:`reconstruct_ball` in ms, one BLAS thread, 2-core Xeon VM; warm
-    is the best of 30 calls, lowest over 5 processes, and cold the median
-    first call over 5 processes:
+    The rule is sum_{k<=d} |B_k| >= c q^n with c = 7/5, set when the
+    composition passed over B_k for each layer k <= d; the tensor solve
+    passes over all q^n words.  Composed by one gemm per pattern size, the
+    ball is the faster warm on every cell below, d = n included.  Cold, on
+    the first call in a fresh process, the tensor route is the faster on
+    all of them, (4,8,.,6) at ratio 1.10 included: the composition first
+    builds its Johnson layout (:func:`_johnson_layout`), 8 ms at
+    (3,10,.,8).  :func:`reconstruct_ball` in ms, one BLAS thread, 2-core
+    Xeon VM; warm is the best of 30 calls, lowest over 5 processes, and
+    cold the median first call over 5 processes:
 
                       composition      tensor
         cell          warm    cold     warm    cold
-        (4,8,6,6)     1.67    14.0     3.05    5.5
-        (3,10,9,7)    2.15    17.3     3.09    6.9
-        (3,10,10,7)   2.21    23.5     2.90    7.1
-        (4,8,8,7)     3.28    25.5     3.04    6.9
-        (3,10,10,8)   3.39    27.8     2.77    6.7
-        (3,10,10,9)   4.81    37.5     2.59    4.6
+        (4,8,6,6)     0.98     8.6     3.37    7.2
+        (3,10,9,7)    0.95    13.3     3.14    7.6
+        (3,10,10,7)   0.96    14.1     4.03    7.6
+        (4,8,8,7)     1.93    12.0     3.08    7.4
+        (3,10,10,8)   1.62    15.0     2.89    6.7
+        (3,10,10,9)   1.25    11.7     2.84    6.8
+        (4,8,8,8)     1.73    14.7     2.86    6.8
+        (3,10,10,10)  1.38    13.0     2.58    6.6
 
     No benchmark workload runs a ball on the tensor side yet, so c stays
     at 7/5 until one times the crossover.
@@ -330,43 +338,8 @@ def _tensor_path(q: int, n: int, d: int) -> bool:
     return 5 * work >= 7 * q**n
 
 
-@lru_cache(maxsize=None)
-def _ball_layout(q: int, n: int, d: int) -> tuple:
-    """(ranks, starts, codes, pairs): the words of B_d in the order the composition reads them.
-
-    ``ranks`` lists them by weight, then support (:func:`_supports` order),
-    then digits, so W_k is ``ranks[starts[k]:starts[k + 1]]`` and holds the
-    blocks of weight k in :func:`_block_ranks` order.  ``codes`` is
-    weight * (n + 1) + t for each word of weight below d, t its digits
-    >= 2: :func:`_support_codes`'s code, counted on B_d alone.  ``pairs[k]``
-    holds, per axis, the positions of the words of weight below k with
-    digit 0 there and of the same words with digit 1 there, the pairs
-    inside B_k; axes without one are left out.
-    """
-    blocks = [_block_ranks(q, n, k) for k in range(d + 1)]
-    ranks = np.concatenate([block.reshape(-1) for block in blocks])
-    starts = tuple(itertools.accumulate((block.size for block in blocks), initial=0))
-    below = ranks[: starts[d]]
-    digits = below[:, None] // q ** np.arange(n - 1, -1, -1) % q
-    weights = (digits != 0).sum(axis=1)
-    codes = weights * (n + 1) + (digits >= 2).sum(axis=1)
-    position = np.empty(q**n, dtype=np.intp)
-    position[ranks] = np.arange(ranks.size)
-    axes, zeros = np.nonzero(digits.T == 0)
-    ones = position[below[zeros] + q ** (n - 1 - axes)]
-    bounds = np.searchsorted(axes, np.arange(n + 1)).tolist()
-    axis_pairs = [(zeros[lo:hi], ones[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    # the pairs of an axis inside B_k: its digit-0 words of weight below k come first
-    counts = np.bincount(weights[zeros] * n + axes, minlength=d * n).reshape(d, n)
-    counts = np.vstack([np.zeros(n, dtype=np.intp), counts.cumsum(axis=0)]).tolist()
-    pairs = tuple(
-        tuple((z[:c], o[:c]) for (z, o), c in zip(axis_pairs, count) if c) for count in counts
-    )
-    return ranks, starts, codes, pairs
-
-
 def _code_table(rows, width: int) -> np.ndarray:
-    """rows[t][i] as floats at weight * width + t, weight = i + t: width n + 1 for both routes."""
+    """rows[t][i] as floats at weight * width + t, weight = i + t: width n + 1."""
     table = np.zeros(width * width)
     for t, row in enumerate(rows):
         for i, c in enumerate(row):
@@ -375,40 +348,130 @@ def _code_table(rows, width: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _ball_table(q: int, n: int, h: int, d: int) -> np.ndarray:
-    """:func:`coeffs.ball_coefficients` as floats, row k by :func:`_code_table`."""
-    table = np.zeros((d, (n + 1) ** 2))
+def _membership(N: int, m: int) -> np.ndarray:
+    """(C(N, m), N) 0/1 rows of the m-subsets of N axes, in :func:`_supports` order.
+
+    Floats, so the intersection sizes of two families are one exact BLAS product.
+    """
+    table = _supports(N, m)
+    rows = np.zeros((len(table), N))
+    rows[np.arange(len(table))[:, None], table - 1] = 1
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _layer_keys(q: int, n: int, k: int) -> np.ndarray:
+    """A sort key per word of weight k, in :func:`_block_ranks` order: t, k, X, then pattern.
+
+    In the support-spectral basis a word of weight k has t digits >= 2,
+    its pattern (their axes and values), and the set X of its k - t
+    digits 1 among the n - t axes off the pattern.  X counts as its mask
+    on those axes, the first of them highest: a digit 1 after b digits
+    >= 2 moves up b places, then all move down t.  A falling mask is a
+    rising set in :func:`_supports` order.  The key stays below 2^63 up to
+    q^n = 10^12 words.
+    """
+    digits, axes = _sub_assignments(q, k), _supports(n, k)
+    high = digits >= 2
+    pattern = (q - 1) ** (n - axes) @ np.where(high, digits - 1, 0).T
+    t = high.sum(axis=1)
+    ones = (2 ** (n - axes) @ ((digits == 1) << (np.cumsum(high, axis=1) - high)).T) >> t
+    keys = ((((t * (n + 1) + k) << n) - ones) * (q - 1) ** n + pattern).reshape(-1)
+    keys.setflags(write=False)
+    return keys
+
+
+@lru_cache(maxsize=None)
+def _johnson_layout(q: int, n: int, d: int) -> tuple:
+    """(gather, scatter, shapes, codes): W_d and B_(d-1) as one Johnson grid per pattern size t < d.
+
+    Sorted by :func:`_layer_keys`, the words of weight k < d with t digits
+    >= 2 form a grid with a row per (k, X) and a column per pattern, and
+    those of W_d one with a row per set Y; every column has the same rows.
+    ``shapes[t]`` is (rows of the W_d grid, rows of the stacked grid,
+    patterns).  ``gather`` lists the W_d grids, t after t, as positions in
+    :func:`_sphere_spectrum`'s flat layout, and ``scatter`` the stacked
+    grids as positions in the block order of B_(d-1), layer after layer,
+    each as :func:`_block_ranks`: one sort each.  ``codes[t]`` holds
+    k (d + 1) + |X & Y| at stacked row (k, X) and W_d row Y, the
+    intersections by one product of the sets' 0/1 membership rows.
+    """
+    shapes = tuple(
+        (math.comb(n - t, d - t), sum(math.comb(n - t, r) for r in range(d - t)),
+         math.comb(n, t) * (q - 2) ** t)
+        for t in range(d)
+    )
+    # the words of W_d with t = d digits >= 2 sort last, and no layer below d reads them
+    read = sum(rows * patterns for rows, _, patterns in shapes)
+    gather = np.argsort(_layer_keys(q, n, d))[:read]
+    below = [_layer_keys(q, n, k) for k in range(d)] + [np.zeros(0, dtype=np.int64)]
+    scatter = np.argsort(np.concatenate(below))
+    codes = []
+    for t in range(d):
+        members = [_membership(n - t, r) for r in range(d - t)]
+        codes.append(np.vstack(members) @ _membership(n - t, d - t).T)
+        codes[t] += np.repeat(np.arange(t, d) * (d + 1), [len(m) for m in members])[:, None]
+    codes = tuple(code.astype(np.intp) for code in codes)
+    for table in (gather, scatter, *codes):
+        table.setflags(write=False)
+    return gather, scatter, shapes, codes
+
+
+@lru_cache(maxsize=None)
+def _johnson_kernels(q: int, n: int, h: int, d: int) -> tuple:
+    """Per pattern size t < d, the stacked K_{k,t}, k = t..d-1, as one real matrix.
+
+    Entry [t, k, m] = sum_i kappa[k][t][i] C(m, i), kappa from
+    :func:`coeffs.ball_coefficients`, is summed over integer numerators
+    and rounded to a float once, then read at :func:`_johnson_layout`'s
+    codes.  The matrices are shared, so they are read-only.
+    """
+    table = np.zeros((d, d, d + 1))
     for k, rows in enumerate(ball_coefficients(q, n, h, d)):
-        table[k] = _code_table(rows, n + 1)
-    table.setflags(write=False)
-    return table
+        for t, row in enumerate(rows):
+            den = math.lcm(*(c.denominator for c in row))
+            sums = [c.numerator * (den // c.denominator) for c in row]
+            # Pascal's rule, a diagonal at a time, turns row[i] into sum_i C(m, i) row[i]
+            for j in range(1, len(sums)):
+                for i in range(len(sums) - 1, j - 1, -1):
+                    sums[i] += sums[i - 1]
+            table[t, k, : len(sums)] = [s / den for s in sums]
+    kernels = tuple(row.reshape(-1)[code] for row, code in zip(table, _johnson_layout(q, n, d)[3]))
+    for kernel in kernels:
+        kernel.setflags(write=False)
+    return kernels
 
 
 def _compose_ball(sphere: SphereData, h: int) -> np.ndarray:
-    """Ball values of weight < d, layer k as T_k T_d^+ s on the words of B_k.
+    """Ball values of weight < d, layer k as T_k T_d^+ s, by one gemm per pattern size.
 
-    The module docstring's first algorithm: :func:`_sphere_spectrum`
-    written into the W_d slice of the layout of B_d (:func:`_ball_layout`),
-    one add-down, and per layer a multiply by kappa[k], an add-up inside
-    B_k and the inverse transform of the blocks of W_k.  The add passes
-    are those of :func:`_add_pass`, restricted to the layout's pairs.
+    The module docstring's first algorithm: one gather of
+    :func:`_sphere_spectrum` into the W_d grids of :func:`_johnson_layout`,
+    per t < d one real gemm of the stacked K_{k,t} (:func:`_johnson_kernels`)
+    with the grid's real and imaginary parts side by side, one scatter
+    back to the block order of B_(d-1), and per layer the inverse
+    transform of the blocks of W_k into the q^n output.
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
-    ranks, starts, codes, pairs = _ball_layout(q, n, d)
-    down = np.zeros(starts[d + 1], dtype=np.complex128)
-    down[starts[d] :] = _sphere_spectrum(sphere).reshape(-1)
-    for zeros, ones in pairs[d]:
-        down[zeros] += down[ones]
+    gather, scatter, shapes, _ = _johnson_layout(q, n, d)
+    grids = _sphere_spectrum(sphere).reshape(-1)[gather].view(np.float64)
+    stacked = np.empty(2 * scatter.size)
+    read = write = 0
+    for (rows, out, patterns), kernel in zip(shapes, _johnson_kernels(q, n, h, d)):
+        grid = grids[read : read + 2 * rows * patterns].reshape(rows, -1)
+        np.matmul(kernel, grid, out=stacked[write : write + 2 * out * patterns].reshape(out, -1))
+        read, write = read + grid.size, write + 2 * out * patterns
+    blocks = np.empty(scatter.size, dtype=np.complex128)
+    blocks[scatter] = stacked.view(np.complex128)
     values = np.zeros(params.size, dtype=np.complex128)
-    table = _ball_table(q, n, h, d)
+    start = 0
     for k in range(d):
-        layer = down[: starts[k + 1]] * table[k][codes[: starts[k + 1]]]
-        for zeros, ones in pairs[k]:
-            layer[ones] += layer[zeros]
-        blocks = layer[starts[k] :].reshape(math.comb(n, k), -1)
-        out = axis_transform(blocks, q - 1, k, sign=+1) / (q - 1) ** k
-        values[ranks[starts[k] : starts[k + 1]]] = out.reshape(-1)
+        ranks = _block_ranks(q, n, k)
+        layer = blocks[start : start + ranks.size].reshape(ranks.shape)
+        values[ranks] = axis_transform(layer, q - 1, k, sign=+1) / (q - 1) ** k
+        start += ranks.size
     return values
 
 
@@ -490,14 +553,14 @@ def reconstruct_ball(sphere: SphereData, h: int) -> VertexFunction:
 
     Validates the exact nondegeneracy conditions up front.  Layer k < d
     is T_k T_d^+ s, the layer of the min-norm least-squares fit to the
-    sphere s: composed on B_d (:func:`_compose_ball`), or, when
-    :func:`_tensor_path` holds, cut from the whole-tensor solve
-    (:func:`_restriction_solve`).  Both routes give that one ball, and for
-    the sphere of an index-h eigenfunction it is the eigenfunction's.
-    The layer k = d is the input, copied through verbatim.  Sphere data
-    that no index-h eigenfunction restricts to is not detected here.  The
-    ball comes back as an index-h :class:`VertexFunction` that is zero off
-    B_d.
+    sphere s: composed on B_d by one gemm per pattern size on Johnson
+    blocks (:func:`_compose_ball`), or, when :func:`_tensor_path` holds,
+    cut from the whole-tensor solve (:func:`_restriction_solve`).  Both
+    routes give that one ball, and for the sphere of an index-h
+    eigenfunction it is the eigenfunction's.  The layer k = d is the
+    input, copied through verbatim.  Sphere data that no index-h
+    eigenfunction restricts to is not detected here.  The ball comes back
+    as an index-h :class:`VertexFunction` that is zero off B_d.
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d

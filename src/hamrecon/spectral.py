@@ -15,9 +15,11 @@ Conventions:
 The transform is computed a few tensor axes at a time (:func:`axis_transform`).
 Up to ``DENSE_MAX_Q`` each pass is one gemm with a dense kernel on a group of
 g axes, g the largest with q^g <= 16 words, and the passes ping-pong between
-two buffers per call.  Above it numpy's FFT takes over, where a q x q kernel
-would cost O(q^2) memory (32 GiB at q = 65536).  It is batched over leading
-axes, so the solvers transform a whole stack of support blocks in one call.  The
+two buffers per call; when one group covers all the axes, as on the small
+support blocks of ball recovery, the transform is a single matmul.  Above it
+numpy's FFT takes over, where a q x q kernel would cost O(q^2) memory (32 GiB
+at q = 65536).  It is batched over leading axes, so the solvers transform a
+whole stack of support blocks in one call.  The
 same grouped-gemm loop applies any per-axis kernel, which gives
 :func:`closing_transform`, the last pass of whole-tensor recovery.  In the
 support-spectral basis (per axis, digit 0 kept and digits 1..q-1 through
@@ -109,9 +111,11 @@ DENSE_MAX_Q = 20
 _GROUP_MAX_WORDS = 16
 
 
+@lru_cache(maxsize=None)
 def _group_size(q: int) -> int:
+    # a one-letter alphabet is grouped as a binary one, so the count ends
     g = 1
-    while q ** (g + 1) <= _GROUP_MAX_WORDS:
+    while max(q, 2) ** (g + 1) <= _GROUP_MAX_WORDS:
         g += 1
     return g
 
@@ -130,7 +134,8 @@ def _group_kernel(q: int, g: int, kind: str, sign: int) -> np.ndarray:
     followed by the ``"support"`` axis kernel.
     """
     if kind == "fourier":
-        words = digits_table(q, g)
+        # the one word of a one-letter alphabet has digits 0
+        words = digits_table(q, g) if q > 1 else np.zeros((1, g), dtype=np.int64)
         kernel = np.exp(sign * 2j * np.pi * np.arange(q) / q)[(words @ words.T) % q]
     else:
         axis = np.zeros((q, q), dtype=np.complex128)
@@ -151,9 +156,12 @@ def _dense_transform(values: np.ndarray, q: int, n: int, kind: str, sign: int) -
     Each step multiplies the last g word axes by the group kernel and moves
     the contracted group to the front of the word axes, so after the last
     group the axes are back in rank order.  The steps ping-pong between two
-    buffers the size of ``values``.
+    buffers the size of ``values``.  When one group covers all n > 0 axes
+    the whole transform is one matmul, with no buffer and no move.
     """
     group = _group_size(q)
+    if 0 < n <= group:
+        return (values.reshape(-1, q**n) @ _group_kernel(q, n, kind, sign)).reshape(values.shape)
     sizes = [min(group, n - done) for done in range(0, n, group)]
     product, rotated = (np.empty(values.size, dtype=np.complex128) for _ in range(2))
     rows = values.size // q**n

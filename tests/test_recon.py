@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from helpers import desk_cells, eigfn, load_cells, params, tol_for
 from oracles import (
     apply_layer_operator,
     dense_layer_matrix,
+    dense_pattern_block,
     dense_restriction_lstsq,
     face,
     full_support,
@@ -361,6 +363,86 @@ def test_permuting_positions_permutes_the_ball(monkeypatch):
             gap = np.max(np.abs(got - ball[moved])) / np.max(np.abs(ball))
             assert gap <= 1e-12, (q, n, h, d, tensor, gap)
             assert np.max(np.abs(got - ball)) > 1e-3, (q, n, h, d, tensor)
+
+
+def _composition_cells():
+    """Every passing cell on the composition side: the desk grid, (23,3), (16,4) and (256,2)."""
+    wide = ((q, n, h, d) for q, n in ((23, 3), (16, 4), (256, 2)) for h in range(n + 1)
+            for d in range(h + 1))
+    for q, n, h, d in itertools.chain(desk_cells(), wide):
+        if hr.check_conditions(q, n, h, d).passed and not recon._tensor_path(q, n, d):
+            yield q, n, h, d
+
+
+def test_johnson_layout_holds_each_word_once():
+    # the W_d grids hold every word of the sphere spectrum once, except the
+    # words with no digit 1, which no layer below d reads, and the stacked
+    # grids hold B_(d-1) once
+    layouts = {(q, n, d) for q, n, _, d in _composition_cells()}
+    for q, n, d in sorted(layouts):
+        gather, scatter, shapes, codes = recon._johnson_layout(q, n, d)
+        blocks = np.broadcast_to(np.arange((q - 1) ** d), (math.comb(n, d), (q - 1) ** d))
+        unread = np.flatnonzero(~(_sub_assignments(q, d) == 1).any(axis=1)[blocks])
+        sphere_size = math.comb(n, d) * (q - 1) ** d
+        assert np.array_equal(np.sort(np.r_[gather, unread]), np.arange(sphere_size)), (q, n, d)
+        below = sum(math.comb(n, k) * (q - 1) ** k for k in range(d))
+        assert np.array_equal(np.sort(scatter), np.arange(below)), (q, n, d)
+        assert gather.size == sum(rows * patterns for rows, _, patterns in shapes), (q, n, d)
+        assert [code.shape for code in codes] == [(out, rows) for rows, out, _ in shapes], (q, n, d)
+    assert len(layouts) >= 50, len(layouts)
+
+
+def _johnson_words(q, n, layers, positions):
+    """(k, pattern, X) at each position of the block order of ``layers`` laid end to end.
+
+    The pattern is the (axis, digit) pairs of the digits >= 2, and X the
+    digits 1 as indices into the axes off the pattern.
+    """
+    starts = np.cumsum([0] + [math.comb(n, k) * (q - 1) ** k for k in layers])
+    words = []
+    for position in positions.reshape(-1).tolist():
+        layer = int(np.searchsorted(starts, position, side="right")) - 1
+        k = layers[layer]
+        block, assignment = divmod(position - int(starts[layer]), (q - 1) ** k)
+        axes = recon._supports(n, k)[block].tolist()
+        digits = _sub_assignments(q, k)[assignment].tolist()
+        pattern = tuple((a, v) for a, v in zip(axes, digits) if v >= 2)
+        off = [a for a in range(1, n + 1) if a not in dict(pattern)]
+        words.append((k, pattern, frozenset(off.index(a) for a, v in zip(axes, digits) if v == 1)))
+    return [words[i : i + positions.shape[1]] for i in range(0, len(words), positions.shape[1])]
+
+
+def test_johnson_kernels_are_the_dense_pattern_blocks():
+    # on each pattern size t, every column of both grids carries one
+    # pattern of t digits >= 2, every row one digit-1 set, and the stacked
+    # kernel is E^(k)_t E_t^+ from the dense blocks, rows and columns
+    # matched by set
+    cells = ((3, 4, 2, 2), (4, 5, 4, 3), (5, 4, 3, 3), (3, 6, 5, 3), (4, 6, 5, 4), (16, 4, 4, 3))
+    for q, n, h, d in cells:
+        assert hr.check_conditions(q, n, h, d).passed and not recon._tensor_path(q, n, d)
+        gather, scatter, shapes, _ = recon._johnson_layout(q, n, d)
+        kernels = recon._johnson_kernels(q, n, h, d)
+        read = write = 0
+        for t, ((rows, out, patterns), kernel) in enumerate(zip(shapes, kernels)):
+            grid = gather[read : read + rows * patterns].reshape(rows, patterns)
+            stack = scatter[write : write + out * patterns].reshape(out, patterns)
+            read, write = read + grid.size, write + stack.size
+            top = _johnson_words(q, n, [d], grid)
+            low = _johnson_words(q, n, list(range(d)), stack)
+            for words in (top, low):
+                assert all(len(w[1]) == t for row in words for w in row), (q, n, d, t)
+                same = all(w[1] == top[0][c][1] for row in words for c, w in enumerate(row))
+                assert same, (q, n, d, t)
+                assert all(w[::2] == row[0][::2] for row in words for w in row), (q, n, d, t)
+            E_d, sets_d, _ = dense_pattern_block(q, n - t, h - t, d - t)
+            inverse = np.linalg.pinv(E_d, rcond=1e-10)
+            expect = np.zeros((out, rows))
+            for s, (k, _, X) in enumerate(row[0] for row in low):
+                E_k, sets_k, _ = dense_pattern_block(q, n - t, h - t, k - t)
+                block = E_k[sets_k.index(X)] @ inverse
+                expect[s] = [block[sets_d.index(row[0][2])] for row in top]
+            gap = np.max(np.abs(kernel - expect)) / max(1.0, np.max(np.abs(expect)))
+            assert gap <= 1e-13, (q, n, h, d, t, gap)
 
 
 def test_tensor_path_matches_per_support_reference_at_cap_scale(monkeypatch):

@@ -78,6 +78,15 @@ def test_axis_transform_matches_character_sums():
             assert np.max(np.abs(got - expect)) <= 1e-9 * q**n, (q, n, sign)
 
 
+def test_one_letter_transform_is_the_identity():
+    # Z_1^n has the one word 0 and the one character 1: the (q-1)-ary
+    # transform of the binary cube's support blocks
+    rows = np.array([[1.5 - 2j], [0.25 + 3j]])
+    for n in range(4):
+        for sign in (-1, +1):
+            assert np.array_equal(axis_transform(rows, 1, n, sign), rows), (n, sign)
+
+
 def test_support_transform_matches_block_character_sums():
     # words of one support only, each pair weighed by the (q-1)-ary character
     # of their digits less one
