@@ -25,8 +25,12 @@ Two algorithms, both linear in the data:
     that is the eigenfunction's layer, and for any other sphere it is the
     layer of the min-norm least-squares fit.  Hold words in the
     support-spectral basis: block J, the words of support exactly J, is
-    transformed with the (q-1)-ary transform on its own axes, and block J
-    at frequency v is written as one word, digit 0 off J and v_i + 1 on J.
+    transformed on its own axes with the real (q-1)-ary Hartley kernel
+    cas(2 pi a b / (q-1)) per axis (``spectral.hartley_transform``), and
+    block J at frequency v is written as one word, digit 0 off J and
+    v_i + 1 on J.  Frequency 0 (digit 1) is the sum over the axis, and the
+    other frequencies span its sum-zero vectors, which is all the steps
+    below use of the basis.
     There T_k T_d^+ keeps each pattern of t digits >= 2 and is
     I (x) K_{k,t} on it, with K_{k,t} = sum_i kappa[k][t][i] W_i a short
     sum of inclusion products on the digits 1, exact coefficients from
@@ -38,7 +42,7 @@ Two algorithms, both linear in the data:
     for every pattern.  Laid out once per (q, n, d), the sphere's spectrum
     on t digits >= 2 is a grid with a row per set Y of d - t digits 1 and
     a column per pattern, and the ball's words below d one with a row per
-    layer k and set X.  So the ball takes the (q-1)-ary transform of the
+    layer k and set X.  So the ball takes the Hartley transform of the
     sphere's d-blocks, one gather into the grids, one gemm per t, one
     scatter back to the blocks of B_(d-1), and per layer k < d the inverse
     transform of the blocks of W_k.  No word of weight above d is read or
@@ -59,16 +63,21 @@ Two algorithms, both linear in the data:
     at d = h, T is invertible exactly when the layer conditions hold
     (``coeffs``).  For every d the min-norm pseudo-inverse E_t^+ (E_t^-1
     at d = h) is a short sum of inclusion products sum_i c[t][i] W_i with
-    exact coefficients (``coeffs.restriction_inverse_coefficients``),
-    applied as per-axis digit 0 += digit 1, a multiply, and
-    digit 1 += digit 0.
-    C^-1 is never built: the inverse Fourier kernel of an axis is C on
-    digits >= 2 and a 2 x 2 block on digits 0 and 1, so the closing pass
-    (``spectral.closing_transform``) applies that block and the inverse
-    support transform.  The (q-1)-ary transform of the sphere's own
-    blocks, those two add passes and that one dense pass are the whole
-    recovery (:func:`_restriction_solve`): no ball, no layer, no forward
-    q^n pass.  The pseudo-inverse gives the g of least norm, so for
+    exact coefficients (``coeffs.restriction_inverse_coefficients``).
+    Its entry at X, Y depends on |X & Y| alone, so, as the layers of the
+    first algorithm, it is one real matrix per pattern size t <= d, the
+    same for every pattern: laid out by the same sort, the sphere's
+    spectrum on t digits >= 2 is a grid with a row per (d-t)-set Y and a
+    column per pattern, and g on W_h one with a row per (h-t)-set X and
+    the same columns.  C^-1 is never built: the inverse Fourier kernel of
+    an axis is C on digits >= 2 and a 2 x 2 block on digits 0 and 1, so
+    the closing pass (``spectral.closing_transform``) applies that block
+    and the inverse support transform, a real kernel.  The Hartley
+    transform of the sphere's own blocks, one gather into the grids, one
+    gemm per t, one scatter into the q^n words and that one dense pass are
+    the whole recovery (:func:`_restriction_solve`): no ball, no layer, no
+    forward q^n pass, and the closing pass is the one pass over all q^n
+    words.  The pseudo-inverse gives the g of least norm, so for
     consistent data any g with T_d g = s gives the same ball, and for
     inconsistent data the least-squares fit.  The paper's own closing
     step, the ball filled layer by layer and the Fourier coefficients read
@@ -122,6 +131,7 @@ from .spectral import (
     axis_transform,
     closing_transform,
     distance_tensor_stack,
+    hartley_transform,
     read_vertex_dict,
 )
 
@@ -295,13 +305,12 @@ def _block_ranks(q: int, n: int, k: int) -> np.ndarray:
 
 
 def _sphere_spectrum(sphere: SphereData) -> np.ndarray:
-    """The forward (q-1)-ary transform of the sphere's d-blocks, laid out as :func:`_block_ranks`.
+    """The (q-1)-ary Hartley transform of the sphere's d-blocks, laid out as :func:`_block_ranks`.
 
-    Both routes start from it: it fills the W_d grids of :func:`_johnson_layout`, or those ranks
-    of q^n words.
+    Both routes start from it, gathered into the W_d grids of :func:`_grid_order`.
     """
     q, n, d = sphere.params.q, sphere.params.n, sphere.d
-    return axis_transform(sphere.values[_block_ranks(q, n, d)], q - 1, d, sign=-1)
+    return hartley_transform(sphere.values[_block_ranks(q, n, d)], q - 1, d)
 
 
 @lru_cache(maxsize=None)
@@ -310,25 +319,27 @@ def _tensor_path(q: int, n: int, d: int) -> bool:
 
     The rule is sum_{k<=d} |B_k| >= c q^n with c = 7/5, set when the
     composition passed over B_k for each layer k <= d; the tensor solve
-    passes over all q^n words.  Composed by one gemm per pattern size, the
-    ball is the faster warm on every cell below, d = n included.  Cold, on
-    the first call in a fresh process, the tensor route is the faster on
-    all of them, (4,8,.,6) at ratio 1.10 included: the composition first
-    builds its Johnson layout (:func:`_johnson_layout`), 8 ms at
-    (3,10,.,8).  :func:`reconstruct_ball` in ms, one BLAS thread, 2-core
-    Xeon VM; warm is the best of 30 calls, lowest over 5 processes, and
-    cold the median first call over 5 processes:
+    passes over all q^n words once, in its closing pass.  Both routes now
+    run one real gemm per pattern size on Johnson grids.  Warm, the
+    composition is the faster up to a work ratio near 1.5 and the tensor
+    route from about 2.35, with (4,8,8,7), ratio 2.0, a tie.  Cold, on the
+    first call in a fresh process, the tensor route is the faster on every
+    cell below, (4,8,6,6) at ratio 1.10 included: the composition first
+    builds its Johnson layout (:func:`_johnson_layout`).
+    :func:`reconstruct_ball` in ms, one BLAS thread, 2-core Xeon VM; warm
+    is the best of 30 calls, lowest over 5 processes, and cold the median
+    first call over 5 processes:
 
                       composition      tensor
         cell          warm    cold     warm    cold
-        (4,8,6,6)     0.98     8.6     3.37    7.2
-        (3,10,9,7)    0.95    13.3     3.14    7.6
-        (3,10,10,7)   0.96    14.1     4.03    7.6
-        (4,8,8,7)     1.93    12.0     3.08    7.4
-        (3,10,10,8)   1.62    15.0     2.89    6.7
-        (3,10,10,9)   1.25    11.7     2.84    6.8
-        (4,8,8,8)     1.73    14.7     2.86    6.8
-        (3,10,10,10)  1.38    13.0     2.58    6.6
+        (4,8,6,6)     0.68     5.3     1.02    3.7
+        (3,10,9,7)    0.75     8.8     0.83    3.7
+        (3,10,10,7)   0.76     8.9     0.79    3.9
+        (4,8,8,7)     1.03     7.3     0.99    5.5
+        (3,10,10,8)   0.87     9.0     0.69    3.6
+        (3,10,10,9)   0.90     8.6     0.59    2.8
+        (4,8,8,8)     1.07     8.3     0.76    3.9
+        (3,10,10,10)  1.11     9.2     0.57    2.1
 
     No benchmark workload runs a ball on the tensor side yet, so c stays
     at 7/5 until one times the crossover.
@@ -336,15 +347,6 @@ def _tensor_path(q: int, n: int, d: int) -> bool:
     sizes = [math.comb(n, j) * (q - 1) ** j for j in range(d + 1)]
     work = sum((d + 1 - j) * size for j, size in enumerate(sizes))
     return 5 * work >= 7 * q**n
-
-
-def _code_table(rows, width: int) -> np.ndarray:
-    """rows[t][i] as floats at weight * width + t, weight = i + t: width n + 1."""
-    table = np.zeros(width * width)
-    for t, row in enumerate(rows):
-        for i, c in enumerate(row):
-            table[(i + t) * width + t] = float(c)
-    return table
 
 
 @lru_cache(maxsize=None)
@@ -383,6 +385,36 @@ def _layer_keys(q: int, n: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _grid_order(q: int, n: int, k: int) -> np.ndarray:
+    """Positions in W_k's block order (:func:`_block_ranks`), sorted by :func:`_layer_keys`.
+
+    Pattern size t after t, each run is a Johnson grid: a row per set X of
+    k - t digits 1 among the n - t axes off the pattern, in
+    :func:`_supports` order, and a column per pattern of t digits >= 2.
+    Patterns sort alike at every k, so the grids of two layers with the
+    same t have the same columns, and the row sets of each are indexed
+    the same way on every column.
+    """
+    order = np.argsort(_layer_keys(q, n, k))
+    order.setflags(write=False)
+    return order
+
+
+def _pascal_sums(row) -> list[float]:
+    """sum_i row[i] C(m, i) for m = 0..len(row)-1, each rounded to a float once.
+
+    The Fractions are brought to one denominator and summed as integers by
+    Pascal's rule, a diagonal at a time.
+    """
+    den = math.lcm(*(c.denominator for c in row))
+    sums = [c.numerator * (den // c.denominator) for c in row]
+    for j in range(1, len(sums)):
+        for i in range(len(sums) - 1, j - 1, -1):
+            sums[i] += sums[i - 1]
+    return [s / den for s in sums]
+
+
+@lru_cache(maxsize=None)
 def _johnson_layout(q: int, n: int, d: int) -> tuple:
     """(gather, scatter, shapes, codes): W_d and B_(d-1) as one Johnson grid per pattern size t < d.
 
@@ -391,11 +423,12 @@ def _johnson_layout(q: int, n: int, d: int) -> tuple:
     those of W_d one with a row per set Y; every column has the same rows.
     ``shapes[t]`` is (rows of the W_d grid, rows of the stacked grid,
     patterns).  ``gather`` lists the W_d grids, t after t, as positions in
-    :func:`_sphere_spectrum`'s flat layout, and ``scatter`` the stacked
-    grids as positions in the block order of B_(d-1), layer after layer,
-    each as :func:`_block_ranks`: one sort each.  ``codes[t]`` holds
-    k (d + 1) + |X & Y| at stacked row (k, X) and W_d row Y, the
-    intersections by one product of the sets' 0/1 membership rows.
+    :func:`_sphere_spectrum`'s flat layout, a prefix of :func:`_grid_order`,
+    and ``scatter`` the stacked grids as positions in the block order of
+    B_(d-1), layer after layer, each as :func:`_block_ranks`, by one sort.
+    ``codes[t]`` holds k (d + 1) + |X & Y| at stacked row (k, X) and W_d
+    row Y, the intersections by one product of the sets' 0/1 membership
+    rows.
     """
     shapes = tuple(
         (math.comb(n - t, d - t), sum(math.comb(n - t, r) for r in range(d - t)),
@@ -404,7 +437,7 @@ def _johnson_layout(q: int, n: int, d: int) -> tuple:
     )
     # the words of W_d with t = d digits >= 2 sort last, and no layer below d reads them
     read = sum(rows * patterns for rows, _, patterns in shapes)
-    gather = np.argsort(_layer_keys(q, n, d))[:read]
+    gather = _grid_order(q, n, d)[:read]
     below = [_layer_keys(q, n, k) for k in range(d)] + [np.zeros(0, dtype=np.int64)]
     scatter = np.argsort(np.concatenate(below))
     codes = []
@@ -413,7 +446,7 @@ def _johnson_layout(q: int, n: int, d: int) -> tuple:
         codes.append(np.vstack(members) @ _membership(n - t, d - t).T)
         codes[t] += np.repeat(np.arange(t, d) * (d + 1), [len(m) for m in members])[:, None]
     codes = tuple(code.astype(np.intp) for code in codes)
-    for table in (gather, scatter, *codes):
+    for table in (scatter, *codes):
         table.setflags(write=False)
     return gather, scatter, shapes, codes
 
@@ -423,20 +456,14 @@ def _johnson_kernels(q: int, n: int, h: int, d: int) -> tuple:
     """Per pattern size t < d, the stacked K_{k,t}, k = t..d-1, as one real matrix.
 
     Entry [t, k, m] = sum_i kappa[k][t][i] C(m, i), kappa from
-    :func:`coeffs.ball_coefficients`, is summed over integer numerators
-    and rounded to a float once, then read at :func:`_johnson_layout`'s
-    codes.  The matrices are shared, so they are read-only.
+    :func:`coeffs.ball_coefficients`, comes from :func:`_pascal_sums` and
+    is read at :func:`_johnson_layout`'s codes.  The matrices are shared,
+    so they are read-only.
     """
     table = np.zeros((d, d, d + 1))
     for k, rows in enumerate(ball_coefficients(q, n, h, d)):
         for t, row in enumerate(rows):
-            den = math.lcm(*(c.denominator for c in row))
-            sums = [c.numerator * (den // c.denominator) for c in row]
-            # Pascal's rule, a diagonal at a time, turns row[i] into sum_i C(m, i) row[i]
-            for j in range(1, len(sums)):
-                for i in range(len(sums) - 1, j - 1, -1):
-                    sums[i] += sums[i - 1]
-            table[t, k, : len(sums)] = [s / den for s in sums]
+            table[t, k, : len(row)] = _pascal_sums(row)
     kernels = tuple(row.reshape(-1)[code] for row, code in zip(table, _johnson_layout(q, n, d)[3]))
     for kernel in kernels:
         kernel.setflags(write=False)
@@ -470,36 +497,28 @@ def _compose_ball(sphere: SphereData, h: int) -> np.ndarray:
     for k in range(d):
         ranks = _block_ranks(q, n, k)
         layer = blocks[start : start + ranks.size].reshape(ranks.shape)
-        values[ranks] = axis_transform(layer, q - 1, k, sign=+1) / (q - 1) ** k
+        values[ranks] = hartley_transform(layer, q - 1, k) / (q - 1) ** k
         start += ranks.size
     return values
 
 
 @lru_cache(maxsize=None)
-def _support_codes(q: int, axes: int) -> np.ndarray:
-    """weight * (axes+1) + t per word, t its digits >= 2, by broadcasting.
+def _restriction_kernels(q: int, n: int, h: int, d: int) -> tuple:
+    """Per pattern size t <= d, E_t^+ as one real (C(n-t, h-t), C(n-t, d-t)) matrix.
 
-    In the support-spectral basis the weight is the size of a word's block
-    and t the weight of its (q-1)-ary frequency.
+    Entry [X, Y] = sum_i c[t][i] C(|X & Y|, i) over the (h-t)-sets X and
+    the (d-t)-sets Y of the n - t axes off the pattern, rows and columns
+    in :func:`_supports` order as in the grids of :func:`_grid_order`;
+    c from :func:`coeffs.restriction_inverse_coefficients` through
+    :func:`_pascal_sums`, the intersections by one product of the sets'
+    0/1 membership rows.  The matrices are shared, so they are read-only.
     """
-    axis = np.array([0, axes + 1] + [axes + 2] * (q - 2), dtype=np.int16)
-    codes = np.zeros(1, dtype=np.int16)
-    for _ in range(axes):
-        codes = (codes[:, None] + axis).reshape(-1)
-    codes.setflags(write=False)
-    return codes
-
-
-def _add_pass(t: np.ndarray, q: int, n: int, into: int, source: int) -> None:
-    """In place, per word axis digit ``into`` += digit ``source``, over all q^n words.
-
-    In the support-spectral basis digit 0 += digit 1 sums into each block
-    every block that contains it, at the same frequency, and digit 1 +=
-    digit 0 every block inside it.
-    """
-    for axis in range(n):
-        view = t.reshape(q**axis, q, q ** (n - 1 - axis))
-        view[:, into] += view[:, source]
+    kernels = []
+    for t, row in enumerate(restriction_inverse_coefficients(q, n, h, d)):
+        sizes = _membership(n - t, h - t) @ _membership(n - t, d - t).T
+        kernels.append(np.array(_pascal_sums(row))[sizes.astype(np.intp)])
+        kernels[t].setflags(write=False)
+    return tuple(kernels)
 
 
 def _restriction_solve(sphere: SphereData, h: int) -> np.ndarray:
@@ -508,18 +527,18 @@ def _restriction_solve(sphere: SphereData, h: int) -> np.ndarray:
     T_d[x, a] = chi_a(x) over x in W_d, a in W_h, d the sphere radius (the
     module docstring's second algorithm); on each pattern of t digits >= 2
     it is C^(x)t (x) E_t, E_t^+ = sum_i c[t][i] W_i
-    (:func:`coeffs.restriction_inverse_coefficients`).  In five passes:
+    (:func:`coeffs.restriction_inverse_coefficients`).  In five steps:
 
-    1. :func:`_sphere_spectrum`, the (q-1)-ary transform of each d-support
-       block of the sphere, its |W_d| words only, scattered into a zero
-       q^n array (the caller's sphere is read, never written);
-    2. :func:`_add_pass` digit 0 += digit 1, each support block summed into
-       the blocks inside it;
-    3. a multiply by c[t][i], t the digits >= 2 and i + t the nonzero
-       digits, looked up by :func:`_support_codes` in :func:`_code_table`;
-    4. :func:`_add_pass` digit 1 += digit 0, each block summed back into the
-       blocks that contain it, then zero off W_h: that is E_t^+ on every
-       pattern;
+    1. :func:`_sphere_spectrum`, the (q-1)-ary Hartley transform of each
+       d-support block of the sphere, its |W_d| words only (the caller's
+       sphere is read, never written);
+    2. one gather of it into the W_d Johnson grids of :func:`_grid_order`;
+    3. per pattern size t <= d one real gemm of E_t^+
+       (:func:`_restriction_kernels`) with the grid's real and imaginary
+       parts side by side, which gives g on the W_h grid of the same
+       patterns, a prefix of :func:`_grid_order` at h;
+    4. one scatter of those grids into a zero q^n array: the words of W_h
+       with more than d digits >= 2, and all words off W_h, keep g = 0;
     5. one :func:`spectral.closing_transform` pass, which sums g against
        the characters; C^-t cancels against the C in the characters, so
        no C is built.
@@ -530,12 +549,19 @@ def _restriction_solve(sphere: SphereData, h: int) -> np.ndarray:
     """
     params = sphere.params
     q, n, d = params.q, params.n, sphere.d
+    grids = _sphere_spectrum(sphere).reshape(-1)[_grid_order(q, n, d)].view(np.float64)
+    kernels = _restriction_kernels(q, n, h, d)
+    patterns = [math.comb(n, t) * (q - 2) ** t for t in range(d + 1)]
+    solved = np.empty(2 * sum(kernel.shape[0] * p for kernel, p in zip(kernels, patterns)))
+    read = write = 0
+    for kernel, count in zip(kernels, patterns):
+        out, rows = kernel.shape
+        grid = grids[read : read + 2 * rows * count].reshape(rows, -1)
+        np.matmul(kernel, grid, out=solved[write : write + 2 * out * count].reshape(out, -1))
+        read, write = read + grid.size, write + 2 * out * count
     g = np.zeros(params.size, dtype=np.complex128)
-    g[_block_ranks(q, n, d)] = _sphere_spectrum(sphere)
-    _add_pass(g, q, n, 0, 1)
-    g *= _code_table(restriction_inverse_coefficients(q, n, h, d), n + 1)[_support_codes(q, n)]
-    _add_pass(g, q, n, 1, 0)
-    g[weight_table(q, n) != h] = 0
+    order = _grid_order(q, n, h)[: write // 2]
+    g[_block_ranks(q, n, h).reshape(-1)[order]] = solved.view(np.complex128)
     return closing_transform(g, q, n)
 
 
@@ -618,13 +644,13 @@ def reconstruct_full(sphere: SphereData, h: int) -> VertexFunction:
     The ball is never built, no weight layer is solved, and the condition
     number is kappa(T), not the kappa(T)^2 of the normal equations
     G = T*T that this route replaced.  Worst error relative to max |f|
-    over seeds 0..12, this route against the normal equations: the four
-    cap cells (4,8,6), (3,10,8), (3,10,10), (4,8,8) 5.4e-15 against
-    1.2e-14; the desk grid 4.4e-15 against 5.3e-14; (3,8,4), (3,9,5),
-    (3,10,5) and (3,10,6), where kappa(T) = 81 and h lies near n/2,
-    2.0e-14 against 5.6e-13; (23,3,3), (256,2,2) and (65536,1,1), on the
-    FFT branch, 1.2e-14, 5.4e-14 and 1.4e-13 against 1.2e-14, 8.9e-14 and
-    6.9e-14.
+    over seeds 0..12, this route (Johnson-grid gemms, Hartley basis)
+    against the normal equations: the four cap cells (4,8,6), (3,10,8),
+    (3,10,10), (4,8,8) 5.4e-15 against 1.2e-14; the desk grid 4.6e-15
+    against 5.3e-14; (3,8,4), (3,9,5), (3,10,5) and (3,10,6), where
+    kappa(T) = 81 and h lies near n/2, 1.3e-14 against 5.6e-13; (23,3,3),
+    (256,2,2) and (65536,1,1), on the FFT branch, 1.2e-14, 4.5e-14 and
+    1.4e-13 against 1.2e-14, 8.9e-14 and 6.9e-14.
     """
     params = sphere.params
     if sphere.d != h:

@@ -14,23 +14,34 @@ Conventions:
 
 The transform is computed a few tensor axes at a time (:func:`axis_transform`).
 Up to ``DENSE_MAX_Q`` each pass is one gemm with a dense kernel on a group of
-g axes, g the largest with q^g <= 16 words, and the passes ping-pong between
-two buffers per call; when one group covers all the axes, as on the small
-support blocks of ball recovery, the transform is a single matmul.  Above it
-numpy's FFT takes over, where a q x q kernel would cost O(q^2) memory (32 GiB
-at q = 65536).  It is batched over leading axes, so the solvers transform a
-whole stack of support blocks in one call.  The
-same grouped-gemm loop applies any per-axis kernel, which gives
-:func:`closing_transform`, the last pass of whole-tensor recovery.  In the
-support-spectral basis (per axis, digit 0 kept and digits 1..q-1 through
-the (q-1)-ary transform) the inverse Fourier kernel of one axis splits
-into the map (x_0, x_1) -> (x_0 + x_1, (q-1) x_0 - x_1) on digits 0 and 1
-and a block C on digits 2..q-1 with C C* = q I, so the sphere restriction
-splits into Johnson-scheme blocks times Kronecker powers of C.  C cancels
-against its own inverse, and the closing pass applies only the 2 x 2
-block and the inverse support transform.  Above ``DENSE_MAX_Q`` that pass
-is two strided lines and numpy's inverse FFT over digits 1..q-1, axis by
-axis, so no q x q kernel is built at any q.
+g axes, g the largest with q^g <= 16 words.  A group is contracted where it
+lies, np.matmul(K.T, x.reshape(left, q^g, right)) with the axes before it
+as ``left`` and those after it as ``right``, so no axis is moved; the last
+group, and a transform that one group covers, is a single matmul of the
+(..., q^g) rows.  The passes ping-pong between two buffers per call.  Above
+``DENSE_MAX_Q`` numpy's FFT takes over, where a q x q kernel would cost
+O(q^2) memory (32 GiB at q = 65536).  It is batched over leading axes, so
+the solvers transform a whole stack of support blocks in one call.
+
+The same grouped-gemm loop applies any per-axis kernel.  Recovery needs
+no complex root of unity: it transforms the nonzero digits of each support
+block with the real Hartley kernel cas(2 pi a b / m) = cos + sin, m = q - 1
+(:func:`hartley_transform`).  Its first row is all ones, so digit 1 of a
+transformed block is the block sum, and its other rows span the sum-zero
+vectors; it is symmetric with H^2 = m I, so it is its own inverse up to
+1/m.  A real kernel on complex data views the data as float64 pairs, (re,
+im) riding in the trailing axis, which takes half the flops of a complex
+gemm.  In that support-spectral basis (per axis, digit 0 kept and digits
+1..q-1 through H) the inverse Fourier kernel of one axis splits into the
+map (x_0, x_1) -> (x_0 + x_1, (q-1) x_0 - x_1) on digits 0 and 1 and a
+block C on digits 2..q-1 with C C* = q I, so the sphere restriction splits
+into Johnson-scheme blocks times Kronecker powers of C.  C cancels against
+its own inverse, and :func:`closing_transform`, the last pass of
+whole-tensor recovery, applies only the 2 x 2 block and the inverse
+support transform, a real kernel.  Above ``DENSE_MAX_Q`` both read the
+Hartley transform off numpy's FFT, axis by axis, so no q x q kernel is
+built at any q.  The Fourier transform, the characters and the eigenspace
+projector keep the Fourier kernel.
 
 Combinatorial coefficients are always exact integers and are converted to
 floats only at the point where they multiply complex data.
@@ -124,10 +135,14 @@ def _group_size(q: int) -> int:
 def _group_kernel(q: int, g: int, kind: str, sign: int) -> np.ndarray:
     """K[b, a] over g-digit words b (in) and a (out), in rank order.
 
-    ``"fourier"`` is xi^(sign <a,b>), read off a table of powers.
+    ``"fourier"`` is xi^(sign <a,b>), read off a table of powers, the one
+    complex kind.  ``"hartley"`` is the g-th Kronecker power of the axis
+    kernel cas(2 pi a b / q) = cos + sin: real and symmetric, its own
+    inverse up to q^-g, first row all ones and the other rows summing to
+    zero; ``sign`` is unused.
     ``"support"`` is the g-th Kronecker power of the axis kernel that keeps
-    digit 0 and applies the (q-1)-ary one to digits 1..q-1 (digit j as
-    j-1), divided by q-1 for ``sign = +1`` so that the two signs are
+    digit 0 and applies the (q-1)-ary Hartley one to digits 1..q-1 (digit
+    j as j-1), divided by q-1 for ``sign = +1`` so that the two signs are
     inverse to each other.
     ``"closing"`` (``sign = +1``) is the Kronecker power of the axis map
     (x_0, x_1) -> (x_0 + x_1, (q-1) x_0 - x_1), digits 2..q-1 kept,
@@ -138,11 +153,15 @@ def _group_kernel(q: int, g: int, kind: str, sign: int) -> np.ndarray:
         words = digits_table(q, g) if q > 1 else np.zeros((1, g), dtype=np.int64)
         kernel = np.exp(sign * 2j * np.pi * np.arange(q) / q)[(words @ words.T) % q]
     else:
-        axis = np.zeros((q, q), dtype=np.complex128)
-        axis[0, 0] = 1
-        axis[1:, 1:] = _group_kernel(q - 1, 1, "fourier", sign) / ((q - 1) if sign > 0 else 1)
+        if kind == "hartley":
+            angles = 2 * np.pi * (np.outer(np.arange(q), np.arange(q)) % q) / q
+            axis = np.cos(angles) + np.sin(angles)
+        else:
+            axis = np.zeros((q, q))
+            axis[0, 0] = 1
+            axis[1:, 1:] = _group_kernel(q - 1, 1, "hartley", +1) / ((q - 1) if sign > 0 else 1)
         if kind == "closing":
-            pair = np.eye(q, dtype=np.complex128)
+            pair = np.eye(q)
             pair[:2, :2] = [[1, q - 1], [1, -1]]
             axis = pair @ axis
         kernel = reduce(np.kron, [axis] * g)
@@ -150,31 +169,49 @@ def _group_kernel(q: int, g: int, kind: str, sign: int) -> np.ndarray:
     return kernel
 
 
-def _dense_transform(values: np.ndarray, q: int, n: int, kind: str, sign: int) -> np.ndarray:
+def _dense_transform(
+    values: np.ndarray, q: int, n: int, kind: str, sign: int, overwrite: bool = False
+) -> np.ndarray:
     """Apply the kernel of ``kind`` (:func:`_group_kernel`) to every word axis, a group per gemm.
 
-    Each step multiplies the last g word axes by the group kernel and moves
-    the contracted group to the front of the word axes, so after the last
-    group the axes are back in rank order.  The steps ping-pong between two
-    buffers the size of ``values``.  When one group covers all n > 0 axes
-    the whole transform is one matmul, with no buffer and no move.
+    Each group of g word axes is contracted where it lies: with the batch
+    and the groups before it as ``left`` and the axes after it as
+    ``right``, a step is np.matmul(K.T, x.reshape(left, q^g, right)), so
+    no axis is ever moved and no transposed copy is made.  A real kernel
+    on complex data views the data as float64, (re, im) riding in the
+    trailing axis: half the flops of a complex gemm.  The last group, where
+    ``right`` is one word, is one gemm of all the (..., q^g) rows by K
+    instead (complex when the data is), which the stacked form would split
+    into one call per row; a transform that one group covers, as on the
+    small support blocks of ball recovery, is that gemm alone.  Otherwise
+    the steps ping-pong between two buffers the size of ``values``; with
+    ``overwrite`` the second is ``values`` itself, read by then, and
+    otherwise ``values`` is never written.  At n = 0 the kernel is [[1]]
+    and the result a copy.  The output is complex when the kernel or the
+    data is.
     """
     group = _group_size(q)
     if 0 < n <= group:
         return (values.reshape(-1, q**n) @ _group_kernel(q, n, kind, sign)).reshape(values.shape)
-    sizes = [min(group, n - done) for done in range(0, n, group)]
-    product, rotated = (np.empty(values.size, dtype=np.complex128) for _ in range(2))
-    rows = values.size // q**n
-    src = values
-    for g in sizes:
-        kernel = _group_kernel(q, g, kind, sign)
-        rest = q ** (n - g)
-        np.matmul(src.reshape(-1, q**g), kernel, out=product.reshape(-1, q**g))
-        np.copyto(
-            rotated.reshape(rows, q**g, rest),
-            product.reshape(rows, rest, q**g).transpose(0, 2, 1),
-        )
-        src = rotated
+    dtype = np.complex128 if kind == "fourier" or np.iscomplexobj(values) else np.float64
+    if not n:
+        return np.array(values, dtype=dtype)
+    pairs = 2 if kind != "fourier" and dtype == np.complex128 else 1
+
+    def floats(t: np.ndarray) -> np.ndarray:
+        return t.view(np.float64) if pairs == 2 else t
+
+    src = np.ascontiguousarray(values, dtype=dtype).reshape(-1)
+    buffers = [np.empty_like(src), src if overwrite else np.empty_like(src)]
+    rows, done = src.size // q**n, 0
+    for step, g in enumerate([min(group, n - done) for done in range(0, n, group)]):
+        kernel, out = _group_kernel(q, g, kind, sign), buffers[step % 2]
+        if done + g < n:
+            shape = (rows * q**done, q**g, pairs * q ** (n - done - g))
+            np.matmul(kernel.T, floats(src).reshape(shape), out=floats(out).reshape(shape))
+        else:
+            np.matmul(src.reshape(-1, q**g), kernel, out=out.reshape(-1, q**g))
+        src, done = out, done + g
     return src.reshape(values.shape)
 
 
@@ -197,31 +234,67 @@ def axis_transform(values: np.ndarray, q: int, n: int, sign: int) -> np.ndarray:
     return t.reshape(values.shape)
 
 
+def _fft_hartley(t: np.ndarray, axis: int) -> np.ndarray:
+    """cas(2 pi a b / m) along ``axis``, m its length, read off numpy's FFT X.
+
+    Real data gives Re X - Im X.  Complex data takes one FFT of the whole
+    array, not one per part: with X' the FFT at -a, the cosine sum is
+    (X + X') / 2 and the sine sum (X' - X) / 2i, so the value is
+    ((1 + i) X + (1 - i) X') / 2, and X itself at a = 0, the block sum.
+    """
+    f = np.fft.fft(t, axis=axis)
+    if not np.iscomplexobj(t):
+        return f.real - f.imag
+    mirror = np.roll(np.flip(f, axis=axis), 1, axis=axis)
+    return ((1 + 1j) * f + (1 - 1j) * mirror) / 2
+
+
+def hartley_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
+    """out[..., a] = sum_b values[..., b] prod_i cas(2 pi a_i b_i / q) over the last axis.
+
+    The real per-axis kernel of recovery's support blocks (``"hartley"`` in
+    :func:`_group_kernel`), batched over leading axes as
+    :func:`axis_transform`; applied twice it is q^n times the identity.
+    Up to ``DENSE_MAX_Q`` one grouped-gemm pass; above it, axis by axis,
+    read off numpy's FFT (:func:`_fft_hartley`), so no q x q kernel is
+    built.  A new array comes back, real for real data.
+    """
+    if q <= DENSE_MAX_Q:
+        return _dense_transform(values, q, n, "hartley", +1)
+    t = values.reshape(values.shape[:-1] + (q,) * n)
+    for axis in range(t.ndim - n, t.ndim):
+        t = _fft_hartley(t, axis)
+    return t.reshape(values.shape) if n else values.copy()
+
+
 def closing_transform(values: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Values from the solved coefficients of full recovery, in one pass.
+    """Values from the solved coefficients of full recovery, in one pass that overwrites ``values``.
 
     Per axis (x_0, x_1) -> (x_0 + x_1, (q-1) x_0 - x_1), digits 2..q-1
     kept, then the inverse support transform (``sign = +1``).  In the
     support-spectral basis the inverse Fourier kernel of one axis is that
     2 x 2 block plus a block C on digits 2..q-1: given y with C applied to
     digits 2..q-1 of every axis, this pass returns the inverse Fourier
-    transform (without its q^-n) of the inverse support transform of y.  Up to
-    ``DENSE_MAX_Q`` one grouped-gemm pass with the fused axis kernel;
-    above it, axis by axis, the two strided lines and numpy's inverse FFT
-    over digits 1..q-1, so no q x q kernel is built.
+    transform (without its q^-n) of the inverse support transform of y.
+    The kernel is real.  Up to ``DENSE_MAX_Q`` one grouped-gemm pass with
+    the fused axis kernel, ping-ponging between ``values`` and one new
+    buffer; above it, in place, axis by axis, the two strided lines and the
+    Hartley transform of digits 1..q-1 by numpy's FFT, so no q x q kernel
+    is built.  ``values`` is a float or complex array that the caller
+    gives up: recovery's own coefficient array, which it never reads
+    again.
     """
     if q <= DENSE_MAX_Q:
-        return _dense_transform(values, q, n, "closing", +1)
-    out = values.astype(np.complex128)
-    words = out.reshape(out.shape[:-1] + (q,) * n)
+        return _dense_transform(values, q, n, "closing", +1, overwrite=True)
+    words = values.reshape(values.shape[:-1] + (q,) * n)
     for axis in range(words.ndim - n, words.ndim):
         head = (slice(None),) * axis
         nonzero = head + (slice(1, None),)
         x0, x1 = words[head + (0,)].copy(), words[head + (1,)].copy()
         words[head + (0,)] = x0 + x1
         words[head + (1,)] = (q - 1) * x0 - x1
-        words[nonzero] = np.fft.ifft(words[nonzero], axis=axis)
-    return out
+        words[nonzero] = _fft_hartley(words[nonzero], axis) / (q - 1)
+    return values
 
 
 def fourier_transform(f: VertexFunction) -> VertexFunction:

@@ -33,8 +33,8 @@ a sum of inclusion products, the form the exact coefficients of
 ``hamrecon.coeffs`` take; ``gram_route_restriction_inverse`` derives the
 coefficients of the restriction pseudo-inverse the long way, through the
 spectrum of the Gram matrix T_d* T_d (``gram_eigenvalue``).  The
-support-spectral transform (``support_transform``) is applied axis by
-axis with its own q x q kernel.
+support-spectral transform (``support_transform``), in the real Hartley
+frame recovery uses, is applied axis by axis with its own q x q kernel.
 
 The JSON payload of a vertex function is built one word at a time as a
 dict, and its file text comes from the stdlib's ``json.dumps``: the
@@ -198,17 +198,17 @@ def _dense_transform(values, q, n, sign):
 
 
 def support_transform(values, q, n, sign):
-    """Each support block's (q-1)-ary transform with ``sign``, over the last axis.
+    """Each support block's (q-1)-ary Hartley transform with ``sign``, over the last axis.
 
     Per axis, digit 0 is kept and digits 1..q-1 (as 0..q-2) go through the
-    (q-1)-ary transform, so the words of support exactly J are mapped
-    among themselves; ``sign = +1`` carries the (q-1)^-|J| factor and
-    inverts ``-1``.  Leading axes are a batch.
+    real kernel cas(2 pi a b / (q-1)) = cos + sin, so the words of support
+    exactly J are mapped among themselves; ``sign = +1`` carries the
+    (q-1)^-|J| factor and inverts ``-1``.  Leading axes are a batch.
     """
-    powers = np.exp(sign * 2j * np.pi * np.arange(q - 1) / (q - 1))
-    kernel = np.zeros((q, q), dtype=np.complex128)
+    angles = 2 * np.pi * np.outer(np.arange(q - 1), np.arange(q - 1)) / (q - 1)
+    kernel = np.zeros((q, q))
     kernel[0, 0] = 1
-    kernel[1:, 1:] = powers[np.outer(np.arange(q - 1), np.arange(q - 1)) % (q - 1)]
+    kernel[1:, 1:] = np.cos(angles) + np.sin(angles)
     if sign > 0:
         kernel[1:, 1:] /= q - 1
     t = np.asarray(values, dtype=np.complex128).reshape(np.shape(values)[:-1] + (q,) * n)

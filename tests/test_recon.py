@@ -445,6 +445,65 @@ def test_johnson_kernels_are_the_dense_pattern_blocks():
             assert gap <= 1e-13, (q, n, h, d, t, gap)
 
 
+def _restriction_prefix(q, n, h, d):
+    """Words of W_h that the restriction solve writes: those with at most d digits >= 2."""
+    return sum(math.comb(n - t, h - t) * math.comb(n, t) * (q - 2) ** t for t in range(d + 1))
+
+
+def test_restriction_grids_hold_each_word_of_w_h_once():
+    # sorted by the layer keys, W_h's block order is permuted, and the
+    # prefix that the solve scatters into holds exactly the words with at
+    # most d digits >= 2: every passing desk cell, (16,4) and (23,3)
+    wide = ((q, n, h, d) for q, n in ((16, 4), (23, 3)) for h in range(n + 1)
+            for d in range(h + 1))
+    cells = [c for c in itertools.chain(desk_cells(), wide) if hr.check_conditions(*c).passed]
+    for q, n, h, d in cells:
+        order = recon._grid_order(q, n, h)
+        size = math.comb(n, h) * (q - 1) ** h
+        assert np.array_equal(np.sort(order), np.arange(size)), (q, n, h)
+        high = (_sub_assignments(q, h) >= 2).sum(axis=1)
+        reached = np.flatnonzero(np.broadcast_to(high <= d, (math.comb(n, h), high.size)))
+        prefix = order[: _restriction_prefix(q, n, h, d)]
+        assert np.array_equal(np.sort(prefix), reached), (q, n, h, d)
+    assert len(cells) >= 80, len(cells)
+
+
+def test_restriction_kernels_are_the_dense_pseudo_inverses():
+    # on each pattern size t <= d, every column of the W_d and W_h grids
+    # carries one pattern of t digits >= 2 and every row one digit-1 set,
+    # and the kernel is pinv(E_t) of the dense pattern block, rows and
+    # columns matched by set: d = h and d < h, with (q-2)^t > 1 at
+    # (4,5,4,3) and (16,4,4,3)
+    cells = ((3, 4, 2, 2), (4, 4, 3, 3), (5, 3, 3, 3), (3, 5, 4, 4), (4, 5, 4, 3), (5, 4, 3, 2),
+             (3, 6, 5, 3), (4, 6, 5, 4), (16, 4, 4, 3), (16, 3, 3, 3))
+    for q, n, h, d in cells:
+        assert hr.check_conditions(q, n, h, d).passed, (q, n, h, d)
+        kernels = recon._restriction_kernels(q, n, h, d)
+        assert len(kernels) == d + 1, (q, n, h, d)
+        read = write = 0
+        for t, kernel in enumerate(kernels):
+            out, rows = kernel.shape
+            patterns = math.comb(n, t) * (q - 2) ** t
+            grid = recon._grid_order(q, n, d)[read : read + rows * patterns]
+            solved = recon._grid_order(q, n, h)[write : write + out * patterns]
+            read, write = read + grid.size, write + solved.size
+            top = _johnson_words(q, n, [d], grid.reshape(rows, patterns))
+            low = _johnson_words(q, n, [h], solved.reshape(out, patterns))
+            for words in (top, low):
+                assert all(len(w[1]) == t for row in words for w in row), (q, n, h, d, t)
+                same = all(w[1] == top[0][c][1] for row in words for c, w in enumerate(row))
+                assert same, (q, n, h, d, t)
+                assert all(w[::2] == row[0][::2] for row in words for w in row), (q, n, h, d, t)
+            E, sets_d, sets_h = dense_pattern_block(q, n - t, h - t, d - t)
+            inverse = np.linalg.pinv(E, rcond=1e-10)
+            ys, xs = [row[0][2] for row in top], [row[0][2] for row in low]
+            expect = np.array([[inverse[sets_h.index(x), sets_d.index(y)] for y in ys] for x in xs])
+            expect = expect.reshape(out, rows)
+            gap = np.max(np.abs(kernel - expect)) / max(1.0, np.max(np.abs(expect)))
+            assert gap <= 1e-13, (q, n, h, d, t, gap)
+        assert write == _restriction_prefix(q, n, h, d), (q, n, h, d)
+
+
 def test_tensor_path_matches_per_support_reference_at_cap_scale(monkeypatch):
     # both routes, forced, on the four cap cells; the bound is relative to
     # the largest value, 1.  Three balls with d < h against the seeded

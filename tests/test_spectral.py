@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 
@@ -8,6 +9,7 @@ import hamrecon as hr
 from hamrecon.scheme import digits_table, weight_ranks, weight_table
 from hamrecon.spectral import (
     DENSE_MAX_Q,
+    _dense_transform,
     _group_kernel,
     axis_transform,
     closing_transform,
@@ -88,19 +90,22 @@ def test_one_letter_transform_is_the_identity():
 
 
 def test_support_transform_matches_block_character_sums():
-    # words of one support only, each pair weighed by the (q-1)-ary character
-    # of their digits less one
+    # words of one support only, each pair weighed by the product over the
+    # support of the (q-1)-ary Hartley kernel cas = cos + sin at their
+    # digits less one: the real stand-in for the block's character
     for q, n in ((3, 3), (4, 3), (5, 2), (7, 2), (3, 5)):
         words = digits_table(q, n)
         nonzero = words != 0
         same_block = np.all(nonzero[:, None, :] == nonzero[None, :, :], axis=2)
-        phase = (((words - 1) * nonzero) @ ((words - 1) * nonzero).T) % (q - 1)
-        chars = np.where(same_block, np.exp(2j * np.pi * phase / (q - 1)), 0)
+        angles = 2 * np.pi * (words - 1)[:, None, :] * (words - 1)[None, :, :] / (q - 1)
+        both = nonzero[:, None, :] & nonzero[None, :, :]
+        cas = np.where(both, np.cos(angles) + np.sin(angles), 1).prod(axis=2)
+        chars = np.where(same_block, cas, 0)
         rng = np.random.default_rng(q * 10 + n)
         rows = rng.normal(size=(2, q**n)) + 1j * rng.normal(size=(2, q**n))
         block_size = (q - 1.0) ** nonzero.sum(axis=1)
         forward = support_transform(rows, q, n, -1)
-        assert np.max(np.abs(forward - rows @ chars.conj().T)) <= 1e-9 * q**n, (q, n)
+        assert np.max(np.abs(forward - rows @ chars.T)) <= 1e-9 * q**n, (q, n)
         inverse = support_transform(rows, q, n, +1)
         assert np.max(np.abs(inverse - (rows @ chars.T) / block_size)) <= 1e-9 * q**n, (q, n)
         assert np.max(np.abs(support_transform(forward, q, n, +1) - rows)) <= 1e-12 * q**n
@@ -121,7 +126,8 @@ def _pair_map(rows, q, n):
 
 def test_support_basis_splits_the_inverse_fourier_kernel():
     # per axis, S F^-1 S^-1 = [[1, 1], [q-1, -1]] on digits 0 and 1 (as an
-    # operator on columns) plus a block C on digits 2..q-1 with C C* = q I
+    # operator on columns) plus a block C on digits 2..q-1 with C C* = q I,
+    # S the real Hartley support kernel; C itself is complex
     for q in range(3, 12):
         # the kernels act on rows: out = x @ K, so the operator is K^T
         fourier = _group_kernel(q, 1, "fourier", +1).T
@@ -136,15 +142,16 @@ def test_support_basis_splits_the_inverse_fourier_kernel():
 
 def test_closing_transform_matches_two_passes():
     # the fused pass against the (x_0, x_1) map followed by the inverse
-    # support transform, on a batch; and, with digits >= 2 first taken to
-    # the inverse Fourier frame by C, it is the inverse Fourier transform of
-    # the inverse support transform: axis pairs (3,3), (4,3), (3,5) and single
-    # axes (5,2), (6,2), (5,3) with dense kernels, the FFT branch at q = 23
-    # and 256
+    # support transform, both in the Hartley frame, on a batch; and, with
+    # digits >= 2 first taken to the inverse Fourier frame by C, it is the
+    # inverse Fourier transform of the inverse support transform: axis
+    # pairs (3,3), (4,3), (3,5) and single axes (5,2), (6,2), (5,3) with
+    # dense kernels, the FFT branch at q = 23 and 256
     for q, n in ((3, 3), (4, 3), (5, 2), (6, 2), (3, 5), (5, 3), (23, 2), (256, 2)):
         rng = np.random.default_rng(q * 100 + n)
         rows = rng.normal(size=(2, q**n)) + 1j * rng.normal(size=(2, q**n))
-        got = closing_transform(rows, q, n)
+        # the pass overwrites its input
+        got = closing_transform(rows.copy(), q, n)
         assert got.shape == rows.shape
         # the reference support_transform builds a q x q kernel, 256 x 256 at most here
         expect = support_transform(_pair_map(rows, q, n), q, n, +1)
@@ -160,6 +167,56 @@ def test_closing_transform_matches_two_passes():
         expect = axis_transform(support_transform(rows, q, n, +1), q, n, +1)
         got = closing_transform(framed.reshape(rows.shape), q, n)
         assert np.max(np.abs(got - expect)) <= 1e-9 * q**n, (q, n)
+
+
+def _kronecker_reference(rows, q, n, kind, sign):
+    """The n-th Kronecker power of the one-axis kernel, as one matrix up to 1024 words."""
+    axis = _group_kernel(q, 1, kind, sign)
+    if q**n <= 1024:
+        return rows @ functools.reduce(np.kron, [axis] * n, np.ones((1, 1), dtype=axis.dtype))
+    t = rows.reshape(rows.shape[:-1] + (q,) * n)
+    for a in range(t.ndim - n, t.ndim):
+        t = np.moveaxis(np.tensordot(t, axis, axes=(a, 0)), -1, a)
+    return t.reshape(rows.shape)
+
+
+def test_dense_transform_is_the_kronecker_kernel():
+    # the grouped contraction against the Kronecker power of the axis
+    # kernel, for every kind, on real and complex batches: q = 2..20 and
+    # n = 0..5 wherever q^n <= 2^16, so groups of 4, 2 and 1 axes and the
+    # mixed last group all run; the input is never written
+    kinds = (("fourier", -1), ("fourier", +1), ("hartley", +1), ("support", -1), ("support", +1),
+             ("closing", +1))
+    for q in range(2, DENSE_MAX_Q + 1):
+        for n in range(6):
+            if q**n > 2**16:
+                continue
+            rng = np.random.default_rng(q * 10 + n)
+            real = rng.normal(size=(2, q**n))
+            for rows in (real, real + 1j * rng.normal(size=real.shape)):
+                kept = rows.copy()
+                for kind, sign in kinds:
+                    got = _dense_transform(rows, q, n, kind, sign)
+                    expect = _kronecker_reference(rows, q, n, kind, sign)
+                    assert got.dtype == expect.dtype, (q, n, kind, sign, got.dtype)
+                    gap = np.max(np.abs(got - expect))
+                    assert gap <= 1e-12 * np.max(np.abs(expect)), (q, n, kind, sign, gap)
+                assert np.array_equal(rows, kept), (q, n)
+
+
+def test_dense_transform_copies_at_zero_axes():
+    # Z_q^0 has one word and the kernel is [[1]]: a new array of the same
+    # values, and no pair of ping-pong buffers beside it
+    rows = np.random.default_rng(0).normal(size=(8192, 1)) * (1 + 2j)
+    for kind, sign in (("fourier", -1), ("hartley", +1), ("closing", +1)):
+        tracemalloc.start()
+        try:
+            got = _dense_transform(rows, 5, 0, kind, sign)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, rows) and not np.shares_memory(got, rows), kind
+        assert peak < 1.5 * rows.nbytes, (kind, peak)
 
 
 def test_fourier_inversion_and_delta():
